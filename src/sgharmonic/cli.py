@@ -11,6 +11,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
+from math import gcd
 
 import click
 
@@ -20,6 +21,7 @@ from .gasket import (
     EDGES,
     BoundaryValues,
     EdgePoint,
+    cell_word,
     edge_profile,
     eval_dyadic,
     is_dyadic,
@@ -86,9 +88,8 @@ def _eval_point(bv: BoundaryValues, edge: str, x: Fraction) -> Fraction:
         # third point of a dyadic sub-edge: j/(3*2^m) with j not divisible by 3
         m = (d // 3).bit_length() - 1
         k, r = divmod(x.numerator, 3)
-        addr = "".join("2" if (k >> i) & 1 else "1" for i in range(m - 1, -1, -1))
         _, value = restrictions.third_point_of_subedge(
-            on_edge(bv, edge), addr, Fraction(r, 3))
+            on_edge(bv, edge), cell_word(k, m), Fraction(r, 3))
         return value
     raise ValueError(f"point {x} is neither dyadic nor a sub-edge third point")
 
@@ -201,8 +202,11 @@ def cmd_scan(alpha, beta, gamma, edge, depth, output):
 def cmd_verify(suites, trials, depth, m_max, seed, fmt):
     """Run cross-check suites; nonzero exit on any failure."""
     names = list(suites) or list(verify.SUITES)
-    results = verify.run_suites(names, seed=seed, trials=trials, depth=depth,
-                                m_max=m_max)
+    try:
+        results = verify.run_suites(names, seed=seed, trials=trials, depth=depth,
+                                    m_max=m_max)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     if fmt == "json":
         payload = {
             "command": "verify",
@@ -236,23 +240,17 @@ def cmd_zero_search(alpha, beta, gamma, depth, coeff_bound, fmt):
         raise click.UsageError("zero-search requires a nonconstant triple")
     count, zeros = restrictions.count_zero_junctions(bv, depth)
     relations = []
-    from math import gcd
     for n in range(-coeff_bound, coeff_bound + 1):
         for m in range(-coeff_bound, coeff_bound + 1):
             k = -n - m
-            if abs(k) > coeff_bound or (n, m, k) == (0, 0, 0):
-                continue
-            if gcd(gcd(abs(n), abs(m)), abs(k)) != 1:
-                continue
+            if abs(k) > coeff_bound or gcd(n, m, k) != 1:
+                continue  # out of bounds, all zero, or not primitive
             first = next(x for x in (n, m, k) if x != 0)
             if first < 0:
                 continue  # sign-canonical representative only
             if n * bv.alpha + m * bv.beta + k * bv.gamma == 0:
                 relations.append((n, m, k))
-    zero_labels = [
-        kind if where == "vertex" else f"{where}:{format_rational(kind)}"
-        for where, kind in [(z[0], z[1]) for z in zeros]
-    ]
+    zero_labels = [restrictions.format_zero(z) for z in zeros]
     results = {"zero_count": count, "zeros": zero_labels,
                "relations": [list(r) for r in relations]}
     if fmt == "json":

@@ -13,12 +13,19 @@ applied recursively gives the exact value at every junction point.  Cells
 child of cell w containing corner i.  A child's corner triple keeps the
 (apex, left, right) ordering of its parent, so the bottom edge of every
 {1,2}-word cell is a sub-segment of [p1, p2].
+
+Every cell walk runs on one integer kernel.  The rule is linear, so with L
+the lcm of the corner denominators, the corners of cell w are integer
+numerators over L*5^|w|; :func:`child_numerators` maps a parent's to a
+child's, and a walk divides only for the values it returns.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 EDGES = ("bottom", "left", "right")
 
@@ -93,26 +100,60 @@ def extend_once(bv: BoundaryValues) -> tuple[Fraction, Fraction, Fraction]:
             (2 * a + 2 * b + g) / 5)
 
 
-def child(bv: BoundaryValues, digit: int) -> BoundaryValues:
-    """Corner triple of the sub-cell containing corner `digit`."""
-    p12, p02, p01 = extend_once(bv)
-    if digit == 0:
-        return BoundaryValues(bv.alpha, p01, p02)
-    if digit == 1:
-        return BoundaryValues(p01, bv.beta, p12)
-    if digit == 2:
-        return BoundaryValues(p02, p12, bv.gamma)
+Numerators = tuple[int, int, int]
+
+
+def to_numerators(bv: BoundaryValues) -> tuple[Numerators, int]:
+    """Integer corner numerators over one common denominator L, and L."""
+    den = lcm(*(x.denominator for x in bv.as_tuple()))
+    return tuple(x.numerator * (den // x.denominator) for x in bv.as_tuple()), den
+
+
+def child_numerators(t: Numerators, digit: str) -> Numerators:
+    """Numerators of the child cell containing corner `digit`, over 5 times
+    the parent's denominator."""
+    a, b, g = t
+    if digit == "0":
+        return (5 * a, 2 * a + 2 * b + g, 2 * a + b + 2 * g)
+    if digit == "1":
+        return (2 * a + 2 * b + g, 5 * b, a + 2 * b + 2 * g)
+    if digit == "2":
+        return (2 * a + b + 2 * g, a + 2 * b + 2 * g, 5 * g)
     raise ValueError(f"cell digit must be 0, 1 or 2, got {digit!r}")
+
+
+def cell_word(k: int, m: int) -> CellAddress:
+    """Word of the depth-m cell over [k/2^m, (k+1)/2^m] of the bottom edge:
+    the m binary digits of k, most significant first, with 0 -> 1, 1 -> 2."""
+    if not 0 <= k < 2 ** m:
+        raise ValueError(f"cell index {k} outside [0, 2^{m})")
+    return "".join("2" if (k >> i) & 1 else "1" for i in range(m - 1, -1, -1))
+
+
+def _bottom_walk(bv: BoundaryValues, depth: int) -> Iterator[tuple[Numerators, int]]:
+    """(numerators, denominator) of the 2^depth cells tiling the bottom edge,
+    left to right; depth-first, so only one path from the root is held."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    root, den = to_numerators(bv)
+    den *= 5 ** depth
+    stack = [(root, depth)]
+    while stack:
+        t, d = stack.pop()
+        if d:
+            stack.append((child_numerators(t, "2"), d - 1))
+            stack.append((child_numerators(t, "1"), d - 1))
+        else:
+            yield t, den
 
 
 def cell_values(bv: BoundaryValues, addr: CellAddress) -> BoundaryValues:
     """Exact corner triple of the cell named by `addr` (composition of children)."""
-    t = bv
-    for ch in addr:
-        if ch not in "012":
-            raise ValueError(f"bad cell address {addr!r}")
-        t = child(t, int(ch))
-    return t
+    t, den = to_numerators(bv)
+    for digit in addr:
+        t = child_numerators(t, digit)
+    den *= 5 ** len(addr)
+    return BoundaryValues(*(Fraction(x, den) for x in t))
 
 
 def eval_dyadic(bv: BoundaryValues, pt: EdgePoint) -> Fraction:
@@ -123,46 +164,22 @@ def eval_dyadic(bv: BoundaryValues, pt: EdgePoint) -> Fraction:
     if not is_dyadic(x):
         raise ValueError(f"position {x} is not dyadic")
     t = on_edge(bv, pt.edge)
-    half = Fraction(1, 2)
-    while True:
-        if x == 0:
-            return t.beta
-        if x == 1:
-            return t.gamma
-        if x == half:
-            return extend_once(t)[0]
-        if x < half:
-            t, x = child(t, 1), 2 * x
-        else:
-            t, x = child(t, 2), 2 * x - 1
+    if x == 1:
+        return t.gamma
+    # x = k/2^m is the left (beta) corner of the cell over [k/2^m, (k+1)/2^m]
+    return cell_values(t, cell_word(x.numerator, x.denominator.bit_length() - 1)).beta
 
 
 def edge_profile(bv: BoundaryValues, depth: int, edge: str = "bottom") -> list[Fraction]:
     """Values at all points k/2^depth, k = 0..2^depth, along an edge."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-
-    def rec(t: BoundaryValues, d: int) -> list[Fraction]:
-        if d == 0:
-            return [t.beta, t.gamma]
-        lo = rec(child(t, 1), d - 1)
-        hi = rec(child(t, 2), d - 1)
-        return lo + hi[1:]
-
-    return rec(on_edge(bv, edge), depth)
+    t = on_edge(bv, edge)
+    return [Fraction(c[1], den) for c, den in _bottom_walk(t, depth)] + [t.gamma]
 
 
 def bottom_cells(bv: BoundaryValues, depth: int) -> list[BoundaryValues]:
     """Corner triples of the 2^depth cells tiling the bottom edge, left to right."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-
-    def rec(t: BoundaryValues, d: int) -> list[BoundaryValues]:
-        if d == 0:
-            return [t]
-        return rec(child(t, 1), d - 1) + rec(child(t, 2), d - 1)
-
-    return rec(bv, depth)
+    return [BoundaryValues(*(Fraction(x, den) for x in t))
+            for t, den in _bottom_walk(bv, depth)]
 
 
 LEMMA2_POINTS = ("half_power", "one_minus_half_power", "l_m", "r_m")

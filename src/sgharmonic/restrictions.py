@@ -12,16 +12,18 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactarith import QuadExt
+from .exactarith import QuadExt, format_rational
 from .gasket import (
     BoundaryValues,
     CellAddress,
     bottom_cells,
     cell_values,
-    child,
+    cell_word,
+    child_numerators,
     extend_once,
     is_dyadic,
     on_edge,
+    to_numerators,
 )
 
 
@@ -38,8 +40,8 @@ class DerivClass(enum.Enum):
     ZERO = "Zero"
 
 
-def _classify_triple(t: BoundaryValues) -> MonotonicityClass:
-    a, b, g = t.alpha, t.beta, t.gamma
+def _classify_triple(a, b, g) -> MonotonicityClass:
+    """Bottom-edge class of corners (a, b, g), unchanged by positive scaling."""
     if a == b == g:
         return MonotonicityClass.CONSTANT
     if b < g and 2 * b - g <= a <= 2 * g - b:
@@ -53,7 +55,7 @@ def classify_edge(bv: BoundaryValues, edge: str = "bottom") -> MonotonicityClass
     """Monotonicity of the restriction to an edge: the increasing case is
     exactly beta < gamma together with 2*beta - gamma <= alpha <= 2*gamma - beta
     (closed inequalities), after mapping the edge onto [0, 1]."""
-    return _classify_triple(on_edge(bv, edge))
+    return _classify_triple(*on_edge(bv, edge).as_tuple())
 
 
 def dsv_check(bv: BoundaryValues, edge: str = "bottom") -> bool:
@@ -95,44 +97,30 @@ def locate_extremum(bv: BoundaryValues, edge: str, depth: int) -> ExtremumResult
     """Bisect a non-monotone edge restriction down to its unique extremum."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    t = on_edge(bv, edge)
-    if _classify_triple(t) is not MonotonicityClass.NON_MONOTONE:
+    t, _ = to_numerators(on_edge(bv, edge))
+    if _classify_triple(*t) is not MonotonicityClass.NON_MONOTONE:
         raise ValueError("restriction is monotone; no extremum to locate")
-    lo, hi = Fraction(0), Fraction(1)
+    k = 0  # the cell walked at step i lies over [k/2^i, (k+1)/2^i]
     kind = None
     inc = MonotonicityClass.STRICTLY_INCREASING
     dec = MonotonicityClass.STRICTLY_DECREASING
     non = MonotonicityClass.NON_MONOTONE
-    for _ in range(depth):
-        left, right = child(t, 1), child(t, 2)
-        cl, cr = _classify_triple(left), _classify_triple(right)
-        mid = (lo + hi) / 2
-        if MonotonicityClass.CONSTANT in (cl, cr):
-            raise ArithmeticError(
-                f"constant sub-cell at [{lo}, {hi}] for nonconstant input")
-        if cl is non:
-            if cr not in (inc, dec):
-                raise ArithmeticError(f"two non-monotone children at [{lo}, {hi}]")
+    for i in range(depth):
+        left, right = child_numerators(t, "1"), child_numerators(t, "2")
+        cl, cr = _classify_triple(*left), _classify_triple(*right)
+        if cl is non and cr in (inc, dec):
             kind = kind or ("max" if cr is dec else "min")
-            t, hi = left, mid
-        elif cr is non:
+            t, k = left, 2 * k
+        elif cr is non and cl in (inc, dec):
             kind = kind or ("max" if cl is inc else "min")
-            t, lo = right, mid
+            t, k = right, 2 * k + 1
+        elif (cl, cr) in ((inc, dec), (dec, inc)):
+            mid = Fraction(2 * k + 1, 2 ** (i + 1))
+            return ExtremumResult("max" if cl is inc else "min", mid, mid, mid)
         else:
-            if cl is inc and cr is dec:
-                return ExtremumResult("max", mid, mid, mid)
-            if cl is dec and cr is inc:
-                return ExtremumResult("min", mid, mid, mid)
-            raise ArithmeticError(
-                f"children both monotone in the same direction at [{lo}, {hi}]")
-    return ExtremumResult(kind, lo, hi)
-
-
-def _cell_at(t: BoundaryValues, k: int, m: int) -> BoundaryValues:
-    """Depth-m cell covering [k/2^m, (k+1)/2^m] of the bottom edge of t."""
-    for i in range(m - 1, -1, -1):
-        t = child(t, 2 if (k >> i) & 1 else 1)
-    return t
+            raise ArithmeticError(f"children {cl.value} and {cr.value} below the cell "
+                                  f"over [{k}/2^{i}, {k + 1}/2^{i}]")
+    return ExtremumResult(kind, Fraction(k, 2 ** depth), Fraction(k + 1, 2 ** depth))
 
 
 def _sign_class(diff: Fraction) -> DerivClass:
@@ -161,16 +149,15 @@ def junction_derivative(
     if not is_dyadic(x):
         raise ValueError(f"position {x} is not dyadic")
     t = on_edge(bv, edge)
-    m = x.denominator.bit_length() - 1
-    k = x.numerator * (2 ** m // x.denominator)
+    k, m = x.numerator, x.denominator.bit_length() - 1
     left = right = None
     if x < 1:
-        c = _cell_at(t, k, m)
+        c = cell_values(t, cell_word(k, m))
         if c.is_constant():
             raise ArithmeticError("restriction constant on the right approach cell")
         right = _sign_class(c.alpha + c.gamma - 2 * c.beta)
     if x > 0:
-        c = _cell_at(t, k - 1, m)
+        c = cell_values(t, cell_word(k - 1, m))
         if c.is_constant():
             raise ArithmeticError("restriction constant on the left approach cell")
         left = _sign_class(2 * c.gamma - c.alpha - c.beta)
@@ -183,6 +170,11 @@ VERTICES = ("p0", "p1", "p2")
 ZeroJunction = tuple  # ("vertex", "p0") or (edge_name, Fraction position)
 
 
+def format_zero(z: ZeroJunction) -> str:
+    """Exact text of a zero junction: "p0" for a vertex, "left:1/2" otherwise."""
+    return z[1] if z[0] == "vertex" else f"{z[0]}:{format_rational(z[1])}"
+
+
 def count_zero_junctions(
     bv: BoundaryValues, depth: int
 ) -> tuple[int, list[ZeroJunction]]:
@@ -192,14 +184,9 @@ def count_zero_junctions(
         raise ValueError("depth must be >= 1")
     if bv.is_constant():
         raise ValueError("derivative classes are undefined for constant functions")
-    a, b, g = bv.as_tuple()
-    zeros: list[ZeroJunction] = []
-    if 2 * a == b + g:
-        zeros.append(("vertex", "p0"))
-    if 2 * b == a + g:
-        zeros.append(("vertex", "p1"))
-    if 2 * g == a + b:
-        zeros.append(("vertex", "p2"))
+    # at a vertex of value x the Zero condition 2x = (sum of the others) is 3x = delta
+    zeros: list[ZeroJunction] = [("vertex", v) for v, x in zip(VERTICES, bv.as_tuple())
+                                 if 3 * x == bv.delta]
     n = 2 ** depth
     for edge in ("bottom", "left", "right"):
         cells = bottom_cells(on_edge(bv, edge), depth)
@@ -244,14 +231,10 @@ def triangle_sequence(bv: BoundaryValues, m: int) -> TriangleSequence:
     right third of the left third, i.e. the cell step "12")."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    a, b, g = bv.as_tuple()
-    for _ in range(m):
-        a, b, g = ((6 * a + 13 * b + 6 * g) / 25,
-                   (4 * a + 16 * b + 5 * g) / 25,
-                   (a + 2 * b + 2 * g) / 5)
+    t = cell_values(bv, "12" * m)
     q = Fraction(1, 4 ** m)
     third = Fraction(1, 3)
-    return TriangleSequence(m, a, b, g, third - third * q, third + 2 * third * q)
+    return TriangleSequence(m, *t.as_tuple(), third - third * q, third + 2 * third * q)
 
 
 @dataclass(frozen=True)
@@ -382,11 +365,8 @@ def third_point_of_subedge(
     which = Fraction(which)
     if which not in (Fraction(1, 3), Fraction(2, 3)):
         raise ValueError("which must be 1/3 or 2/3")
-    m = len(addr)
-    k = 0
-    for ch in addr:
-        k = 2 * k + (1 if ch == "2" else 0)
-    position = (k + which) / 2 ** m
+    k = int("0" + addr.replace("1", "0").replace("2", "1"), 2)  # inverse of cell_word
+    position = (k + which) / 2 ** len(addr)
     t = cell_values(bv, addr)
     if which == Fraction(1, 3):
         value = third_point_value(t)

@@ -5,6 +5,7 @@ details."""
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,9 +43,12 @@ def random_nonconstant_triple(rng: random.Random, bound: int = 100) -> BoundaryV
 
 
 def _text(value) -> str:
-    """Exact text of a certificate value; a triple reads "alpha,beta,gamma"."""
+    """Exact text of a certificate value; a triple reads "alpha,beta,gamma",
+    a list of zero junctions as zero-search prints it."""
     if isinstance(value, BoundaryValues):
         return ",".join(format_rational(x) for x in value.as_tuple())
+    if isinstance(value, list):
+        return ", ".join(restrictions.format_zero(z) for z in value)
     return str(value)
 
 
@@ -257,15 +261,14 @@ SUITES = {
 
 
 def run_suites(names=None, seed: int = 0, **overrides) -> list[SuiteResult]:
-    """Run the named suites (all by default) with per-suite keyword overrides
-    filtered to what each suite accepts."""
-    results = []
-    for name in names or SUITES:
-        fn = SUITES[name]
-        kwargs = {"seed": seed}
-        params = fn.__code__.co_varnames[: fn.__code__.co_argcount]
-        for key, value in overrides.items():
-            if value is not None and key in params:
-                kwargs[key] = value
-        results.append(fn(**kwargs))
-    return results
+    """Run the named suites (all by default), each with the overrides among
+    its parameters; an override that no named suite takes is a ValueError."""
+    names = list(names or SUITES)
+    given = {key: value for key, value in overrides.items() if value is not None}
+    params = {name: inspect.signature(SUITES[name]).parameters for name in names}
+    for key in given:
+        if not any(key in p for p in params.values()):
+            raise ValueError(f"no selected suite ({', '.join(names)}) takes "
+                             f"--{key.replace('_', '-')}")
+    return [SUITES[name](seed=seed, **{k: v for k, v in given.items() if k in params[name]})
+            for name in names]

@@ -133,10 +133,11 @@ class TestVerify:
         from sgharmonic import verify
         from sgharmonic.gasket import BoundaryValues
         res = verify._fail("theorem6", "msg", bv=BoundaryValues(
-            Fraction(19, 27), Fraction(-17, 13), -2), ratio=Fraction(7, 3), m0=7)
+            Fraction(19, 27), Fraction(-17, 13), -2), ratio=Fraction(7, 3), m0=7,
+            zeros=[("left", Fraction(1, 2)), ("vertex", "p0")])
         assert res.status == "FAIL"
         assert res.counterexample == {"bv": "19/27,-17/13,-2", "ratio": "7/3",
-                                      "m0": "7"}
+                                      "m0": "7", "zeros": "left:1/2, p0"}
 
     def test_closedform_suite_passes(self):
         res = run("verify", "--suite", "closedform", "--trials", "10",
@@ -146,6 +147,12 @@ class TestVerify:
 
     def test_unknown_suite_rejected(self):
         assert run("verify", "--suite", "nonsense").exit_code == 2
+
+    def test_option_no_selected_suite_takes_rejected(self):
+        res = run("verify", "--suite", "theorem5", "--trials", "3", "--m-max", "5")
+        assert res.exit_code == 2
+        assert "--m-max" in res.output
+        assert "theorem5" in res.output
 
 
 class TestZeroSearch:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgharmonic.gasket import (
     EDGES,
@@ -10,6 +12,7 @@ from sgharmonic.gasket import (
     EdgePoint,
     bottom_cells,
     cell_values,
+    cell_word,
     closed_form_lemma2,
     edge_profile,
     eval_dyadic,
@@ -20,6 +23,7 @@ from sgharmonic.gasket import (
     on_edge,
     renormalized_vertex_difference,
 )
+from sgharmonic.restrictions import DerivClass, junction_derivative
 
 
 def rand_triple(rng, bound=100):
@@ -73,6 +77,73 @@ class TestCellValues:
                 assert lo <= val <= hi
 
 
+def step_by_step(bv, addr):
+    """Reference cell triple: the midpoint rule in Fractions, one digit at a time."""
+    for digit in addr:
+        p12, p02, p01 = extend_once(bv)
+        a, b, g = bv.as_tuple()
+        bv = {"0": BoundaryValues(a, p01, p02), "1": BoundaryValues(p01, b, p12),
+              "2": BoundaryValues(p02, p12, g)}[digit]
+    return bv
+
+
+BIG = 2 ** 200
+# pairwise coprime, so a triple's common denominator is a product of them
+COPRIME_DENOMINATORS = (1, 7, 11 * 13, 5 ** 9, 3 ** 40, 2 ** 61, 2 ** 61 - 1)
+corners = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.sampled_from(COPRIME_DENOMINATORS)),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),
+)
+
+
+@st.composite
+def triples(draw):
+    """Corner triples, some on the hyperplanes alpha = 2*beta - gamma and
+    alpha = 2*gamma - beta that bound the monotone classes."""
+    b, g = draw(corners), draw(corners)
+    a = draw(st.one_of(corners, st.just(2 * b - g), st.just(2 * g - b)))
+    return BoundaryValues(a, b, g)
+
+
+def sign_class(x):
+    return {1: DerivClass.PLUS_INFINITY, -1: DerivClass.MINUS_INFINITY,
+            0: DerivClass.ZERO}[(x > 0) - (x < 0)]
+
+
+class TestKernelDifferential:
+    @settings(deadline=None)
+    @given(triples(), st.text("012", max_size=12))
+    def test_cell_values_match_step_by_step(self, bv, addr):
+        assert cell_values(bv, addr) == step_by_step(bv, addr)
+
+    @settings(deadline=None)
+    @given(triples(), st.sampled_from(EDGES), st.integers(0, 4))
+    def test_walkers_agree_with_cell_values(self, bv, edge, m):
+        t = on_edge(bv, edge)
+        n = 2 ** m
+        cells = [cell_values(t, cell_word(k, m)) for k in range(n)]
+        assert bottom_cells(t, m) == cells
+        assert edge_profile(bv, m, edge) == [c.beta for c in cells] + [cells[-1].gamma]
+        for k in range(n + 1):
+            x = Fraction(k, n)
+            assert eval_dyadic(bv, EdgePoint(edge, x)) == (
+                cells[k].beta if k < n else cells[-1].gamma)
+            if bv.is_constant():
+                with pytest.raises(ArithmeticError):
+                    junction_derivative(bv, edge, x)
+                continue
+            # a depth-m cell at x descends from the minimal-depth one there
+            left = right = None
+            if k > 0:
+                c = cells[k - 1]
+                left = sign_class(2 * c.gamma - c.alpha - c.beta)
+            if k < n:
+                c = cells[k]
+                right = sign_class(c.alpha + c.gamma - 2 * c.beta)
+            assert junction_derivative(bv, edge, x) == (left, right)
+
+
 class TestEvalDyadic:
     def test_endpoints(self):
         bv = BoundaryValues(0, 0, 1)
@@ -109,6 +180,19 @@ class TestEvalDyadic:
         assert eval_dyadic(bv, EdgePoint("right", Fraction(1))) == 7  # p2
         mid = eval_dyadic(bv, EdgePoint("left", Fraction(1, 2)))
         assert mid == extend_once(bv)[2]  # f(p01)
+
+
+class TestCellWord:
+    def test_examples(self):
+        assert cell_word(0, 0) == ""
+        assert cell_word(0, 3) == "111"
+        assert cell_word(5, 3) == "212"
+        assert cell_word(7, 3) == "222"
+
+    def test_out_of_range_rejected(self):
+        for k, m in ((1, 0), (8, 3), (-1, 3)):
+            with pytest.raises(ValueError):
+                cell_word(k, m)
 
 
 class TestEdgeProfile:
