@@ -133,8 +133,7 @@ def cmd_classify(alpha, beta, gamma, depth, fmt):
                 "kind": res.kind,
                 "lo": format_rational(res.lo),
                 "hi": format_rational(res.hi),
-                "at_junction": (format_rational(res.junction)
-                                if res.junction is not None else None),
+                "at_junction": format_rational(res.lo) if res.lo == res.hi else None,
             }
         per_edge[edge] = entry
     lengths = {
@@ -228,7 +227,8 @@ def cmd_verify(suites, trials, depth, m_max, seed, fmt):
 
 @cli.command("zero-search")
 @triple_options
-@click.option("--depth", type=click.IntRange(1, 12), default=4, show_default=True)
+@click.option("--depth", type=click.IntRange(1, verify.MAX_DEPTH["theorem5"]), default=4,
+              show_default=True)
 @click.option("--coeff-bound", type=click.IntRange(1, 50), default=5, show_default=True,
               help="bound on |n|, |m|, |k| in the rational-relation search")
 @_format_option

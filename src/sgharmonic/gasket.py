@@ -130,21 +130,20 @@ def cell_word(k: int, m: int) -> CellAddress:
     return "".join("2" if (k >> i) & 1 else "1" for i in range(m - 1, -1, -1))
 
 
-def _bottom_walk(bv: BoundaryValues, depth: int) -> Iterator[tuple[Numerators, int]]:
-    """(numerators, denominator) of the 2^depth cells tiling the bottom edge,
-    left to right; depth-first, so only one path from the root is held."""
+def _bottom_walk(bv: BoundaryValues, depth: int) -> Iterator[Numerators]:
+    """Numerators, over to_numerators(bv)[1] * 5^depth, of the 2^depth cells
+    tiling the bottom edge, left to right; depth-first, so only one path from
+    the root is held."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    root, den = to_numerators(bv)
-    den *= 5 ** depth
-    stack = [(root, depth)]
+    stack = [(to_numerators(bv)[0], depth)]
     while stack:
         t, d = stack.pop()
         if d:
             stack.append((child_numerators(t, "2"), d - 1))
             stack.append((child_numerators(t, "1"), d - 1))
         else:
-            yield t, den
+            yield t
 
 
 def cell_values(bv: BoundaryValues, addr: CellAddress) -> BoundaryValues:
@@ -173,13 +172,14 @@ def eval_dyadic(bv: BoundaryValues, pt: EdgePoint) -> Fraction:
 def edge_profile(bv: BoundaryValues, depth: int, edge: str = "bottom") -> list[Fraction]:
     """Values at all points k/2^depth, k = 0..2^depth, along an edge."""
     t = on_edge(bv, edge)
-    return [Fraction(c[1], den) for c, den in _bottom_walk(t, depth)] + [t.gamma]
+    den = to_numerators(t)[1] * 5 ** depth
+    return [Fraction(c[1], den) for c in _bottom_walk(t, depth)] + [t.gamma]
 
 
-def bottom_cells(bv: BoundaryValues, depth: int) -> list[BoundaryValues]:
-    """Corner triples of the 2^depth cells tiling the bottom edge, left to right."""
-    return [BoundaryValues(*(Fraction(x, den) for x in t))
-            for t, den in _bottom_walk(bv, depth)]
+def bottom_cells(bv: BoundaryValues, depth: int) -> list[Numerators]:
+    """Integer corner numerators of the 2^depth cells tiling the bottom edge,
+    left to right, all over the one denominator to_numerators(bv)[1] * 5^depth."""
+    return list(_bottom_walk(bv, depth))
 
 
 LEMMA2_POINTS = ("half_power", "one_minus_half_power", "l_m", "r_m")

@@ -83,14 +83,13 @@ def simultaneous_monotone(bv: BoundaryValues) -> bool:
 class ExtremumResult:
     """Bracket for the unique extremum of a non-monotone edge restriction.
 
-    When the extremum sits exactly at a junction point, lo == hi == junction;
-    otherwise [lo, hi] is a dyadic interval of width 2^-depth.
+    When the extremum sits exactly at a junction point, lo == hi is that
+    point; otherwise [lo, hi] is a dyadic interval of width 2^-depth.
     """
 
     kind: str  # "max" or "min"
     lo: Fraction
     hi: Fraction
-    junction: Fraction | None = None
 
 
 def locate_extremum(bv: BoundaryValues, edge: str, depth: int) -> ExtremumResult:
@@ -116,17 +115,24 @@ def locate_extremum(bv: BoundaryValues, edge: str, depth: int) -> ExtremumResult
             t, k = right, 2 * k + 1
         elif (cl, cr) in ((inc, dec), (dec, inc)):
             mid = Fraction(2 * k + 1, 2 ** (i + 1))
-            return ExtremumResult("max" if cl is inc else "min", mid, mid, mid)
+            return ExtremumResult("max" if cl is inc else "min", mid, mid)
         else:
             raise ArithmeticError(f"children {cl.value} and {cr.value} below the cell "
                                   f"over [{k}/2^{i}, {k + 1}/2^{i}]")
     return ExtremumResult(kind, Fraction(k, 2 ** depth), Fraction(k + 1, 2 ** depth))
 
 
-def _sign_class(diff: Fraction) -> DerivClass:
-    if diff == 0:
+def _junction_class(cell, side: str) -> DerivClass:
+    """One-sided derivative class at a junction from the corners (a, b, g)
+    of the cell on that `side` of it: the sign of 2g - a - b on the left
+    cell (the junction is its right corner), of a + g - 2b on the right one
+    (its left corner).  Positive scaling keeps the sign, so integer
+    numerators over any positive denominator serve as well as values."""
+    a, b, g = cell
+    form = 2 * g - a - b if side == "left" else a + g - 2 * b
+    if form == 0:
         return DerivClass.ZERO
-    return DerivClass.PLUS_INFINITY if diff > 0 else DerivClass.MINUS_INFINITY
+    return DerivClass.PLUS_INFINITY if form > 0 else DerivClass.MINUS_INFINITY
 
 
 def junction_derivative(
@@ -134,14 +140,12 @@ def junction_derivative(
 ) -> tuple[DerivClass | None, DerivClass | None]:
     """One-sided derivative classes (left, right) at a dyadic edge point.
 
-    With (a, b, c) the corner triple of the cell approached on the right of
-    the point (the point being its bottom-left corner), the successive
-    difference quotients toward the point behave like
-    (6/5)^j * (a + c - 2b) plus a (2/5)^j term, so the right class is the
-    sign of a + c - 2b (Zero when it vanishes).  Mirrored on the left side:
-    the class is the sign of 2c - a - b on the cell whose bottom-right
-    corner is the point.  The sign is invariant under descending further
-    (each level scales it by 3/5), so the cell depth may be taken minimal.
+    On the cell approached from either side, the successive difference
+    quotients toward the point behave like (6/5)^j times the form of
+    :func:`_junction_class` plus a (2/5)^j term, so the class is the sign
+    of that form (Zero when it vanishes).  The sign is invariant under
+    descending further (each level scales it by 3/5), so the cell depth may
+    be taken minimal.
     """
     x = Fraction(position)
     if not (0 <= x <= 1):
@@ -149,18 +153,14 @@ def junction_derivative(
     if not is_dyadic(x):
         raise ValueError(f"position {x} is not dyadic")
     t = on_edge(bv, edge)
+    if t.is_constant():  # the child maps are invertible and keep constants
+        raise ArithmeticError("derivative classes are undefined for constant functions")
     k, m = x.numerator, x.denominator.bit_length() - 1
     left = right = None
     if x < 1:
-        c = cell_values(t, cell_word(k, m))
-        if c.is_constant():
-            raise ArithmeticError("restriction constant on the right approach cell")
-        right = _sign_class(c.alpha + c.gamma - 2 * c.beta)
+        right = _junction_class(cell_values(t, cell_word(k, m)).as_tuple(), "right")
     if x > 0:
-        c = cell_values(t, cell_word(k - 1, m))
-        if c.is_constant():
-            raise ArithmeticError("restriction constant on the left approach cell")
-        left = _sign_class(2 * c.gamma - c.alpha - c.beta)
+        left = _junction_class(cell_values(t, cell_word(k - 1, m)).as_tuple(), "left")
     return (left, right)
 
 
@@ -189,11 +189,10 @@ def count_zero_junctions(
                                  if 3 * x == bv.delta]
     n = 2 ** depth
     for edge in ("bottom", "left", "right"):
-        cells = bottom_cells(on_edge(bv, edge), depth)
+        cells = bottom_cells(on_edge(bv, edge), depth)  # integer numerators
         for k in range(1, n):
-            lc, rc = cells[k - 1], cells[k]
-            if (2 * lc.gamma == lc.alpha + lc.beta
-                    or rc.alpha + rc.gamma == 2 * rc.beta):
+            if DerivClass.ZERO in (_junction_class(cells[k - 1], "left"),
+                                   _junction_class(cells[k], "right")):
                 zeros.append((edge, Fraction(k, n)))
     return len(zeros), zeros
 
@@ -237,52 +236,43 @@ def triangle_sequence(bv: BoundaryValues, m: int) -> TriangleSequence:
     return TriangleSequence(m, *t.as_tuple(), third - third * q, third + 2 * third * q)
 
 
-@dataclass(frozen=True)
-class ThirdPointContext:
-    """Constants of the Q(sqrt13) solution of the nested-triangle recursion."""
-
-    c: Fraction
-    u: Fraction
-    v: QuadExt
-    s: QuadExt
-    h: QuadExt
-    w: QuadExt
-    t0: QuadExt
-    l: QuadExt
-    k: QuadExt
-    A: QuadExt  # coefficient of h^m in gamma_m
-    B: QuadExt  # coefficient of s^m in gamma_m, = k/(s-h)
-
-
-def third_point_context(bv: BoundaryValues) -> ThirdPointContext:
-    c = conserved_combination(bv)
-    u = Fraction(10)
-    v = QuadExt(1, -1)
-    s = QuadExt(Fraction(7, 50), Fraction(1, 50))
-    h = (v + 6) / 50
-    w = QuadExt(Fraction(9, 25), Fraction(-1, 25)) * c
-    t0 = 10 * bv.beta + v * bv.gamma
-    l = QuadExt(c) / 25 + w / ((s - 1) * 50)
-    k = -(w / (s - 1) + t0) / 50
-    B = k / (s - h)
-    A = l / (h - 1) - B + bv.gamma
-    return ThirdPointContext(c, u, v, s, h, w, t0, l, k, A, B)
-
-
-def _beta_coefficients(ctx: ThirdPointContext) -> tuple[QuadExt, QuadExt]:
-    """(C, D) with beta_m = C*s^m + D*h^m + c/27."""
-    C = (ctx.w / (ctx.s - 1) - ctx.v * ctx.B + ctx.t0) / ctx.u
-    D = -(ctx.v / QuadExt(ctx.u)) * ctx.A
-    return C, D
-
+#: Eigenvalues s, h = (7 +- sqrt13)/50 of the third-point step (third_point_context).
+S = QuadExt(Fraction(7, 50), Fraction(1, 50))
+H = S.conjugate()
 
 #: (100s + 4h)/24 = 91/150 + (2/25)sqrt13 ~ 0.8951: bound on the step ratio
 #: of third_point_quotients from the onset of third_point_onset on.
 THIRD_POINT_STEP_BOUND = QuadExt(Fraction(91, 150), Fraction(2, 25))
 
 
-def _qabs(x: QuadExt) -> QuadExt:
-    return x if x.sign() >= 0 else -x
+@dataclass(frozen=True)
+class ThirdPointContext:
+    """gamma_m = A h^m + B s^m + c/27 and beta_m = C s^m + D h^m + c/27 in
+    Q(sqrt13); A and D are the conjugates of B and C."""
+
+    c: Fraction  # the conserved combination 5 alpha + 15 beta + 7 gamma
+    A: QuadExt
+    B: QuadExt
+    C: QuadExt
+    D: QuadExt
+
+
+def third_point_context(bv: BoundaryValues) -> ThirdPointContext:
+    """Closed-form coefficients from one 2x2 step and its s-projector."""
+    # The step "12" takes beta, gamma to (4 alpha + 16 beta + 5 gamma)/25 and
+    # (alpha + 2 beta + 2 gamma)/5.  With alpha = (c - 15 beta - 7 gamma)/5
+    # these are (4c + 20 beta - 3 gamma)/125 and (c - 5 beta + 3 gamma)/25,
+    # fixed at beta = gamma = c/27.  On x = (beta - c/27, gamma - c/27) the
+    # step is K = [[4/25, -3/125], [-1/5, 3/25]], of trace 7/25 = s + h and
+    # determinant 9/625 = s h, so K^m x = s^m Px + h^m (x - Px) with the
+    # projector P = (K - h)/(s - h).  C and B are the entries of Px.
+    c = conserved_combination(bv)
+    xb, xg = bv.beta - c / 27, bv.gamma - c / 27
+    Kxb = Fraction(4, 25) * xb - Fraction(3, 125) * xg
+    Kxg = -xb / 5 + Fraction(3, 25) * xg
+    B = (Kxg - H * xg) / (S - H)
+    C = (Kxb - H * xb) / (S - H)
+    return ThirdPointContext(c, xg - B, B, C, xb - C)
 
 
 def third_point_onset(bv: BoundaryValues, side: str) -> int:
@@ -291,9 +281,10 @@ def third_point_onset(bv: BoundaryValues, side: str) -> int:
     The quotients are (3/2)(A(4h)^m + B(4s)^m) on the right and
     -3(C(4s)^m + D(4h)^m) on the left: a slow term (B or C, rate
     4s ~ 0.8485) and a fast one (A or D, rate 4h ~ 0.3515).  The onset m0
-    is the least m with |fast| h^m <= (1/25)|slow| s^m, or 0 when
-    slow = 0 (the step ratio is then exactly 4h).  As h < s this stays true
-    for every m >= m0, and with r = fast h^m / (slow s^m), |r| <= 1/25,
+    is the least m with |fast| h^m <= (1/25)|slow| s^m; fast and slow are
+    conjugates, so both vanish together (beta = gamma = c/27, m0 = 0).  As
+    h < s this stays true for every m >= m0, and with
+    r = fast h^m / (slow s^m), |r| <= 1/25,
 
         |q(m+1)| / |q(m)| = 4|s + r h| / |1 + r|
                           <= (100s + 4h)/24 = THIRD_POINT_STEP_BOUND < 9/10.
@@ -301,43 +292,38 @@ def third_point_onset(bv: BoundaryValues, side: str) -> int:
     Before m0 the two terms can nearly cancel, and the step ratio there
     exceeds any bound below 1.
     """
-    ctx = third_point_context(bv)
-    if side == "right":
-        fast, slow = ctx.A, ctx.B
-    elif side == "left":
-        slow, fast = _beta_coefficients(ctx)
-    else:
+    if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if not slow:
-        return 0
-    fast_term, slow_term = _qabs(fast), _qabs(slow) / 25
+    ctx = third_point_context(bv)
+    fast, slow = (ctx.A, ctx.B) if side == "right" else (ctx.D, ctx.C)
+    fast_term, slow_term = max(fast, -fast), max(slow, -slow) / 25
     m = 0
     while fast_term > slow_term:
-        fast_term, slow_term, m = fast_term * ctx.h, slow_term * ctx.s, m + 1
+        fast_term, slow_term, m = fast_term * H, slow_term * S, m + 1
     return m
+
+
+def _closed_form(fast: QuadExt, slow: QuadExt, c: Fraction, m: int) -> Fraction:
+    """fast*h^m + slow*s^m + c/27 in Q(sqrt13); the sqrt13 part must cancel."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    val = fast * H ** m + slow * S ** m + QuadExt(c) / 27
+    if val.root13_part != 0:
+        raise ArithmeticError(f"sqrt13 part failed to cancel: {val}")
+    return val.rational_part
 
 
 def gamma_closed_form(bv: BoundaryValues, m: int) -> Fraction:
     """gamma_m = A*h^m + B*s^m + c/27, evaluated in Q(sqrt13); the sqrt13
     part cancels exactly and the result matches the integer recursion."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
     ctx = third_point_context(bv)
-    val = ctx.A * ctx.h ** m + ctx.B * ctx.s ** m + QuadExt(ctx.c) / 27
-    if val.root13_part != 0:
-        raise ArithmeticError(f"sqrt13 part failed to cancel: {val}")
-    return val.rational_part
+    return _closed_form(ctx.A, ctx.B, ctx.c, m)
 
 
 def beta_closed_form(bv: BoundaryValues, m: int) -> Fraction:
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    """beta_m = C*s^m + D*h^m + c/27, evaluated as gamma_closed_form is."""
     ctx = third_point_context(bv)
-    C, D = _beta_coefficients(ctx)
-    val = C * ctx.s ** m + D * ctx.h ** m + QuadExt(ctx.c) / 27
-    if val.root13_part != 0:
-        raise ArithmeticError(f"sqrt13 part failed to cancel: {val}")
-    return val.rational_part
+    return _closed_form(ctx.D, ctx.C, ctx.c, m)
 
 
 def third_point_quotients(bv: BoundaryValues, m: int, side: str) -> Fraction:
@@ -368,8 +354,6 @@ def third_point_of_subedge(
     k = int("0" + addr.replace("1", "0").replace("2", "1"), 2)  # inverse of cell_word
     position = (k + which) / 2 ** len(addr)
     t = cell_values(bv, addr)
-    if which == Fraction(1, 3):
-        value = third_point_value(t)
-    else:
-        value = (5 * t.alpha + 7 * t.beta + 15 * t.gamma) / 27
-    return (position, value)
+    if which == Fraction(2, 3):  # the 1/3 point of the mirrored sub-edge
+        t = BoundaryValues(t.alpha, t.gamma, t.beta)
+    return (position, third_point_value(t))

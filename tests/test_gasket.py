@@ -22,6 +22,7 @@ from sgharmonic.gasket import (
     normal_derivative,
     on_edge,
     renormalized_vertex_difference,
+    to_numerators,
 )
 from sgharmonic.restrictions import DerivClass, junction_derivative
 
@@ -123,7 +124,8 @@ class TestKernelDifferential:
         t = on_edge(bv, edge)
         n = 2 ** m
         cells = [cell_values(t, cell_word(k, m)) for k in range(n)]
-        assert bottom_cells(t, m) == cells
+        den = to_numerators(t)[1] * 5 ** m
+        assert bottom_cells(t, m) == [tuple(x * den for x in c.as_tuple()) for c in cells]
         assert edge_profile(bv, m, edge) == [c.beta for c in cells] + [cells[-1].gamma]
         for k in range(n + 1):
             x = Fraction(k, n)
@@ -207,10 +209,11 @@ class TestEdgeProfile:
     def test_bottom_cells_cover_profile(self):
         bv = BoundaryValues(2, -3, 5)
         cells = bottom_cells(bv, 3)
+        den = to_numerators(bv)[1] * 5 ** 3
         prof = edge_profile(bv, 3)
         for k, cell in enumerate(cells):
-            assert cell.beta == prof[k]
-            assert cell.gamma == prof[k + 1]
+            assert Fraction(cell[1], den) == prof[k]
+            assert Fraction(cell[2], den) == prof[k + 1]
 
 
 class TestLemma2:

@@ -1,11 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import count
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_gasket import corners, triples  # the kernel test's corner strategies
 
 from sgharmonic.gasket import BoundaryValues, EdgePoint, edge_profile, eval_dyadic
 from sgharmonic.restrictions import (
     THIRD_POINT_STEP_BOUND,
+    H,
+    S,
     DerivClass,
     MonotonicityClass,
     beta_closed_form,
@@ -121,8 +127,7 @@ class TestLocateExtremum:
         prev = None
         for depth in range(1, 9):
             res = locate_extremum(bv, "bottom", depth)
-            if res.junction is not None:
-                assert res.lo == res.hi == res.junction
+            if res.lo == res.hi:  # the extremum sits at a junction point
                 break
             assert res.hi - res.lo == Fraction(1, 2 ** depth)
             if prev is not None:
@@ -143,7 +148,7 @@ class TestLocateExtremum:
     def test_junction_extremum_symmetric_triple(self):
         # beta == gamma forces the extremum onto the midpoint by symmetry
         res = locate_extremum(BoundaryValues(5, 0, 0), "bottom", 10)
-        assert res.junction == Fraction(1, 2)
+        assert res.lo == res.hi == Fraction(1, 2)
         assert res.kind == "max"
 
 
@@ -293,8 +298,7 @@ class TestThirdPoint:
         ctx = third_point_context(bv)
         from sgharmonic.exactarith import QuadExt
         assert ctx.c == conserved_combination(bv)
-        assert ctx.s - ctx.h == QuadExt(0, Fraction(1, 25))
-        assert ctx.B == ctx.k / (ctx.s - ctx.h)
+        assert S - H == QuadExt(0, Fraction(1, 25))
 
     def test_quotient_examples(self):
         bv = BoundaryValues(0, 0, 1)
@@ -315,12 +319,10 @@ class TestThirdPoint:
         for _ in range(30):
             bv = rand_nonconstant(rng)
             ctx = third_point_context(bv)
-            four_s = 4 * ctx.s
+            four_s = 4 * S
             assert four_s < QuadExt(Fraction(9, 10))
             right_env = Fraction(3, 2) * (qabs(ctx.A) + qabs(ctx.B))
-            C = (ctx.w / (ctx.s - 1) - ctx.v * ctx.B + ctx.t0) / ctx.u
-            D = -(ctx.v / QuadExt(ctx.u)) * ctx.A
-            left_env = 3 * (qabs(C) + qabs(D))
+            left_env = 3 * (qabs(ctx.C) + qabs(ctx.D))
             for m in range(1, 16):
                 qr = abs(third_point_quotients(bv, m, "right"))
                 ql = abs(third_point_quotients(bv, m, "left"))
@@ -372,3 +374,34 @@ class TestThirdPoint:
         pos, val = third_point_of_subedge(bv, "21", Fraction(1, 3))
         assert val == third_point_value(cell)
         assert pos == Fraction(2, 4) + Fraction(1, 3) / 4
+
+
+small = st.builds(Fraction, st.integers(-100, 100), st.integers(1, 100))
+third_point_triples = st.one_of(triples(), st.builds(BoundaryValues, small, small, small),
+                                st.builds(lambda x: BoundaryValues(x, x, x), corners))
+
+
+class TestClosedFormDifferential:
+    # 200-bit numerators, coprime mixed denominators, both monotonicity
+    # hyperplanes, small corners (m0 from 0 to about 7) and constant triples
+    @settings(deadline=None, max_examples=12)
+    @given(third_point_triples)
+    def test_closed_forms_match_walk(self, bv):
+        ctx = third_point_context(bv)
+        assert ctx.A == ctx.B.conjugate() and ctx.D == ctx.C.conjugate()
+        for m in range(41):
+            seq = triangle_sequence(bv, m)
+            assert gamma_closed_form(bv, m) == seq.gamma_m
+            assert beta_closed_form(bv, m) == seq.beta_m
+
+    @settings(deadline=None, max_examples=120)
+    @given(third_point_triples)
+    @example(BoundaryValues(-3, 3, -2))  # right m0 = 3; it would be 2 with 1/24
+    @example(BoundaryValues(-3, 3, 2))   # right m0 = 3; it would be 4 with 1/26
+    def test_onset_is_least_m_of_the_margin(self, bv):
+        # least m with |fast| h^m <= |slow| s^m / 25 (fast = 0 when slow = 0)
+        ctx = third_point_context(bv)
+        for side, fast, slow in (("right", ctx.A, ctx.B), ("left", ctx.D, ctx.C)):
+            m0 = next(m for m in count()
+                      if max(fast, -fast) * H ** m <= max(slow, -slow) * S ** m / 25)
+            assert third_point_onset(bv, side) == m0
