@@ -11,7 +11,6 @@ import csv
 import json
 import sys
 from fractions import Fraction
-from math import gcd
 
 import click
 
@@ -239,17 +238,7 @@ def cmd_zero_search(alpha, beta, gamma, depth, coeff_bound, fmt):
     if bv.is_constant():
         raise click.UsageError("zero-search requires a nonconstant triple")
     count, zeros = restrictions.count_zero_junctions(bv, depth)
-    relations = []
-    for n in range(-coeff_bound, coeff_bound + 1):
-        for m in range(-coeff_bound, coeff_bound + 1):
-            k = -n - m
-            if abs(k) > coeff_bound or gcd(n, m, k) != 1:
-                continue  # out of bounds, all zero, or not primitive
-            first = next(x for x in (n, m, k) if x != 0)
-            if first < 0:
-                continue  # sign-canonical representative only
-            if n * bv.alpha + m * bv.beta + k * bv.gamma == 0:
-                relations.append((n, m, k))
+    relations = restrictions.corner_relations(bv, coeff_bound)
     zero_labels = [restrictions.format_zero(z) for z in zeros]
     results = {"zero_count": count, "zeros": zero_labels,
                "relations": [list(r) for r in relations]}

@@ -2,9 +2,10 @@
 
 Vertices carry exact rational coordinates (u, v) in the affine frame
 p1 = (0,0), p2 = (1,0), p0 = (0,1).  A function is harmonic on the level-m
-graph iff every interior vertex equals the mean of its four neighbors; the
-five-point relation per minimal triangle is kept as a separate checker so
-the two formulations cross-validate each other.
+graph iff every interior vertex equals the mean of its four neighbors, a
+system solved by exact sparse elimination, finest vertices first, that never
+uses the extension rule; the five-point relation per minimal triangle is
+kept as a separate checker so the two formulations cross-validate each other.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .gasket import BoundaryValues
 
 Point = tuple[Fraction, Fraction]
 
-MAX_LEVEL = 6  # 1095 vertices; guard against accidental blowup
+MAX_LEVEL = 8  # 9843 vertices; guard against accidental blowup
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,9 @@ class GasketGraph:
     level: int
     vertices: tuple[Point, ...]
     index: dict
-    # level -> tuple of (cell address, (apex, left, right) vertex indices)
+    # level -> tuple of (cell address, (apex, left, right) vertex indices).
+    # Triangle p = (i, j, k) of a level has children 3p, 3p+1, 3p+2 on the
+    # next: (i, m_ij, m_ik), (m_ij, j, m_jk), (m_ik, m_jk, k), m the midpoints.
     triangles: dict
     boundary: tuple[int, int, int]
     neighbors: tuple[tuple[int, ...], ...]
@@ -101,52 +104,38 @@ def build_graph(m: int) -> GasketGraph:
     )
 
 
-def _solve_rows(rows: list[list[Fraction]], n: int, nrhs: int) -> list[list[Fraction]]:
-    """Plain rational Gaussian elimination on an n x (n + nrhs) matrix."""
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            raise ArithmeticError("singular harmonicity system")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        prow = rows[col]
-        inv = 1 / prow[col]
-        for j in range(col, n + nrhs):
-            prow[j] *= inv
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col]
-                row = rows[r]
-                for j in range(col, n + nrhs):
-                    row[j] -= f * prow[j]
-    return [rows[r][n:] for r in range(n)]
-
-
 @lru_cache(maxsize=None)
 def _basis_solutions(m: int) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
-    """Per-vertex coefficients of the solution on the three unit boundary triples."""
+    """Per-vertex coefficients of the solution on the three unit boundary triples.
+
+    Row v reads x_v = sum of c * x_u over its items (u, c), at first the mean
+    of the four neighbors.  Eliminating interior vertices finest first (reverse
+    build_graph index, an order from the graph alone) is a Kron reduction whose
+    fill stays inside a cell, as a cell meets the rest only at its corners;
+    back-substitution then runs coarsest first onto the boundary columns."""
     g = build_graph(m)
-    interior = [i for i in range(len(g.vertices)) if i not in g.boundary]
-    pos = {v: r for r, v in enumerate(interior)}
-    n = len(interior)
-    zero = Fraction(0)
-    rows = []
-    for v in interior:
-        row = [zero] * (n + 3)
-        row[pos[v]] = Fraction(4)
-        for u in g.neighbors[v]:
-            if u in pos:
-                row[pos[u]] -= 1
-            else:
-                row[n + g.boundary.index(u)] += 1
-        rows.append(row)
-    sol = _solve_rows(rows, n, 3)
+    quarter = Fraction(1, 4)
+    interior = [v for v in range(len(g.vertices)) if v not in g.boundary]
+    rows = {v: dict.fromkeys(g.neighbors[v], quarter) for v in interior}
+    for w in reversed(interior):
+        row = rows[w]
+        pivot = 1 - row.pop(w, 0)
+        if pivot == 0:
+            raise ArithmeticError("singular harmonicity system")
+        for u in row:
+            row[u] /= pivot
+        for v in row:
+            if v in rows:  # an interior vertex not yet eliminated
+                vrow = rows[v]
+                f = vrow.pop(w)
+                for u, c in row.items():
+                    vrow[u] = vrow.get(u, 0) + f * c
     coeffs: list[tuple[Fraction, Fraction, Fraction]] = [None] * len(g.vertices)
     for j, b in enumerate(g.boundary):
-        unit = [zero, zero, zero]
-        unit[j] = Fraction(1)
-        coeffs[b] = tuple(unit)
-    for v, r in pos.items():
-        coeffs[v] = tuple(sol[r])
+        coeffs[b] = tuple(Fraction(int(i == j)) for i in range(3))
+    for v in interior:
+        coeffs[v] = tuple(sum(c * coeffs[u][i] for u, c in rows[v].items())
+                          for i in range(3))
     return tuple(coeffs)
 
 
@@ -167,11 +156,10 @@ def check_five_point(graph: GasketGraph, values: dict[int, Fraction]) -> bool:
     if missing:
         raise ValueError(f"values missing for vertices {missing[:5]}")
     for lvl in range(graph.level):
-        for _, (i, j, k) in graph.triangles[lvl]:
-            pi, pj, pk = (graph.vertices[x] for x in (i, j, k))
-            mij = graph.index[_midpoint(pi, pj)]
-            mik = graph.index[_midpoint(pi, pk)]
-            mjk = graph.index[_midpoint(pj, pk)]
+        children = graph.triangles[lvl + 1]
+        for p, (_, (i, j, k)) in enumerate(graph.triangles[lvl]):
+            _, (_, mij, mik) = children[3 * p]
+            _, (_, _, mjk) = children[3 * p + 1]
             if values[i] + values[j] + values[mik] + values[mjk] - 4 * values[mij] != 0:
                 return False
             if values[j] + values[k] + values[mij] + values[mik] - 4 * values[mjk] != 0:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .exactarith import QuadExt, format_rational
 from .gasket import (
@@ -197,6 +198,24 @@ def count_zero_junctions(
     return len(zeros), zeros
 
 
+def corner_relations(bv: BoundaryValues, bound: int) -> list[tuple[int, int, int]]:
+    """Primitive integer relations n*alpha + m*beta + k*gamma = 0 with
+    n + m + k = 0 and |n|, |m|, |k| <= bound, each once with its first nonzero
+    coefficient positive, in increasing (n, m)."""
+    relations = []
+    for n in range(-bound, bound + 1):
+        for m in range(-bound, bound + 1):
+            k = -n - m
+            if abs(k) > bound or gcd(n, m, k) != 1:
+                continue  # out of bounds, all zero, or not primitive
+            first = next(x for x in (n, m, k) if x != 0)
+            if first < 0:
+                continue  # sign-canonical representative only
+            if n * bv.alpha + m * bv.beta + k * bv.gamma == 0:
+                relations.append((n, m, k))
+    return relations
+
+
 # --------------------------------------------------------------------------
 # Third-point machinery: the nested triangles closing in on x = 1/3 of the
 # bottom edge, their exact recursion, and the Q(sqrt13) closed forms.
@@ -304,13 +323,14 @@ def third_point_onset(bv: BoundaryValues, side: str) -> int:
 
 
 def _closed_form(fast: QuadExt, slow: QuadExt, c: Fraction, m: int) -> Fraction:
-    """fast*h^m + slow*s^m + c/27 in Q(sqrt13); the sqrt13 part must cancel."""
+    """fast*h^m + slow*s^m + c/27; its sqrt13 part cancels for every m exactly
+    when fast is the conjugate of slow, leaving 2*(slow*s^m).rational_part + c/27."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    val = fast * H ** m + slow * S ** m + QuadExt(c) / 27
-    if val.root13_part != 0:
-        raise ArithmeticError(f"sqrt13 part failed to cancel: {val}")
-    return val.rational_part
+    if fast != slow.conjugate():
+        raise ArithmeticError(f"sqrt13 part failed to cancel: {fast} is not the "
+                              f"conjugate of {slow}")
+    return 2 * (slow * S ** m).rational_part + c / 27
 
 
 def gamma_closed_form(bv: BoundaryValues, m: int) -> Fraction:

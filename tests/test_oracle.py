@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_gasket import triples  # the kernel test's corner strategy
 
 from sgharmonic.gasket import BoundaryValues, cell_values
 from sgharmonic.oracle import build_graph, check_five_point, solve_harmonic
@@ -29,7 +32,7 @@ class TestBuildGraph:
 
     def test_level_guard(self):
         with pytest.raises(ValueError):
-            build_graph(7)
+            build_graph(9)
         with pytest.raises(ValueError):
             build_graph(-1)
 
@@ -86,6 +89,22 @@ class TestSolveHarmonic:
                 for addr, (i, j, k) in g.triangles[m]:
                     assert (sol[i], sol[j], sol[k]) == cell_values(bv, addr).as_tuple()
 
+    # 200-bit numerators, coprime mixed denominators, both monotonicity hyperplanes
+    @settings(deadline=None)
+    @given(triples(), st.integers(1, 4))
+    def test_matches_cell_values_on_every_cell(self, bv, m):
+        sol = solve_harmonic(m, bv)
+        for addr, corners in build_graph(m).triangles[m]:
+            assert tuple(sol[v] for v in corners) == cell_values(bv, addr).as_tuple()
+
+    def test_level_six_every_cell(self):
+        bv = BoundaryValues(Fraction(19, 27), Fraction(-17, 13), Fraction(-79, 41))
+        g = build_graph(6)
+        sol = solve_harmonic(6, bv)
+        assert len(g.triangles[6]) == 729
+        for addr, corners in g.triangles[6]:
+            assert tuple(sol[v] for v in corners) == cell_values(bv, addr).as_tuple()
+
 
 class TestCheckFivePoint:
     def test_accepts_solver_output(self):
@@ -107,6 +126,15 @@ class TestCheckFivePoint:
         values = solve_harmonic(2, BoundaryValues(0, 0, 1))
         victim = next(i for i in values if i not in g.boundary)
         values[victim] += 1
+        assert not check_five_point(g, values)
+
+    @pytest.mark.parametrize("victim", [3, 41], ids=["level-1", "level-3"])
+    def test_rejects_perturbation_at_any_level(self, victim):
+        # build_graph numbers vertices by the level that created them: 3..5
+        # are the level-1 midpoints, 15..41 those of level 3
+        g = build_graph(3)
+        values = solve_harmonic(3, BoundaryValues(2, -1, 4))
+        values[victim] += Fraction(1, 7)
         assert not check_five_point(g, values)
 
     def test_missing_vertex_rejected(self):

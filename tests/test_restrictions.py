@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from itertools import count
+from itertools import count, product
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +18,7 @@ from sgharmonic.restrictions import (
     beta_closed_form,
     classify_edge,
     conserved_combination,
+    corner_relations,
     count_zero_junctions,
     dsv_check,
     gamma_closed_form,
@@ -234,6 +236,20 @@ class TestCountZeroJunctions:
         for _ in range(200):
             count, _ = count_zero_junctions(rand_nonconstant(rng), 5)
             assert count <= 1
+
+
+class TestCornerRelations:
+    @pytest.mark.parametrize("triple", [(-2, 0, 2), (0, 0, 1), (1, 2, 3), (5, 0, 1),
+                                        (Fraction(3, 7), Fraction(-1, 2), 5), (4, 4, 4)])
+    @pytest.mark.parametrize("bound", [1, 2, 5])
+    def test_matches_brute_force(self, triple, bound):
+        bv = BoundaryValues(*triple)
+        box = range(-bound, bound + 1)
+        want = [(n, m, k) for n, m, k in product(box, box, box)
+                if n + m + k == 0 and gcd(n, m, k) == 1
+                and next(x for x in (n, m, k) if x) > 0
+                and n * bv.alpha + m * bv.beta + k * bv.gamma == 0]
+        assert corner_relations(bv, bound) == want
 
 
 class TestThirdPoint:
