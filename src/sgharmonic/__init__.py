@@ -1,14 +1,7 @@
 """Exact evaluation and derivative analysis of harmonic functions on the
 Sierpinski gasket."""
 
-from .exactarith import (
-    QuadExt,
-    Rational,
-    format_quadext,
-    format_rational,
-    parse_quadext,
-    parse_rational,
-)
+from .exactarith import QuadExt, format_rational, parse_rational
 from .gasket import (
     EDGES,
     BoundaryValues,
@@ -50,14 +43,13 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryValues", "CellAddress", "DerivClass", "EDGES", "EdgePoint",
     "ExtremumResult", "GasketGraph", "MonotonicityClass", "QuadExt",
-    "Rational", "ThirdPointContext", "TriangleSequence", "beta_closed_form",
+    "ThirdPointContext", "TriangleSequence", "beta_closed_form",
     "build_graph", "cell_values", "check_five_point", "classify_edge",
     "closed_form_lemma2", "count_zero_junctions", "dsv_check", "edge_profile",
-    "eval_dyadic", "extend_once", "format_quadext", "format_rational",
-    "gamma_closed_form", "junction_derivative", "locate_extremum",
-    "normal_derivative", "parse_quadext", "parse_rational",
-    "renormalized_vertex_difference", "simultaneous_monotone",
-    "solve_harmonic", "third_point_context", "third_point_of_subedge",
-    "third_point_onset", "third_point_quotients", "third_point_value",
-    "triangle_sequence",
+    "eval_dyadic", "extend_once", "format_rational", "gamma_closed_form",
+    "junction_derivative", "locate_extremum", "normal_derivative",
+    "parse_rational", "renormalized_vertex_difference",
+    "simultaneous_monotone", "solve_harmonic", "third_point_context",
+    "third_point_of_subedge", "third_point_onset", "third_point_quotients",
+    "third_point_value", "triangle_sequence",
 ]

@@ -61,9 +61,14 @@ def _format_option(fn):
                         default="human", show_default=True)(fn)
 
 
+def _echo(text: str) -> None:
+    # with no file, click caches each sys.stdout it meets and keeps it alive
+    click.echo(text, file=sys.stdout)
+
+
 def _emit_json(command: str, inputs: dict, results: dict) -> None:
-    click.echo(json.dumps({"command": command, "inputs": inputs, "results": results},
-                          indent=2))
+    _echo(json.dumps({"command": command, "inputs": inputs, "results": results},
+                     indent=2))
 
 
 def _triple_inputs(bv: BoundaryValues) -> dict:
@@ -111,7 +116,7 @@ def cmd_eval(alpha, beta, gamma, edge, point, fmt):
         _emit_json("eval", inputs,
                    {"value": format_rational(value), "value_float": float(value)})
     else:
-        click.echo(f"{format_rational(value)} ({float(value):g})")
+        _echo(f"{format_rational(value)} ({float(value):g})")
 
 
 @cli.command("classify")
@@ -158,10 +163,10 @@ def cmd_classify(alpha, beta, gamma, depth, fmt):
             where = (f"at junction {ext['at_junction']}" if ext["at_junction"]
                      else f"in [{ext['lo']}, {ext['hi']}]")
             line += f" ({ext['kind']} {where})"
-        click.echo(line)
-    click.echo(f"simultaneous strictly monotone: {results['simultaneous_monotone']}")
-    click.echo("edge lengths (desc): "
-               + ", ".join(f"{e}=|{lengths[e]}|" for e in ordering))
+        _echo(line)
+    _echo(f"simultaneous strictly monotone: {results['simultaneous_monotone']}")
+    _echo("edge lengths (desc): "
+          + ", ".join(f"{e}=|{lengths[e]}|" for e in ordering))
 
 
 @cli.command("scan")
@@ -214,12 +219,12 @@ def cmd_verify(suites, trials, depth, m_max, seed, fmt):
             "suites": [{"name": r.name, "status": r.status, "details": r.details,
                         "counterexample": r.counterexample} for r in results],
         }
-        click.echo(json.dumps(payload, indent=2))
+        _echo(json.dumps(payload, indent=2))
     else:
         for r in results:
-            click.echo(f"{r.name}: {r.status} - {r.details}")
+            _echo(f"{r.name}: {r.status} - {r.details}")
             if r.counterexample:
-                click.echo(f"  counterexample: {r.counterexample}")
+                _echo(f"  counterexample: {r.counterexample}")
     if not all(r.passed for r in results):
         sys.exit(1)
 
@@ -247,14 +252,14 @@ def cmd_zero_search(alpha, beta, gamma, depth, coeff_bound, fmt):
                                    "coeff_bound": coeff_bound}, results)
         return
     if count:
-        click.echo(f"zero derivative classes at: {', '.join(zero_labels)}")
+        _echo(f"zero derivative classes at: {', '.join(zero_labels)}")
     else:
-        click.echo(f"no zero derivative classes up to depth {depth}")
+        _echo(f"no zero derivative classes up to depth {depth}")
     if relations:
         for n, m, k in relations:
-            click.echo(f"relation: {n}*alpha + {m}*beta + {k}*gamma = 0")
+            _echo(f"relation: {n}*alpha + {m}*beta + {k}*gamma = 0")
     else:
-        click.echo(f"no integer relation with coefficients up to {coeff_bound}")
+        _echo(f"no integer relation with coefficients up to {coeff_bound}")
 
 
 if __name__ == "__main__":

@@ -1,21 +1,18 @@
 """Exact arithmetic substrate: rationals and the real quadratic field Q(sqrt(13)).
 
 Rationals are plain :class:`fractions.Fraction` (arbitrary precision, always
-canonical, denominator positive).  ``QuadExt`` adds exact arithmetic for
-numbers of the form a + b*sqrt(13) with rational a, b; since sqrt(13) is
-irrational the representation is unique and comparisons can be decided
-without any floating point.
+canonical, denominator positive), read and written in the text form "p/q".
+``QuadExt`` holds numbers a + b*sqrt(13) with rational a, b and gives the
+ring operations (sums, products, non-negative powers), the conjugate, and an
+exact sign and total order; since sqrt(13) is irrational the representation
+is unique and comparisons are decided without any floating point.  It has
+no division: the third-point closed forms state their projector without one.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import total_ordering
-
-Rational = Fraction
-
-_SQRT13_RE = re.compile(r"^(?P<a>[^+]*)\+(?P<b>[^+]*)\*sqrt13$")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -93,25 +90,9 @@ class QuadExt:
     def conjugate(self) -> "QuadExt":
         return QuadExt(self.rational_part, -self.root13_part)
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        c, d = other.rational_part, other.root13_part
-        norm = c * c - 13 * d * d
-        if norm == 0:
-            # c^2 = 13 d^2 has no nonzero rational solutions, so this is 0/0
-            raise ZeroDivisionError("division by zero in Q(sqrt13)")
-        return self * other.conjugate() * QuadExt(Fraction(1, 1) / norm)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
     def __pow__(self, n: int):
-        if not isinstance(n, int):
+        if not isinstance(n, int) or n < 0:
             return NotImplemented
-        if n < 0:
-            return (QuadExt(1) / self) ** (-n)
         result = QuadExt(1)
         base = self
         while n:
@@ -159,32 +140,5 @@ class QuadExt:
     def __bool__(self):
         return self.rational_part != 0 or self.root13_part != 0
 
-    # -- conversion / display ----------------------------------------------
-
-    def is_rational(self) -> bool:
-        return self.root13_part == 0
-
-    def to_float(self) -> float:
-        """Double-precision approximation, for display only."""
-        return float(self.rational_part) + float(self.root13_part) * 13 ** 0.5
-
-    def __str__(self):
-        return f"{self.rational_part}+{self.root13_part}*sqrt13"
-
     def __repr__(self):
         return f"QuadExt({self.rational_part!r}, {self.root13_part!r})"
-
-
-def parse_quadext(text: str) -> QuadExt:
-    """Parse the text form "a+b*sqrt13" with a, b in rational text form."""
-    m = _SQRT13_RE.match(text.strip())
-    if m is None:
-        raise ValueError(f"not a Q(sqrt13) element: {text!r}")
-    return QuadExt(parse_rational(m.group("a")), parse_rational(m.group("b")))
-
-
-def format_quadext(x: QuadExt) -> str:
-    return str(x)
-
-
-SQRT13 = QuadExt(0, 1)

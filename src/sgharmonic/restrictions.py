@@ -284,14 +284,13 @@ def third_point_context(bv: BoundaryValues) -> ThirdPointContext:
     # fixed at beta = gamma = c/27.  On x = (beta - c/27, gamma - c/27) the
     # step is K = [[4/25, -3/125], [-1/5, 3/25]], of trace 7/25 = s + h and
     # determinant 9/625 = s h, so K^m x = s^m Px + h^m (x - Px) with the
-    # projector P = (K - h)/(s - h).  C and B are the entries of Px.
+    # projector P = (K - h)/(s - h).  As (50K - 7)^2 = 13 and s - h = sqrt13/25,
+    # Px = x/2 + y sqrt13/26 with y = (50K - 7)x.  C and B are the entries of Px.
     c = conserved_combination(bv)
     xb, xg = bv.beta - c / 27, bv.gamma - c / 27
-    Kxb = Fraction(4, 25) * xb - Fraction(3, 125) * xg
-    Kxg = -xb / 5 + Fraction(3, 25) * xg
-    B = (Kxg - H * xg) / (S - H)
-    C = (Kxb - H * xb) / (S - H)
-    return ThirdPointContext(c, xg - B, B, C, xb - C)
+    yb, yg = xb - Fraction(6, 5) * xg, -10 * xb - xg
+    B, C = QuadExt(xg / 2, yg / 26), QuadExt(xb / 2, yb / 26)
+    return ThirdPointContext(c, B.conjugate(), B, C, C.conjugate())
 
 
 def third_point_onset(bv: BoundaryValues, side: str) -> int:
@@ -315,35 +314,44 @@ def third_point_onset(bv: BoundaryValues, side: str) -> int:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     ctx = third_point_context(bv)
     fast, slow = (ctx.A, ctx.B) if side == "right" else (ctx.D, ctx.C)
-    fast_term, slow_term = max(fast, -fast), max(slow, -slow) / 25
+    fast_term, slow_term = max(fast, -fast), max(slow, -slow) * Fraction(1, 25)
     m = 0
     while fast_term > slow_term:
         fast_term, slow_term, m = fast_term * H, slow_term * S, m + 1
     return m
 
 
-def _closed_form(fast: QuadExt, slow: QuadExt, c: Fraction, m: int) -> Fraction:
-    """fast*h^m + slow*s^m + c/27; its sqrt13 part cancels for every m exactly
-    when fast is the conjugate of slow, leaving 2*(slow*s^m).rational_part + c/27."""
+def _root13_power(m: int) -> tuple[int, int]:
+    """Integers (X, Y) with (7 + sqrt13)^m = X + Y sqrt13, by binary powering."""
+    x, y, bx, by = 1, 0, 7, 1
+    while m:
+        if m & 1:
+            x, y = x * bx + 13 * y * by, x * by + y * bx
+        bx, by = bx * bx + 13 * by * by, 2 * bx * by
+        m >>= 1
+    return x, y
+
+
+def _closed_form(slow: QuadExt, c: Fraction, m: int) -> Fraction:
+    """conj(slow) h^m + slow s^m + c/27 = 2 (slow s^m).rational_part + c/27,
+    with 50^m s^m = X + Y sqrt13 from _root13_power."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    if fast != slow.conjugate():
-        raise ArithmeticError(f"sqrt13 part failed to cancel: {fast} is not the "
-                              f"conjugate of {slow}")
-    return 2 * (slow * S ** m).rational_part + c / 27
+    x, y = _root13_power(m)
+    return c / 27 + 2 * (slow.rational_part * x + 13 * slow.root13_part * y) / 50 ** m
 
 
 def gamma_closed_form(bv: BoundaryValues, m: int) -> Fraction:
-    """gamma_m = A*h^m + B*s^m + c/27, evaluated in Q(sqrt13); the sqrt13
-    part cancels exactly and the result matches the integer recursion."""
+    """gamma_m = A*h^m + B*s^m + c/27 with A the conjugate of B, evaluated
+    from integers; the result matches the integer recursion."""
     ctx = third_point_context(bv)
-    return _closed_form(ctx.A, ctx.B, ctx.c, m)
+    return _closed_form(ctx.B, ctx.c, m)
 
 
 def beta_closed_form(bv: BoundaryValues, m: int) -> Fraction:
     """beta_m = C*s^m + D*h^m + c/27, evaluated as gamma_closed_form is."""
     ctx = third_point_context(bv)
-    return _closed_form(ctx.D, ctx.C, ctx.c, m)
+    return _closed_form(ctx.C, ctx.c, m)
 
 
 def third_point_quotients(bv: BoundaryValues, m: int, side: str) -> Fraction:

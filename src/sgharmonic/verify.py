@@ -183,7 +183,8 @@ def suite_eq16(trials: int = 100, m_max: int = 30, seed: int = 0) -> SuiteResult
 
 
 def suite_closed_form(trials: int = 100, m_max: int = 30, seed: int = 0) -> SuiteResult:
-    """Q(sqrt13) closed forms match the exact recursion with full cancellation."""
+    """Q(sqrt13) closed forms, from integer powers of 7 + sqrt13, match the
+    exact recursion."""
     rng = random.Random(seed)
     for _ in range(trials):
         bv = random_triple(rng)

@@ -212,7 +212,7 @@ def test_criterion_11_quadratic_closed_forms():
         bv = rand_triple(rng)
         for m in range(31):
             seq = restrictions.triangle_sequence(bv, m)
-            # closed forms raise internally if the sqrt13 part fails to cancel
+            # closed forms from the s-projector and (7 + sqrt13)^m, not the walk
             assert restrictions.gamma_closed_form(bv, m) == seq.gamma_m
             assert restrictions.beta_closed_form(bv, m) == seq.beta_m
     report(11, "Q(sqrt13) closed forms match recursion (m <= 30, 100 triples)")
@@ -230,7 +230,7 @@ def test_criterion_12_quotient_decay():
     bv = BoundaryValues(0, 0, 1)
     assert restrictions.third_point_quotients(bv, 1, "right") == Fraction(38, 45)
     assert restrictions.third_point_quotients(bv, 2, "right") == Fraction(776, 1125)
-    bound = (100 * restrictions.S + 4 * restrictions.H) / 24
+    bound = (100 * restrictions.S + 4 * restrictions.H) * Fraction(1, 24)
     assert bound == restrictions.THIRD_POINT_STEP_BOUND
     assert bound < QuadExt(Fraction(9, 10))
     rng = random.Random(112)

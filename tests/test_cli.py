@@ -1,3 +1,4 @@
+import gc
 import json
 from fractions import Fraction
 
@@ -199,3 +200,21 @@ class TestZeroSearch:
 
     def test_constant_rejected(self):
         assert run("zero-search", "-a", "1", "-b", "1", "-g", "1").exit_code == 2
+
+
+def test_invocations_leave_no_stream_alive():
+    # each CliRunner invocation gives the command a fresh stdout wrapper;
+    # output must not keep it alive after the invocation returns
+    def live_wrappers():
+        gc.collect()
+        return sum(type(o).__name__ == "_NamedTextIOWrapper" for o in gc.get_objects())
+
+    commands = [("eval", "-a", "0", "-b", "0", "-g", "1", "--point", "1/3"),
+                ("classify", "-a", "5", "-b", "0", "-g", "1"),
+                ("zero-search", "--alpha=-2", "-b", "0", "-g", "2"),
+                ("verify", "--suite", "eq16", "--trials", "1", "--format", "json")]
+    before = live_wrappers()
+    for _ in range(10):
+        for args in commands:
+            assert run(*args).exit_code == 0
+    assert live_wrappers() == before

@@ -6,17 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sgharmonic.exactarith import (
-    QuadExt,
-    SQRT13,
-    format_quadext,
-    format_rational,
-    parse_quadext,
-    parse_rational,
-)
+from sgharmonic.exactarith import QuadExt, format_rational, parse_rational
 
 fractions_st = st.fractions(max_denominator=10 ** 6)
 
+SQRT13 = QuadExt(0, 1)
 S = QuadExt(Fraction(7, 50), Fraction(1, 50))   # (7 + sqrt13)/50
 H = QuadExt(Fraction(7, 50), Fraction(-1, 50))  # (7 - sqrt13)/50
 
@@ -71,17 +65,9 @@ class TestQuadExt:
 
     def test_division_and_power(self):
         x = QuadExt(Fraction(3, 7), Fraction(-2, 5))
-        assert x / x == QuadExt(1)
         assert x ** 3 == x * x * x
-        assert x ** -2 == QuadExt(1) / (x * x)
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            QuadExt(1, 1) / QuadExt(0, 0)
-
-    def test_text_round_trip(self):
-        for x in (S, H, QuadExt(-3), QuadExt(Fraction(1, 2), Fraction(-5, 3))):
-            assert parse_quadext(format_quadext(x)) == x
+        with pytest.raises(TypeError):  # no division, so no negative powers
+            x ** -1
 
     def test_sign_matches_high_precision_float(self):
         rng = random.Random(13)
@@ -108,3 +94,8 @@ class TestQuadExt:
     def test_total_order(self):
         vals = [QuadExt(0), H, S, QuadExt(Fraction(1, 4)), 1 + SQRT13]
         assert sorted(vals, reverse=True) == list(reversed(vals))
+
+
+def test_every_exported_name_resolves():
+    import sgharmonic
+    assert [name for name in sgharmonic.__all__ if not hasattr(sgharmonic, name)] == []

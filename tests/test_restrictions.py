@@ -309,6 +309,19 @@ class TestThirdPoint:
                 assert gamma_closed_form(bv, m) == seq.gamma_m
                 assert beta_closed_form(bv, m) == seq.beta_m
 
+    def test_root13_power_matches_quadext_power(self):
+        from sgharmonic.exactarith import QuadExt
+        from sgharmonic.restrictions import _root13_power
+        for m in range(65):
+            x, y = _root13_power(m)
+            assert type(x) is int and type(y) is int
+            assert QuadExt(x, y) == QuadExt(7, 1) ** m
+
+    def test_closed_forms_reject_negative_m(self):
+        for form in (gamma_closed_form, beta_closed_form):
+            with pytest.raises(ValueError):
+                form(BoundaryValues(0, 0, 1), -1)
+
     def test_context_invariants(self):
         bv = BoundaryValues(3, -2, 5)
         ctx = third_point_context(bv)
@@ -419,5 +432,6 @@ class TestClosedFormDifferential:
         ctx = third_point_context(bv)
         for side, fast, slow in (("right", ctx.A, ctx.B), ("left", ctx.D, ctx.C)):
             m0 = next(m for m in count()
-                      if max(fast, -fast) * H ** m <= max(slow, -slow) * S ** m / 25)
+                      if max(fast, -fast) * H ** m
+                      <= max(slow, -slow) * S ** m * Fraction(1, 25))
             assert third_point_onset(bv, side) == m0
