@@ -21,9 +21,9 @@ from .gasket import (
     BoundaryValues,
     EdgePoint,
     cell_word,
+    decode_edge_point,
     edge_profile,
     eval_dyadic,
-    is_dyadic,
     on_edge,
 )
 from .restrictions import MonotonicityClass
@@ -77,25 +77,33 @@ def _triple_inputs(bv: BoundaryValues) -> dict:
             "gamma": format_rational(bv.gamma)}
 
 
+class ExactCommand(click.Command):
+    """Runs without Python's int-to-str limit; options are parsed under it."""
+
+    def invoke(self, ctx):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return super().invoke(ctx)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
 @click.group()
 def cli():
     """Exact analysis of harmonic functions on the Sierpinski gasket."""
 
 
+cli.command_class = ExactCommand
+
+
 def _eval_point(bv: BoundaryValues, edge: str, x: Fraction) -> Fraction:
-    if not (0 <= x <= 1):
-        raise ValueError(f"point {x} outside [0, 1]")
-    if is_dyadic(x):
+    k, m, place = decode_edge_point(x, thirds=True)
+    if place in (0, 1):
         return eval_dyadic(bv, EdgePoint(edge, x))
-    d = x.denominator
-    if d % 3 == 0 and (d // 3) & (d // 3 - 1) == 0:
-        # third point of a dyadic sub-edge: j/(3*2^m) with j not divisible by 3
-        m = (d // 3).bit_length() - 1
-        k, r = divmod(x.numerator, 3)
-        _, value = restrictions.third_point_of_subedge(
-            on_edge(bv, edge), cell_word(k, m), Fraction(r, 3))
-        return value
-    raise ValueError(f"point {x} is neither dyadic nor a sub-edge third point")
+    _, value = restrictions.third_point_of_subedge(
+        on_edge(bv, edge), cell_word(k, m), place)
+    return value
 
 
 @cli.command("eval")

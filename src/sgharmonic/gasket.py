@@ -77,11 +77,6 @@ class EdgePoint:
         object.__setattr__(self, "position", Fraction(self.position))
 
 
-def is_dyadic(q: Fraction) -> bool:
-    d = q.denominator
-    return d & (d - 1) == 0
-
-
 def on_edge(bv: BoundaryValues, edge: str) -> BoundaryValues:
     """Permute the triple so that `edge` becomes the bottom edge [p1', p2']."""
     try:
@@ -130,6 +125,21 @@ def cell_word(k: int, m: int) -> CellAddress:
     return "".join("2" if (k >> i) & 1 else "1" for i in range(m - 1, -1, -1))
 
 
+def decode_edge_point(x: Fraction, thirds=False) -> tuple[int, int, int | Fraction]:
+    """(k, m, place) with x = (k + place)/2^m, at `place` along the bottom edge
+    of cell_word(k, m): 0 for a dyadic x < 1, 1 for x = 1 (the whole edge) and,
+    with `thirds`, 1/3 or 2/3 for a sub-edge third point; else ValueError."""
+    n, d = x.numerator, x.denominator  # d > 0
+    if not 0 <= n <= d:
+        raise ValueError(f"point {x} outside [0, 1]")
+    if d & (d - 1) == 0:  # the coarsest cell starting at x, or the whole edge
+        return (0, 0, 1) if n == d else (n, d.bit_length() - 1, 0)
+    if thirds and d % 3 == 0 and (d // 3) & (d // 3 - 1) == 0:
+        return n // 3, (d // 3).bit_length() - 1, Fraction(n % 3, 3)
+    what = "neither dyadic nor a sub-edge third point" if thirds else "not dyadic"
+    raise ValueError(f"point {x} is {what}")
+
+
 def _bottom_walk(bv: BoundaryValues, depth: int) -> Iterator[Numerators]:
     """Numerators, over to_numerators(bv)[1] * 5^depth, of the 2^depth cells
     tiling the bottom edge, left to right; depth-first, so only one path from
@@ -156,17 +166,11 @@ def cell_values(bv: BoundaryValues, addr: CellAddress) -> BoundaryValues:
 
 
 def eval_dyadic(bv: BoundaryValues, pt: EdgePoint) -> Fraction:
-    """Exact value of the harmonic function at a dyadic edge point."""
-    x = pt.position
-    if not (0 <= x <= 1):
-        raise ValueError(f"position {x} outside [0, 1]")
-    if not is_dyadic(x):
-        raise ValueError(f"position {x} is not dyadic")
-    t = on_edge(bv, pt.edge)
-    if x == 1:
-        return t.gamma
-    # x = k/2^m is the left (beta) corner of the cell over [k/2^m, (k+1)/2^m]
-    return cell_values(t, cell_word(x.numerator, x.denominator.bit_length() - 1)).beta
+    """Exact value of the harmonic function at a dyadic edge point: the beta
+    (place 0) or gamma (place 1) corner of the cell decode_edge_point names."""
+    k, m, place = decode_edge_point(pt.position)
+    t = cell_values(on_edge(bv, pt.edge), cell_word(k, m))
+    return t.gamma if place else t.beta
 
 
 def edge_profile(bv: BoundaryValues, depth: int, edge: str = "bottom") -> list[Fraction]:

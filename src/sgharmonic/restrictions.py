@@ -21,8 +21,8 @@ from .gasket import (
     cell_values,
     cell_word,
     child_numerators,
+    decode_edge_point,
     extend_once,
-    is_dyadic,
     on_edge,
     to_numerators,
 )
@@ -123,46 +123,32 @@ def locate_extremum(bv: BoundaryValues, edge: str, depth: int) -> ExtremumResult
     return ExtremumResult(kind, Fraction(k, 2 ** depth), Fraction(k + 1, 2 ** depth))
 
 
-def _junction_class(cell, side: str) -> DerivClass:
-    """One-sided derivative class at a junction from the corners (a, b, g)
-    of the cell on that `side` of it: the sign of 2g - a - b on the left
-    cell (the junction is its right corner), of a + g - 2b on the right one
-    (its left corner).  Positive scaling keeps the sign, so integer
-    numerators over any positive denominator serve as well as values."""
-    a, b, g = cell
-    form = 2 * g - a - b if side == "left" else a + g - 2 * b
-    if form == 0:
-        return DerivClass.ZERO
-    return DerivClass.PLUS_INFINITY if form > 0 else DerivClass.MINUS_INFINITY
-
-
 def junction_derivative(
     bv: BoundaryValues, edge: str, position: Fraction
 ) -> tuple[DerivClass | None, DerivClass | None]:
     """One-sided derivative classes (left, right) at a dyadic edge point.
 
-    On the cell approached from either side, the successive difference
-    quotients toward the point behave like (6/5)^j times the form of
-    :func:`_junction_class` plus a (2/5)^j term, so the class is the sign
-    of that form (Zero when it vanishes).  The sign is invariant under
-    descending further (each level scales it by 3/5), so the cell depth may
-    be taken minimal.
+    On the cell (a, b, g) approached from either side, the difference
+    quotients toward the point behave like (6/5)^j times a form plus a
+    (2/5)^j term: 2g - a - b on the left cell (the point is its right
+    corner), a + g - 2b on the right one (its left corner).  The class is
+    the sign of that form (Zero when it vanishes), kept by positive scaling
+    and by each further descent (a factor 3/5), so the depth may be minimal.
+    The forms are the two cells' normal derivatives at the point, the right
+    one negated; by the matching condition for harmonic functions those sum
+    to zero.  So both sides take the class of one cell: the minimal one that
+    starts at the point, or the whole edge at x = 1.
     """
     x = Fraction(position)
-    if not (0 <= x <= 1):
-        raise ValueError(f"position {x} outside [0, 1]")
-    if not is_dyadic(x):
-        raise ValueError(f"position {x} is not dyadic")
+    k, m, place = decode_edge_point(x)
     t = on_edge(bv, edge)
     if t.is_constant():  # the child maps are invertible and keep constants
         raise ArithmeticError("derivative classes are undefined for constant functions")
-    k, m = x.numerator, x.denominator.bit_length() - 1
-    left = right = None
-    if x < 1:
-        right = _junction_class(cell_values(t, cell_word(k, m)).as_tuple(), "right")
-    if x > 0:
-        left = _junction_class(cell_values(t, cell_word(k - 1, m)).as_tuple(), "left")
-    return (left, right)
+    a, b, g = cell_values(t, cell_word(k, m)).as_tuple()
+    form = 2 * g - a - b if place else a + g - 2 * b
+    cls = (DerivClass.ZERO if form == 0 else
+           DerivClass.PLUS_INFINITY if form > 0 else DerivClass.MINUS_INFINITY)
+    return (None if x == 0 else cls, None if x == 1 else cls)
 
 
 #: Stable labels for the corners of the outer triangle.
@@ -191,10 +177,9 @@ def count_zero_junctions(
     n = 2 ** depth
     for edge in ("bottom", "left", "right"):
         cells = bottom_cells(on_edge(bv, edge), depth)  # integer numerators
-        for k in range(1, n):
-            if DerivClass.ZERO in (_junction_class(cells[k - 1], "left"),
-                                   _junction_class(cells[k], "right")):
-                zeros.append((edge, Fraction(k, n)))
+        # junction k/n starts cell k: Zero iff a + g = 2b there (junction_derivative)
+        zeros += [(edge, Fraction(k, n)) for k, (a, b, g) in enumerate(cells)
+                  if k and a + g == 2 * b]
     return len(zeros), zeros
 
 

@@ -1,11 +1,15 @@
+import contextlib
 import gc
+import hashlib
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
 from sgharmonic.cli import cli
+from sgharmonic.gasket import BoundaryValues, EdgePoint, edge_profile, eval_dyadic
 from sgharmonic.oracle import MAX_LEVEL
 
 
@@ -38,6 +42,12 @@ class TestEval:
     def test_unsupported_point(self):
         res = run("eval", "-a", "0", "-b", "0", "-g", "1", "--point", "5/7")
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("point", ["5/7", "1/9", "3/2", "-1/2"])
+    def test_invalid_point_named(self, point):
+        res = run("eval", "-a", "0", "-b", "0", "-g", "1", f"--point={point}")
+        assert res.exit_code == 2
+        assert f"point {point} " in res.output
 
     def test_malformed_rational(self):
         res = run("eval", "-a", "zz", "-b", "0", "-g", "1", "--point", "1/2")
@@ -106,6 +116,60 @@ class TestScan:
             x = Fraction(int(xn), int(xd))
             assert Fraction(int(fn), int(fd)) == eval_dyadic(
                 bv, EdgePoint("bottom", x))
+
+
+@contextlib.contextmanager
+def unlimited_digits():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestIntStrLimit:
+    # Results with more digits than Python's int-to-str limit (4300) print
+    # exactly; every input here is under the limit.
+    WIDE = BoundaryValues(Fraction(1, 3 ** 8000), Fraction(1, 7 ** 4700), 0)
+    WIDE_ARGS = ("-a", f"1/{3 ** 8000}", "-b", f"1/{7 ** 4700}", "-g", "0")
+
+    def exact(self, text):
+        with unlimited_digits():
+            return Fraction(text)
+
+    def test_eval(self):
+        limit = sys.get_int_max_str_digits()
+        point = Fraction(1, 2 ** 14000)
+        res = run("eval", "-a", "0", "-b", "0", "-g", "1", "--point", str(point))
+        assert res.exit_code == 0
+        assert self.exact(res.stdout.split()[0]) == eval_dyadic(
+            BoundaryValues(0, 0, 1), EdgePoint("bottom", point))
+        res = run("eval", *self.WIDE_ARGS, "--point", "1/2")
+        assert res.exit_code == 0
+        assert self.exact(res.stdout.split()[0]) == eval_dyadic(
+            self.WIDE, EdgePoint("bottom", Fraction(1, 2)))
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_scan(self):
+        res = run("scan", *self.WIDE_ARGS, "--depth", "1")
+        assert res.exit_code == 0
+        rows = [row.split(",") for row in res.stdout.strip().splitlines()[1:]]
+        assert [self.exact(f"{fn}/{fd}") for _, _, fn, fd, _ in rows] == edge_profile(
+            self.WIDE, 1)
+
+    def test_classify(self):
+        res = run("classify", *self.WIDE_ARGS, "--format", "json")
+        assert res.exit_code == 0
+        lengths = json.loads(res.stdout)["results"]["edge_lengths"]
+        a, b, g = self.WIDE.as_tuple()
+        assert {e: self.exact(v) for e, v in lengths.items()} == {
+            "left": abs(a - b), "right": abs(a - g), "bottom": abs(b - g)}
+
+    def test_inputs_parsed_under_limit(self):
+        res = run("eval", "-a", "1" + "0" * 4300, "-b", "0", "-g", "1", "--point", "1/2")
+        assert res.exit_code == 2
+        assert "not an exact rational" in res.output
 
 
 class TestVerify:
@@ -218,3 +282,43 @@ def test_invocations_leave_no_stream_alive():
         for args in commands:
             assert run(*args).exit_code == 0
     assert live_wrappers() == before
+
+
+# Fixed triples for the golden digest: integer and rational ones, a constant
+# one, (-2, 0, 2) and (-9/5, 1/5, 11/5) on the hyperplane alpha = 2*beta - gamma,
+# and a 70-bit one.
+GOLDEN_TRIPLES = [
+    ("0", "0", "1"), ("5", "0", "1"), ("-2", "0", "2"), ("1", "0", "2"),
+    ("1", "1", "1"), ("2", "-3", "7"), ("19/27", "-17/13", "-79/41"),
+    ("3/7", "-1/2", "5"), ("-9/5", "1/5", "11/5"),
+    ("-334226106584129774341/155876139355663594873",
+     "129036094995233865690/805641985552713486677",
+     "-834097655157903340523/457588421882283571737"),
+]
+# dyadic, endpoint, whole-edge and sub-edge third points, and invalid ones
+GOLDEN_POINTS = ("0", "1", "1/2", "3/8", "1/3", "2/3", "5/12", "5/7", "1/9", "3/2")
+GOLDEN_DIGEST = "88bbe30660993ff35883972ad63944762a9bb33c2092c13cc635f6242273cd97"
+
+
+def golden_calls():
+    for a, b, g in GOLDEN_TRIPLES:
+        triple = (f"--alpha={a}", f"--beta={b}", f"--gamma={g}")
+        for edge in ("bottom", "left", "right"):
+            for point in GOLDEN_POINTS:
+                for fmt in ("human", "json"):
+                    yield ("eval", *triple, "--edge", edge, "--point", point,
+                           "--format", fmt)
+            yield ("scan", *triple, "--edge", edge, "--depth", "6")
+        for fmt in ("human", "json"):
+            yield ("zero-search", *triple, "--depth", "6", "--format", fmt)
+        yield ("classify", *triple, "--depth", "40", "--format", "json")
+
+
+def test_golden_outputs():
+    # one digest over (args, exit code, stdout) of every call; a change that
+    # alters any output byte or exit code on this set changes it
+    digest = hashlib.sha256()
+    for args in golden_calls():
+        res = run(*args)
+        digest.update(json.dumps([args, res.exit_code, res.stdout]).encode())
+    assert digest.hexdigest() == GOLDEN_DIGEST

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from sgharmonic.gasket import (
     cell_values,
     cell_word,
     closed_form_lemma2,
+    decode_edge_point,
     edge_profile,
     eval_dyadic,
     extend_once,
@@ -145,6 +147,18 @@ class TestKernelDifferential:
                 right = sign_class(c.alpha + c.gamma - 2 * c.beta)
             assert junction_derivative(bv, edge, x) == (left, right)
 
+    @settings(deadline=None)
+    @given(triples())
+    def test_junction_forms_match(self, bv):
+        # the matching condition: at junction k of depth m, the left form
+        # on cell k - 1 equals the right form on cell k
+        for edge in EDGES:
+            t = on_edge(bv, edge)
+            for m in range(1, 9):
+                cells = bottom_cells(t, m)
+                for (a, b, g), (a2, b2, g2) in zip(cells, cells[1:]):
+                    assert 2 * g - a - b == a2 + g2 - 2 * b2
+
 
 class TestEvalDyadic:
     def test_endpoints(self):
@@ -161,7 +175,7 @@ class TestEvalDyadic:
                            EdgePoint("bottom", Fraction(1, 4))) == Fraction(1, 5)
 
     def test_non_dyadic_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="1/3 is not dyadic"):
             eval_dyadic(BoundaryValues(0, 0, 1), EdgePoint("bottom", Fraction(1, 3)))
 
     def test_shared_vertex_well_defined(self):
@@ -182,6 +196,33 @@ class TestEvalDyadic:
         assert eval_dyadic(bv, EdgePoint("right", Fraction(1))) == 7  # p2
         mid = eval_dyadic(bv, EdgePoint("left", Fraction(1, 2)))
         assert mid == extend_once(bv)[2]  # f(p01)
+
+
+class TestDecodeEdgePoint:
+    def test_round_trip(self):
+        thirds = (0, Fraction(1, 3), Fraction(2, 3))
+        for m in range(7):
+            for k in range(2 ** m):
+                for j in range(3):
+                    x = (k + Fraction(j, 3)) / 2 ** m
+                    k2, m2, place = decode_edge_point(x, thirds=True)
+                    assert (k2 + place) / 2 ** m2 == x
+                    assert 0 <= k2 < 2 ** m2 and m2 <= m
+                    assert place in thirds[1:] if j else place == 0
+                    if not j:  # the coarsest cell that starts at x
+                        assert k2 % 2 or m2 == 0
+                        assert decode_edge_point(x) == (k2, m2, 0)
+        assert decode_edge_point(Fraction(1)) == (0, 0, 1)
+
+    def test_twelfth_is_third_point_of_cell_11(self):
+        k, m, place = decode_edge_point(Fraction(1, 12), thirds=True)
+        assert (cell_word(k, m), place) == ("11", Fraction(1, 3))
+
+    @pytest.mark.parametrize("x", [Fraction(5, 7), Fraction(1, 9), Fraction(3, 2),
+                                   Fraction(-1, 2)])
+    def test_invalid_points_named(self, x):
+        with pytest.raises(ValueError, match=re.escape(f"point {x} ")):
+            decode_edge_point(x, thirds=True)
 
 
 class TestCellWord:

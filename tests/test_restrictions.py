@@ -176,7 +176,7 @@ class TestJunctionDerivative:
         assert left is DerivClass.PLUS_INFINITY
 
     def test_non_dyadic_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="1/3 is not dyadic"):
             junction_derivative(BoundaryValues(0, 0, 1), "bottom", Fraction(1, 3))
 
     def test_constant_rejected(self):
