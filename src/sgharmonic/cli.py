@@ -7,8 +7,8 @@ display companions.  Exit codes: 0 success, 1 verification failure,
 
 from __future__ import annotations
 
-import csv
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -37,8 +37,8 @@ class RationalParam(click.ParamType):
             return value
         try:
             return parse_rational(value)
-        except ValueError:
-            self.fail(f"{value!r} is not an exact rational (expected p/q)", param, ctx)
+        except ValueError as exc:
+            self.fail(str(exc), param, ctx)
 
 
 RATIONAL = RationalParam()
@@ -69,6 +69,14 @@ def _echo(text: str) -> None:
 def _emit_json(command: str, inputs: dict, results: dict) -> None:
     _echo(json.dumps({"command": command, "inputs": inputs, "results": results},
                      indent=2))
+
+
+def _display_float(q: Fraction) -> float:
+    """The float nearest q, as float(q) gives it, or +-inf past a float's range."""
+    try:
+        return q.numerator / q.denominator
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
 
 
 def _triple_inputs(bv: BoundaryValues) -> dict:
@@ -121,10 +129,12 @@ def cmd_eval(alpha, beta, gamma, edge, point, fmt):
         raise click.UsageError(str(exc))
     if fmt == "json":
         inputs = {**_triple_inputs(bv), "edge": edge, "point": format_rational(point)}
-        _emit_json("eval", inputs,
-                   {"value": format_rational(value), "value_float": float(value)})
+        approx = _display_float(value)
+        # JSON has no infinities: an out-of-range companion is null
+        _emit_json("eval", inputs, {"value": format_rational(value),
+                                    "value_float": approx if math.isfinite(approx) else None})
     else:
-        _echo(f"{format_rational(value)} ({float(value):g})")
+        _echo(f"{format_rational(value)} ({_display_float(value):g})")
 
 
 @cli.command("classify")
@@ -177,6 +187,9 @@ def cmd_classify(alpha, beta, gamma, depth, fmt):
           + ", ".join(f"{e}=|{lengths[e]}|" for e in ordering))
 
 
+_SCAN_BLOCK_ROWS = 4096
+
+
 @cli.command("scan")
 @triple_options
 @click.option("--edge", type=click.Choice(EDGES), default="bottom", show_default=True)
@@ -187,16 +200,19 @@ def cmd_scan(alpha, beta, gamma, edge, depth, output):
     """Emit values at all k/2^depth along an edge as lossless CSV."""
     bv = BoundaryValues(alpha, beta, gamma)
     profile = edge_profile(bv, depth, edge)
+    n = 2 ** depth
     stream = open(output, "w", newline="") if output else sys.stdout
     try:
-        writer = csv.writer(stream)
-        writer.writerow(["x_num", "x_den", "f_num", "f_den", "f_float"])
-        den = 2 ** depth
-        for k, value in enumerate(profile):
-            x = Fraction(k, den)
-            writer.writerow([x.numerator, x.denominator,
-                             value.numerator, value.denominator,
-                             repr(float(value))])
+        # CSV as csv.writer writes it (no field needs quoting, \r\n ends each
+        # row), written a block of rows at a time
+        stream.write("x_num,x_den,f_num,f_den,f_float\r\n")
+        for start in range(0, n + 1, _SCAN_BLOCK_ROWS):
+            block = []
+            for k, value in enumerate(profile[start:start + _SCAN_BLOCK_ROWS], start):
+                low = k & -k or n  # k/n in lowest terms is (k/low)/(n/low); 0 is 0/1
+                block.append(f"{k // low},{n // low},{value.numerator},"
+                             f"{value.denominator},{_display_float(value)!r}\r\n")
+            stream.write("".join(block))
     finally:
         if output:
             stream.close()

@@ -11,16 +11,38 @@ no division: the third-point closed forms state their projector without one.
 
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
 from functools import total_ordering
 
+_LOG2_10 = math.log2(10)
+
+
+def _more_digits_than(n: int, limit: int) -> bool:
+    """Whether n >= 0 has more than `limit` decimal digits, i.e. n >= 10^limit;
+    read from the bit length, and compared exactly only within a bit of the bound."""
+    bits, bound = n.bit_length(), limit * _LOG2_10
+    if abs(bits - bound) > 1:
+        return bits > bound
+    return n >= 10 ** limit
+
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the text form "p/q" (q omitted when 1) into an exact Fraction."""
+    """Parse the text form "p/q" (q omitted when 1) into an exact Fraction.
+
+    A numerator or denominator with more decimal digits than Python's
+    int-to-str limit is rejected, also when the text reaches it through an
+    exponent ("1e5000"), as a literal that long already is."""
     try:
-        return Fraction(text.strip())
+        q = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
+        raise ValueError(f"{text!r} is not an exact rational (expected p/q)") from exc
+    limit = sys.get_int_max_str_digits()
+    if limit and _more_digits_than(max(abs(q.numerator), q.denominator), limit):
+        raise ValueError(f"{text!r} has more than {limit} digits in its numerator "
+                         "or denominator (the int-to-str limit)")
+    return q
 
 
 def format_rational(q: Fraction) -> str:

@@ -143,17 +143,29 @@ def decode_edge_point(x: Fraction, thirds=False) -> tuple[int, int, int | Fracti
 def _bottom_walk(bv: BoundaryValues, depth: int) -> Iterator[Numerators]:
     """Numerators, over to_numerators(bv)[1] * 5^depth, of the 2^depth cells
     tiling the bottom edge, left to right; depth-first, so only one path from
-    the root is held."""
+    the root is held.
+
+    Each step makes both bottom children of a cell, the rows "1" and "2" of
+    :func:`child_numerators`, from their shared corner p12 = a + 2b + 2g; the
+    last level is yielded as it is made."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    stack = [(to_numerators(bv)[0], depth)]
+    t = to_numerators(bv)[0]
+    if not depth:
+        yield t
+        return
+    stack = [(t, depth)]
     while stack:
-        t, d = stack.pop()
-        if d:
-            stack.append((child_numerators(t, "2"), d - 1))
-            stack.append((child_numerators(t, "1"), d - 1))
+        (a, b, g), d = stack.pop()
+        p12 = a + 2 * b + 2 * g
+        left = (p12 + a - g, 5 * b, p12)    # 2a + 2b + g = p12 + a - g
+        right = (p12 + a - b, p12, 5 * g)   # 2a + b + 2g = p12 + a - b
+        if d == 1:
+            yield left
+            yield right
         else:
-            yield t
+            stack.append((right, d - 1))
+            stack.append((left, d - 1))
 
 
 def cell_values(bv: BoundaryValues, addr: CellAddress) -> BoundaryValues:

@@ -117,6 +117,65 @@ class TestScan:
             assert Fraction(int(fn), int(fd)) == eval_dyadic(
                 bv, EdgePoint("bottom", x))
 
+    def test_depth_zero_rows(self):
+        res = run("scan", "-a", "3", "-b", "-1/2", "-g", "7", "--depth", "0")
+        assert res.exit_code == 0
+        assert res.stdout_bytes == (b"x_num,x_den,f_num,f_den,f_float\r\n"
+                                    b"0,1,-1,2,-0.5\r\n1,1,7,1,7.0\r\n")
+
+    def test_output_file_matches_stdout(self, tmp_path):
+        args = ("scan", "-a", "19/27", "-b", "-17/13", "-g", "-79/41", "--edge", "left",
+                "--depth", "9")
+        path = tmp_path / "scan.csv"
+        res = run(*args, "--output", str(path))
+        assert res.exit_code == 0 and res.stdout == ""
+        assert path.read_bytes() == run(*args).stdout_bytes
+
+    # an integer triple, (-9/5, 1/5, 11/5) on the hyperplane alpha = 2*beta - gamma,
+    # and a 70-bit one; the digest was generated before the CSV was written in blocks
+    DEEP_TRIPLES = [
+        ("2", "-3", "7"), ("-9/5", "1/5", "11/5"),
+        ("-334226106584129774341/155876139355663594873",
+         "129036094995233865690/805641985552713486677",
+         "-834097655157903340523/457588421882283571737"),
+    ]
+    DEEP_DIGEST = "efa2ead003e640c880d996798551883100d26573ae3b393c4f32d8269c0edd23"
+
+    def test_depth_twelve_digest(self):
+        digest = hashlib.sha256()
+        for a, b, g in self.DEEP_TRIPLES:
+            for edge in ("bottom", "left", "right"):
+                args = ("scan", f"--alpha={a}", f"--beta={b}", f"--gamma={g}",
+                        "--edge", edge, "--depth", "12")
+                res = run(*args)
+                digest.update(json.dumps([args, res.exit_code, res.stdout]).encode())
+        assert digest.hexdigest() == self.DEEP_DIGEST
+
+
+class TestFloatOverflow:
+    # the float companion of a value past a float's range reads as an
+    # infinity (null in JSON); the exact columns are unchanged
+    BIG = ("-a", "1e400", "-b", "0", "-g", "0")
+
+    def test_eval(self):
+        res = run("eval", *self.BIG, "--point", "1/2")
+        assert res.exit_code == 0
+        assert res.stdout == f"{2 * 10 ** 399} (inf)\n"
+
+    def test_eval_json(self):
+        res = run("eval", "-a", "-1e400", "-b", "0", "-g", "0", "--point", "1/2",
+                  "--format", "json")
+        assert res.exit_code == 0
+        results = json.loads(res.stdout)["results"]
+        assert results == {"value": str(-2 * 10 ** 399), "value_float": None}
+
+    def test_scan(self):
+        res = run("scan", "-a", "1e400", "-b", "-1e400", "-g", "0", "--edge", "left",
+                  "--depth", "1")
+        assert res.exit_code == 0
+        assert res.stdout.splitlines()[1:] == [
+            f"0,1,{10 ** 400},1,inf", "1,2,0,1,0.0", f"1,1,{-10 ** 400},1,-inf"]
+
 
 @contextlib.contextmanager
 def unlimited_digits():
@@ -170,6 +229,17 @@ class TestIntStrLimit:
         res = run("eval", "-a", "1" + "0" * 4300, "-b", "0", "-g", "1", "--point", "1/2")
         assert res.exit_code == 2
         assert "not an exact rational" in res.output
+
+    def test_exponent_past_limit_rejected(self):
+        # 1e5000 is a 5001-digit integer, past the limit as its literal is
+        res = run("eval", "-a", "1e5000", "-b", "0", "-g", "1", "--point", "1/2")
+        assert res.exit_code == 2
+        assert f"more than {sys.get_int_max_str_digits()} digits" in res.output
+
+    def test_exponent_under_limit_accepted(self):
+        res = run("classify", "-a", "1e400", "-b", "0", "-g", "1", "--format", "json")
+        assert res.exit_code == 0
+        assert json.loads(res.stdout)["results"]["edge_lengths"]["left"] == str(10 ** 400)
 
 
 class TestVerify:

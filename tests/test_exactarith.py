@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -44,6 +45,22 @@ class TestRational:
         for bad in ("", "1/0", "x", "1.5.2"):
             with pytest.raises(ValueError):
                 parse_rational(bad)
+
+    def test_parse_bounds_digits_not_text(self):
+        # the int-to-str limit bounds the parsed numerator and denominator,
+        # also when an exponent writes them in a few characters
+        limit = sys.get_int_max_str_digits()
+        assert parse_rational(f"1e{limit - 1}") == 10 ** (limit - 1)
+        assert parse_rational("9" * limit) == 10 ** limit - 1
+        assert parse_rational(f"1e-{limit - 1}") == Fraction(1, 10 ** (limit - 1))
+        for big in (f"1e{limit}", f"-1e{limit}", f"1e-{limit}", "1e5000"):
+            with pytest.raises(ValueError, match=f"more than {limit} digits"):
+                parse_rational(big)
+        sys.set_int_max_str_digits(0)
+        try:
+            assert parse_rational("1e5000") == 10 ** 5000
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestQuadExt:

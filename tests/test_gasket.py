@@ -121,13 +121,15 @@ class TestKernelDifferential:
         assert cell_values(bv, addr) == step_by_step(bv, addr)
 
     @settings(deadline=None)
-    @given(triples(), st.sampled_from(EDGES), st.integers(0, 4))
+    @given(triples(), st.sampled_from(EDGES), st.integers(0, 6))
     def test_walkers_agree_with_cell_values(self, bv, edge, m):
+        # m up to 6: the walk yields its last level unpushed, below pushed levels
         t = on_edge(bv, edge)
         n = 2 ** m
         cells = [cell_values(t, cell_word(k, m)) for k in range(n)]
         den = to_numerators(t)[1] * 5 ** m
         assert bottom_cells(t, m) == [tuple(x * den for x in c.as_tuple()) for c in cells]
+        assert bottom_cells(t, 0) == [to_numerators(t)[0]]
         assert edge_profile(bv, m, edge) == [c.beta for c in cells] + [cells[-1].gamma]
         for k in range(n + 1):
             x = Fraction(k, n)
