@@ -11,21 +11,9 @@ no division: the third-point closed forms state their projector without one.
 
 from __future__ import annotations
 
-import math
 import sys
 from fractions import Fraction
 from functools import total_ordering
-
-_LOG2_10 = math.log2(10)
-
-
-def _more_digits_than(n: int, limit: int) -> bool:
-    """Whether n >= 0 has more than `limit` decimal digits, i.e. n >= 10^limit;
-    read from the bit length, and compared exactly only within a bit of the bound."""
-    bits, bound = n.bit_length(), limit * _LOG2_10
-    if abs(bits - bound) > 1:
-        return bits > bound
-    return n >= 10 ** limit
 
 
 def parse_rational(text: str) -> Fraction:
@@ -39,7 +27,9 @@ def parse_rational(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{text!r} is not an exact rational (expected p/q)") from exc
     limit = sys.get_int_max_str_digits()
-    if limit and _more_digits_than(max(abs(q.numerator), q.denominator), limit):
+    size = max(abs(q.numerator), q.denominator)
+    # 2^(3*limit) < 10^limit: within 3*limit bits no value has too many digits
+    if limit and size.bit_length() > 3 * limit and size >= 10 ** limit:
         raise ValueError(f"{text!r} has more than {limit} digits in its numerator "
                          "or denominator (the int-to-str limit)")
     return q
