@@ -241,12 +241,13 @@ def cmd_verify(suites, trials, depth, m_max, seed, fmt):
                        "m_max": m_max, "seed": seed},
             "results": {"all_passed": all(r.passed for r in results)},
             "suites": [{"name": r.name, "status": r.status, "details": r.details,
-                        "counterexample": r.counterexample} for r in results],
+                        "counterexample": r.counterexample, "elapsed_s": r.elapsed_s}
+                       for r in results],
         }
         _echo(json.dumps(payload, indent=2))
     else:
         for r in results:
-            _echo(f"{r.name}: {r.status} - {r.details}")
+            _echo(f"{r.name}: {r.status} - {r.details} ({r.elapsed_s:.2f} s)")
             if r.counterexample:
                 _echo(f"  counterexample: {r.counterexample}")
     if not all(r.passed for r in results):

@@ -17,7 +17,10 @@ child of cell w containing corner i.  A child's corner triple keeps the
 Every cell walk runs on one integer kernel.  The rule is linear, so with L
 the lcm of the corner denominators, the corners of cell w are integer
 numerators over L*5^|w|; :func:`child_numerators` maps a parent's to a
-child's, and a walk divides only for the values it returns.
+child's, and :func:`cell_numerators` walks to a single cell.  The closed
+forms of lemma 2 are integer rows over 2*5^m or 10*5^m applied to the same
+numerators.  Every walk and closed form divides only for the values it
+returns: one ``Fraction`` per value.
 """
 
 from __future__ import annotations
@@ -36,6 +39,11 @@ _EDGE_PERMUTATION = {
     "left": (2, 0, 1),    # [p0, p1]
     "right": (1, 0, 2),   # [p0, p2]
 }
+# The child maps commute with relabelling the corners: child d of the
+# permuted triple is child perm[d] of the triple, permuted.  So a cell word of
+# an edge's frame names, with each digit d read as perm[d], a cell of bv.
+_EDGE_DIGITS = {edge: str.maketrans("012", "".join(map(str, perm)))
+                for edge, perm in _EDGE_PERMUTATION.items()}
 
 CellAddress = str  # word over "012"; "" is the whole gasket
 
@@ -168,21 +176,28 @@ def _bottom_walk(bv: BoundaryValues, depth: int) -> Iterator[Numerators]:
             stack.append((left, d - 1))
 
 
-def cell_values(bv: BoundaryValues, addr: CellAddress) -> BoundaryValues:
-    """Exact corner triple of the cell named by `addr` (composition of children)."""
+def cell_numerators(bv: BoundaryValues, addr: CellAddress) -> tuple[Numerators, int]:
+    """Integer corner numerators of the cell named by `addr` (composition of
+    children), and their one denominator to_numerators(bv)[1] * 5^|addr|."""
     t, den = to_numerators(bv)
     for digit in addr:
         t = child_numerators(t, digit)
-    den *= 5 ** len(addr)
+    return t, den * 5 ** len(addr)
+
+
+def cell_values(bv: BoundaryValues, addr: CellAddress) -> BoundaryValues:
+    """Exact corner triple of the cell named by `addr`."""
+    t, den = cell_numerators(bv, addr)
     return BoundaryValues(*(Fraction(x, den) for x in t))
 
 
 def eval_dyadic(bv: BoundaryValues, pt: EdgePoint) -> Fraction:
     """Exact value of the harmonic function at a dyadic edge point: the beta
-    (place 0) or gamma (place 1) corner of the cell decode_edge_point names."""
+    (place 0) or gamma (place 1) corner of the cell decode_edge_point names,
+    in the frame of on_edge(bv, pt.edge)."""
     k, m, place = decode_edge_point(pt.position)
-    t = cell_values(on_edge(bv, pt.edge), cell_word(k, m))
-    return t.gamma if place else t.beta
+    t, den = cell_numerators(bv, cell_word(k, m).translate(_EDGE_DIGITS[pt.edge]))
+    return Fraction(t[_EDGE_PERMUTATION[pt.edge][2 if place else 1]], den)
 
 
 def edge_profile(bv: BoundaryValues, depth: int, edge: str = "bottom") -> list[Fraction]:
@@ -214,8 +229,9 @@ def lemma2_abscissa(m: int, which: str) -> Fraction:
     raise ValueError(f"unknown point family {which!r}")
 
 
-def lemma2_coefficients(m: int, which: str) -> tuple[Fraction, Fraction, Fraction]:
-    """Exact (alpha, beta, gamma) coefficients of the closed forms at depth m.
+def _lemma2_row(m: int, which: str) -> tuple[Numerators, int]:
+    """Integer (alpha, beta, gamma) row of the closed form at depth m, and its
+    denominator 2*5^m or 10*5^m.
 
     The r_m row is the beta/gamma swap of the l_m row; the printed version
     of that formula is inconsistent (its coefficients do not sum to 1), but
@@ -224,27 +240,26 @@ def lemma2_coefficients(m: int, which: str) -> tuple[Fraction, Fraction, Fractio
     if m < 1:
         raise ValueError("m must be >= 1")
     p3, p5 = 3 ** m, 5 ** m
-    if which == "half_power":
-        return (Fraction(p3 - 1, 2 * p5),
-                1 - Fraction(p3, p5),
-                Fraction(p3 + 1, 2 * p5))
-    if which == "one_minus_half_power":
-        ca, cb, cg = lemma2_coefficients(m, "half_power")
-        return (ca, cg, cb)
-    if which == "l_m":
-        return (Fraction(p5 - 1, 5 * p5),
-                Fraction(3 * p3 + 4 * p5 + 3, 10 * p5),
-                Fraction(4 * p5 - 3 * p3 - 1, 10 * p5))
-    if which == "r_m":
-        ca, cb, cg = lemma2_coefficients(m, "l_m")
-        return (ca, cg, cb)
-    raise ValueError(f"unknown point family {which!r}")
+    if which in ("half_power", "one_minus_half_power"):
+        (a, b, g), q = (p3 - 1, 2 * p5 - 2 * p3, p3 + 1), 2 * p5
+    elif which in ("l_m", "r_m"):
+        (a, b, g), q = (2 * p5 - 2, 3 * p3 + 4 * p5 + 3, 4 * p5 - 3 * p3 - 1), 10 * p5
+    else:
+        raise ValueError(f"unknown point family {which!r}")
+    return ((a, g, b) if which in ("one_minus_half_power", "r_m") else (a, b, g)), q
+
+
+def lemma2_coefficients(m: int, which: str) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact (alpha, beta, gamma) coefficients of the closed forms at depth m."""
+    row, q = _lemma2_row(m, which)
+    return tuple(Fraction(x, q) for x in row)
 
 
 def closed_form_lemma2(bv: BoundaryValues, m: int, which: str) -> Fraction:
     """Closed-form value at 1/2^m, 1 - 1/2^m, l_m or r_m on the bottom edge."""
-    ca, cb, cg = lemma2_coefficients(m, which)
-    return ca * bv.alpha + cb * bv.beta + cg * bv.gamma
+    (ca, cb, cg), q = _lemma2_row(m, which)
+    (a, b, g), den = to_numerators(bv)
+    return Fraction(ca * a + cb * b + cg * g, q * den)
 
 
 def normal_derivative(bv: BoundaryValues) -> Fraction:
@@ -260,5 +275,5 @@ def renormalized_vertex_difference(bv: BoundaryValues, m: int) -> Fraction:
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    t = cell_values(bv, "0" * m)
-    return Fraction(5, 3) ** m * (2 * t.alpha - t.beta - t.gamma)
+    (a, b, g), den = cell_numerators(bv, "0" * m)  # den = L * 5^m
+    return Fraction(2 * a - b - g, den // 5 ** m * 3 ** m)

@@ -11,14 +11,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .exactarith import QuadExt, format_rational
 from .gasket import (
     BoundaryValues,
     CellAddress,
     bottom_cells,
-    cell_values,
+    cell_numerators,
     cell_word,
     child_numerators,
     decode_edge_point,
@@ -144,7 +144,7 @@ def junction_derivative(
     t = on_edge(bv, edge)
     if t.is_constant():  # the child maps are invertible and keep constants
         raise ArithmeticError("derivative classes are undefined for constant functions")
-    a, b, g = cell_values(t, cell_word(k, m)).as_tuple()
+    (a, b, g), _ = cell_numerators(t, cell_word(k, m))  # over a positive denominator
     form = 2 * g - a - b if place else a + g - 2 * b
     cls = (DerivClass.ZERO if form == 0 else
            DerivClass.PLUS_INFINITY if form > 0 else DerivClass.MINUS_INFINITY)
@@ -234,10 +234,10 @@ def triangle_sequence(bv: BoundaryValues, m: int) -> TriangleSequence:
     right third of the left third, i.e. the cell step "12")."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    t = cell_values(bv, "12" * m)
-    q = Fraction(1, 4 ** m)
-    third = Fraction(1, 3)
-    return TriangleSequence(m, *t.as_tuple(), third - third * q, third + 2 * third * q)
+    t, den = cell_numerators(bv, "12" * m)
+    q = 4 ** m
+    return TriangleSequence(m, *(Fraction(x, den) for x in t),
+                            Fraction(q - 1, 3 * q), Fraction(q + 2, 3 * q))
 
 
 #: Eigenvalues s, h = (7 +- sqrt13)/50 of the third-point step (third_point_context).
@@ -271,11 +271,14 @@ def third_point_context(bv: BoundaryValues) -> ThirdPointContext:
     # determinant 9/625 = s h, so K^m x = s^m Px + h^m (x - Px) with the
     # projector P = (K - h)/(s - h).  As (50K - 7)^2 = 13 and s - h = sqrt13/25,
     # Px = x/2 + y sqrt13/26 with y = (50K - 7)x.  C and B are the entries of Px.
-    c = conserved_combination(bv)
-    xb, xg = bv.beta - c / 27, bv.gamma - c / 27
-    yb, yg = xb - Fraction(6, 5) * xg, -10 * xb - xg
-    B, C = QuadExt(xg / 2, yg / 26), QuadExt(xb / 2, yb / 26)
-    return ThirdPointContext(c, B.conjugate(), B, C, C.conjugate())
+    # In integers: with c = 5a + 15b + 7g on the numerators (a, b, g) over L,
+    # x = (27b - c, 27g - c)/27L and y = ((5x_b - 6x_g)/5, -10x_b - x_g)/27L.
+    (a, b, g), den = to_numerators(bv)
+    c = 5 * a + 15 * b + 7 * g
+    xb, xg = 27 * b - c, 27 * g - c
+    B = QuadExt(Fraction(xg, 54 * den), Fraction(-10 * xb - xg, 702 * den))
+    C = QuadExt(Fraction(xb, 54 * den), Fraction(5 * xb - 6 * xg, 3510 * den))
+    return ThirdPointContext(Fraction(c, den), B.conjugate(), B, C, C.conjugate())
 
 
 def third_point_onset(bv: BoundaryValues, side: str) -> int:
@@ -319,11 +322,17 @@ def _root13_power(m: int) -> tuple[int, int]:
 
 def _closed_form(slow: QuadExt, c: Fraction, m: int) -> Fraction:
     """conj(slow) h^m + slow s^m + c/27 = 2 (slow s^m).rational_part + c/27,
-    with 50^m s^m = X + Y sqrt13 from _root13_power."""
+    with 50^m s^m = X + Y sqrt13 from _root13_power, as one Fraction over
+    27 * 50^m * (the lcm of the denominators of c and of slow's two parts)."""
     if m < 0:
         raise ValueError("m must be >= 0")
     x, y = _root13_power(m)
-    return c / 27 + 2 * (slow.rational_part * x + 13 * slow.root13_part * y) / 50 ** m
+    r, s = slow.rational_part, slow.root13_part
+    den = lcm(c.denominator, r.denominator, s.denominator)
+    form = (r.numerator * (den // r.denominator) * x
+            + 13 * s.numerator * (den // s.denominator) * y)
+    p50 = 50 ** m
+    return Fraction(c.numerator * (den // c.denominator) * p50 + 54 * form, 27 * den * p50)
 
 
 def gamma_closed_form(bv: BoundaryValues, m: int) -> Fraction:
@@ -366,7 +375,7 @@ def third_point_of_subedge(
         raise ValueError("which must be 1/3 or 2/3")
     k = int("0" + addr.replace("1", "0").replace("2", "1"), 2)  # inverse of cell_word
     position = (k + which) / 2 ** len(addr)
-    t = cell_values(bv, addr)
+    (a, b, g), den = cell_numerators(bv, addr)
     if which == Fraction(2, 3):  # the 1/3 point of the mirrored sub-edge
-        t = BoundaryValues(t.alpha, t.gamma, t.beta)
-    return (position, third_point_value(t))
+        b, g = g, b
+    return (position, Fraction(5 * a + 15 * b + 7 * g, 27 * den))  # f(1/3) of the cell

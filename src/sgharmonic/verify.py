@@ -9,6 +9,7 @@ import inspect
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from time import perf_counter
 
 from . import gasket, oracle, restrictions
 from .exactarith import format_rational
@@ -21,6 +22,7 @@ class SuiteResult:
     status: str  # "PASS", "FAIL", or "INCONCLUSIVE": a sampled category checked nothing
     details: str = ""
     counterexample: dict = field(default_factory=dict)
+    elapsed_s: float = 0.0  # wall time of the suite, set by run_suites
 
     @property
     def passed(self) -> bool:
@@ -286,5 +288,11 @@ def run_suites(names=None, seed: int = 0, **overrides) -> list[SuiteResult]:
         if given.get("depth", 0) > MAX_DEPTH[name]:
             raise ValueError(f"suite {name} takes --depth up to {MAX_DEPTH[name]}, "
                              f"got {given['depth']}")
-    return [SUITES[name](seed=seed, **{k: v for k, v in given.items() if k in params[name]})
-            for name in names]
+    results = []
+    for name in names:
+        start = perf_counter()
+        kwargs = {k: v for k, v in given.items() if k in params[name]}
+        result = SUITES[name](seed=seed, **kwargs)
+        result.elapsed_s = perf_counter() - start
+        results.append(result)
+    return results

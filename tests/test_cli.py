@@ -2,7 +2,9 @@ import contextlib
 import gc
 import hashlib
 import json
+import re
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -265,6 +267,22 @@ class TestVerify:
         assert "steps checked from onset m0" in suite["details"]
         assert payload["results"]["all_passed"] is True
         assert res.exit_code == 0
+
+    def test_suite_elapsed_time_reported(self):
+        start = time.perf_counter()
+        res = run("verify", "--suite", "lemma1", "--suite", "eq16", "--trials", "5",
+                  "--format", "json")
+        wall = time.perf_counter() - start
+        payload = json.loads(res.output)
+        assert set(payload) == {"command", "inputs", "results", "suites"}
+        for suite in payload["suites"]:
+            assert set(suite) == {"name", "status", "details", "counterexample",
+                                  "elapsed_s"}
+            assert isinstance(suite["elapsed_s"], float) and suite["elapsed_s"] >= 0
+        # each suite does some work, and all of it inside the command's run
+        assert 0 < sum(suite["elapsed_s"] for suite in payload["suites"]) <= wall
+        human = run("verify", "--suite", "eq16", "--trials", "5").output
+        assert re.fullmatch(r"eq16: PASS - 5 triples, m <= 30 \(\d+\.\d\d s\)\n", human)
 
     def test_counterexample_is_exact_text(self):
         from sgharmonic import verify

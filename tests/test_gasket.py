@@ -1,5 +1,9 @@
+import contextlib
+import fractions
+import math
 import random
 import re
+import types
 from fractions import Fraction
 
 import pytest
@@ -107,6 +111,38 @@ def triples(draw):
     b, g = draw(corners), draw(corners)
     a = draw(st.one_of(corners, st.just(2 * b - g), st.just(2 * g - b)))
     return BoundaryValues(a, b, g)
+
+
+constant_triples = st.builds(lambda x: BoundaryValues(x, x, x), corners)
+
+
+@contextlib.contextmanager
+def fraction_gcd_calls():
+    """Count the gcd calls Fraction makes inside the block, by swapping the
+    math module that fractions sees for one whose gcd counts."""
+    counted = [0]
+
+    def gcd(a, b):
+        counted[0] += 1
+        return math.gcd(a, b)
+
+    counting_math = types.SimpleNamespace(**vars(math))
+    counting_math.gcd = gcd
+    saved, fractions.math = fractions.math, counting_math
+    try:
+        yield counted
+    finally:
+        fractions.math = saved
+
+
+# 7-bit, 40-bit and 200-bit corners, a hyperplane triple and a constant one
+GCD_TRIPLES = [
+    BoundaryValues(Fraction(-93, 71), Fraction(115, 67), Fraction(-88, 101)),
+    BoundaryValues(Fraction(2 ** 40 - 87, 211), Fraction(-(2 ** 39) - 5, 179), 3),
+    BoundaryValues(Fraction(3 ** 126, 2 ** 200 - 1), Fraction(-(5 ** 86), 7 ** 71), 0),
+    BoundaryValues(Fraction(-9, 5), Fraction(1, 5), Fraction(11, 5)),
+    BoundaryValues(Fraction(7, 3), Fraction(7, 3), Fraction(7, 3)),
+]
 
 
 def sign_class(x):
@@ -274,13 +310,49 @@ class TestLemma2:
             bv, EdgePoint("bottom", Fraction(1, 4)))
 
     def test_m_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            closed_form_lemma2(BoundaryValues(0, 0, 1), 0, "half_power")
+        # the depth is checked before the family
+        bv = BoundaryValues(0, 0, 1)
+        for m, which in ((0, "half_power"), (-3, "r_m"), (0, "middle")):
+            for call in (lambda: closed_form_lemma2(bv, m, which),
+                         lambda: lemma2_coefficients(m, which)):
+                with pytest.raises(ValueError, match="^m must be >= 1$") as exc:
+                    call()
+                assert exc.type is ValueError
+
+    def test_unknown_family_rejected(self):
+        bv = BoundaryValues(0, 0, 1)
+        for call in (lambda: closed_form_lemma2(bv, 2, "middle"),
+                     lambda: lemma2_coefficients(2, "middle"),
+                     lambda: lemma2_abscissa(2, "middle")):
+            with pytest.raises(ValueError, match="^unknown point family 'middle'$") as exc:
+                call()
+            assert exc.type is ValueError
 
     def test_coefficient_rows_sum_to_one(self):
         for m in range(1, 21):
             for which in LEMMA2_POINTS:
                 assert sum(lemma2_coefficients(m, which)) == 1
+
+    def test_coefficients_match_stated_rows(self):
+        # the rows as stated for 1/2^m and l_m; the other two swap beta, gamma
+        for m in range(1, 31):
+            p3, p5 = 3 ** m, 5 ** m
+            half = (Fraction(p3 - 1, 2 * p5), 1 - Fraction(p3, p5), Fraction(p3 + 1, 2 * p5))
+            l_m = (Fraction(p5 - 1, 5 * p5), Fraction(3 * p3 + 4 * p5 + 3, 10 * p5),
+                   Fraction(4 * p5 - 3 * p3 - 1, 10 * p5))
+            for which, row in (("half_power", half), ("l_m", l_m),
+                               ("one_minus_half_power", (half[0], half[2], half[1])),
+                               ("r_m", (l_m[0], l_m[2], l_m[1]))):
+                assert lemma2_coefficients(m, which) == row
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.one_of(triples(), constant_triples))
+    def test_closed_form_is_coefficient_sum(self, bv):
+        for m in range(1, 31):
+            for which in LEMMA2_POINTS:
+                coefficients = lemma2_coefficients(m, which)
+                assert closed_form_lemma2(bv, m, which) == sum(
+                    c * x for c, x in zip(coefficients, bv.as_tuple()))
 
     def test_matches_recursion_up_to_depth_20(self):
         rng = random.Random(4)
@@ -318,3 +390,25 @@ class TestOnEdge:
     def test_unknown_edge(self):
         with pytest.raises(ValueError):
             on_edge(BoundaryValues(1, 2, 3), "top")
+
+
+class TestGcdCounts:
+    # Fraction gcd calls are exact counts, so these bounds cannot flake: the
+    # integer walks and closed forms form one Fraction per value they return
+    def test_eval_dyadic_makes_one_fraction(self):
+        for bv in GCD_TRIPLES:
+            for edge in EDGES:
+                for x in (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(37, 64),
+                          Fraction(2 ** 20 - 1, 2 ** 20)):
+                    pt = EdgePoint(edge, x)
+                    with fraction_gcd_calls() as calls:
+                        eval_dyadic(bv, pt)
+                    assert calls[0] == 1
+
+    def test_lemma2_closed_form_makes_one_fraction(self):
+        for bv in GCD_TRIPLES:
+            for m in (1, 2, 7, 20, 30):
+                for which in LEMMA2_POINTS:
+                    with fraction_gcd_calls() as calls:
+                        closed_form_lemma2(bv, m, which)
+                    assert calls[0] == 1

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import count, product
 from math import gcd
@@ -6,9 +7,15 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_gasket import corners, triples  # the kernel test's corner strategies
+from test_gasket import (  # the kernel test's corner strategies and gcd counter
+    GCD_TRIPLES,
+    constant_triples,
+    fraction_gcd_calls,
+    triples,
+)
 
-from sgharmonic.gasket import BoundaryValues, EdgePoint, edge_profile, eval_dyadic
+from sgharmonic.exactarith import QuadExt
+from sgharmonic.gasket import EDGES, BoundaryValues, EdgePoint, edge_profile, eval_dyadic
 from sgharmonic.restrictions import (
     THIRD_POINT_STEP_BOUND,
     H,
@@ -180,8 +187,11 @@ class TestJunctionDerivative:
             junction_derivative(BoundaryValues(0, 0, 1), "bottom", Fraction(1, 3))
 
     def test_constant_rejected(self):
-        with pytest.raises(ArithmeticError):
-            junction_derivative(BoundaryValues(1, 1, 1), "bottom", Fraction(1, 2))
+        for x in (Fraction(0), Fraction(1, 2), Fraction(1)):
+            with pytest.raises(ArithmeticError, match="^derivative classes are undefined "
+                               "for constant functions$") as exc:
+                junction_derivative(BoundaryValues(1, 1, 1), "bottom", x)
+            assert exc.type is ArithmeticError
 
     def test_direction_matches_monotonicity_at_half(self):
         rng = random.Random(14)
@@ -318,9 +328,11 @@ class TestThirdPoint:
             assert QuadExt(x, y) == QuadExt(7, 1) ** m
 
     def test_closed_forms_reject_negative_m(self):
-        for form in (gamma_closed_form, beta_closed_form):
-            with pytest.raises(ValueError):
-                form(BoundaryValues(0, 0, 1), -1)
+        for form in (gamma_closed_form, beta_closed_form, triangle_sequence):
+            for bv in (BoundaryValues(0, 0, 1), BoundaryValues(2, 2, 2)):
+                with pytest.raises(ValueError, match=f"^{re.escape('m must be >= 0')}$") as exc:
+                    form(bv, -1)
+                assert exc.type is ValueError
 
     def test_context_invariants(self):
         bv = BoundaryValues(3, -2, 5)
@@ -407,7 +419,7 @@ class TestThirdPoint:
 
 small = st.builds(Fraction, st.integers(-100, 100), st.integers(1, 100))
 third_point_triples = st.one_of(triples(), st.builds(BoundaryValues, small, small, small),
-                                st.builds(lambda x: BoundaryValues(x, x, x), corners))
+                                constant_triples)
 
 
 class TestClosedFormDifferential:
@@ -418,10 +430,25 @@ class TestClosedFormDifferential:
     def test_closed_forms_match_walk(self, bv):
         ctx = third_point_context(bv)
         assert ctx.A == ctx.B.conjugate() and ctx.D == ctx.C.conjugate()
+        third = Fraction(1, 3)
         for m in range(41):
             seq = triangle_sequence(bv, m)
             assert gamma_closed_form(bv, m) == seq.gamma_m
             assert beta_closed_form(bv, m) == seq.beta_m
+            assert seq.p1_m == third - third * Fraction(1, 4) ** m
+            assert seq.p2_m == third + 2 * third * Fraction(1, 4) ** m
+
+    @settings(deadline=None, max_examples=60)
+    @given(third_point_triples)
+    def test_context_matches_fraction_derivation(self, bv):
+        # x = (beta - c/27, gamma - c/27), y = (50K - 7)x, Px = x/2 + y sqrt13/26
+        c = 5 * bv.alpha + 15 * bv.beta + 7 * bv.gamma
+        xb, xg = bv.beta - c / 27, bv.gamma - c / 27
+        yb, yg = xb - Fraction(6, 5) * xg, -10 * xb - xg
+        ctx = third_point_context(bv)
+        assert ctx.c == c
+        assert ctx.B == QuadExt(xg / 2, yg / 26) and ctx.A == QuadExt(xg / 2, -yg / 26)
+        assert ctx.C == QuadExt(xb / 2, yb / 26) and ctx.D == QuadExt(xb / 2, -yb / 26)
 
     @settings(deadline=None, max_examples=120)
     @given(third_point_triples)
@@ -435,3 +462,31 @@ class TestClosedFormDifferential:
                       if max(fast, -fast) * H ** m
                       <= max(slow, -slow) * S ** m * Fraction(1, 25))
             assert third_point_onset(bv, side) == m0
+
+
+class TestGcdCounts:
+    # exact counts of Fraction gcd calls (see test_gasket.TestGcdCounts)
+    def test_triangle_sequence_one_fraction_per_value(self):
+        # three corners and two positions
+        for bv in GCD_TRIPLES:
+            for m in (0, 1, 5, 30):
+                with fraction_gcd_calls() as calls:
+                    triangle_sequence(bv, m)
+                assert calls[0] <= 5
+
+    def test_closed_forms_build_context_and_value_only(self):
+        # five for the context (c and the two parts of B and C), one for the value
+        for bv in GCD_TRIPLES:
+            for m in (0, 1, 5, 30):
+                for form in (gamma_closed_form, beta_closed_form):
+                    with fraction_gcd_calls() as calls:
+                        form(bv, m)
+                    assert calls[0] <= 6
+
+    def test_junction_derivative_divides_nothing(self):
+        for bv in GCD_TRIPLES[:-1]:  # the last one is constant
+            for edge in EDGES:
+                for x in (Fraction(0), Fraction(3, 8), Fraction(1), Fraction(1, 2 ** 20)):
+                    with fraction_gcd_calls() as calls:
+                        junction_derivative(bv, edge, x)
+                    assert calls[0] == 0
