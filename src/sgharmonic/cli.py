@@ -199,10 +199,13 @@ _SCAN_BLOCK_ROWS = 4096
 def cmd_scan(alpha, beta, gamma, edge, depth, output):
     """Emit values at all k/2^depth along an edge as lossless CSV."""
     bv = BoundaryValues(alpha, beta, gamma)
-    profile = edge_profile(bv, depth, edge)
-    n = 2 ** depth
-    stream = open(output, "w", newline="") if output else sys.stdout
+    try:  # before the walk, so that an unwritable path fails at once
+        stream = open(output, "w", newline="") if output else sys.stdout
+    except OSError as exc:
+        raise click.UsageError(f"cannot write --output {output}: {exc.strerror}")
     try:
+        profile = edge_profile(bv, depth, edge)
+        n = 2 ** depth
         # CSV as csv.writer writes it (no field needs quoting, \r\n ends each
         # row), written a block of rows at a time
         stream.write("x_num,x_den,f_num,f_den,f_float\r\n")

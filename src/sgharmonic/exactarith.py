@@ -11,9 +11,13 @@ no division: the third-point closed forms state their projector without one.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from functools import total_ordering
+
+#: A decimal mantissa and an exponent, in the grammar Fraction reads them by.
+_EXPONENT_FORM = re.compile(r"\s*([-+]?[\d_.]*)e([-+]?\d+(?:_\d+)*)\s*", re.IGNORECASE)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -21,15 +25,25 @@ def parse_rational(text: str) -> Fraction:
 
     A numerator or denominator with more decimal digits than Python's
     int-to-str limit is rejected, also when the text reaches it through an
-    exponent ("1e5000"), as a literal that long already is."""
+    exponent ("1e5000"), as a literal that long already is.  The exponent is
+    read before any power of ten is built."""
+    limit = sys.get_int_max_str_digits()
+    too_long = False
+    exp_form = _EXPONENT_FORM.fullmatch(text)
     try:
-        q = Fraction(text.strip())
+        if exp_form:
+            q, exponent = Fraction(exp_form[1]), int(exp_form[2])
+            # |exponent| > limit + len(mantissa): numerator or denominator too long
+            too_long = q != 0 and 0 < limit < abs(exponent) - len(exp_form[1])
+            if q and not too_long:
+                q *= Fraction(10) ** exponent
+        else:
+            q = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{text!r} is not an exact rational (expected p/q)") from exc
-    limit = sys.get_int_max_str_digits()
     size = max(abs(q.numerator), q.denominator)
     # 2^(3*limit) < 10^limit: within 3*limit bits no value has too many digits
-    if limit and size.bit_length() > 3 * limit and size >= 10 ** limit:
+    if too_long or limit and size.bit_length() > 3 * limit and size >= 10 ** limit:
         raise ValueError(f"{text!r} has more than {limit} digits in its numerator "
                          "or denominator (the int-to-str limit)")
     return q

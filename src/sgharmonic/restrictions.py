@@ -100,8 +100,10 @@ def locate_extremum(bv: BoundaryValues, edge: str, depth: int) -> ExtremumResult
     t, _ = to_numerators(on_edge(bv, edge))
     if _classify_triple(*t) is not MonotonicityClass.NON_MONOTONE:
         raise ValueError("restriction is monotone; no extremum to locate")
+    a, b, g = t
+    # alpha is outside the monotone interval, centred at (b + g)/2: a max above it
+    kind = "max" if 2 * a > b + g else "min"
     k = 0  # the cell walked at step i lies over [k/2^i, (k+1)/2^i]
-    kind = None
     inc = MonotonicityClass.STRICTLY_INCREASING
     dec = MonotonicityClass.STRICTLY_DECREASING
     non = MonotonicityClass.NON_MONOTONE
@@ -109,14 +111,12 @@ def locate_extremum(bv: BoundaryValues, edge: str, depth: int) -> ExtremumResult
         left, right = child_numerators(t, "1"), child_numerators(t, "2")
         cl, cr = _classify_triple(*left), _classify_triple(*right)
         if cl is non and cr in (inc, dec):
-            kind = kind or ("max" if cr is dec else "min")
             t, k = left, 2 * k
         elif cr is non and cl in (inc, dec):
-            kind = kind or ("max" if cl is inc else "min")
             t, k = right, 2 * k + 1
         elif (cl, cr) in ((inc, dec), (dec, inc)):
             mid = Fraction(2 * k + 1, 2 ** (i + 1))
-            return ExtremumResult("max" if cl is inc else "min", mid, mid)
+            return ExtremumResult(kind, mid, mid)
         else:
             raise ArithmeticError(f"children {cl.value} and {cr.value} below the cell "
                                   f"over [{k}/2^{i}, {k + 1}/2^{i}]")
@@ -184,21 +184,17 @@ def count_zero_junctions(
 
 
 def corner_relations(bv: BoundaryValues, bound: int) -> list[tuple[int, int, int]]:
-    """Primitive integer relations n*alpha + m*beta + k*gamma = 0 with
-    n + m + k = 0 and |n|, |m|, |k| <= bound, each once with its first nonzero
-    coefficient positive, in increasing (n, m)."""
-    relations = []
-    for n in range(-bound, bound + 1):
-        for m in range(-bound, bound + 1):
-            k = -n - m
-            if abs(k) > bound or gcd(n, m, k) != 1:
-                continue  # out of bounds, all zero, or not primitive
-            first = next(x for x in (n, m, k) if x != 0)
-            if first < 0:
-                continue  # sign-canonical representative only
-            if n * bv.alpha + m * bv.beta + k * bv.gamma == 0:
-                relations.append((n, m, k))
-    return relations
+    """The primitive relation n*alpha + m*beta + k*gamma = 0 with n + m + k = 0
+    and first nonzero coefficient positive: [(n, m, k)] if |n|, |m|, |k| <= bound,
+    else [].  With u = alpha - gamma, v = beta - gamma it reads n*u + m*v = 0,
+    so for a nonconstant triple every relation is a multiple of (v, -u)."""
+    if bv.is_constant():
+        raise ValueError("corner relations are defined for nonconstant functions")
+    (a, b, g), _ = to_numerators(bv)
+    n, m = b - g, g - a
+    d = gcd(n, m) if (n or m) > 0 else -gcd(n, m)  # first nonzero one positive
+    n, m = n // d, m // d
+    return [(n, m, -n - m)] if max(abs(n), abs(m), abs(n + m)) <= bound else []
 
 
 # --------------------------------------------------------------------------

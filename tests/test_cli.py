@@ -133,6 +133,13 @@ class TestScan:
         assert res.exit_code == 0 and res.stdout == ""
         assert path.read_bytes() == run(*args).stdout_bytes
 
+    def test_output_in_missing_directory(self, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        res = run("scan", "-a", "0", "-b", "0", "-g", "1", "--output", str(path))
+        assert res.exit_code == 2
+        assert f"cannot write --output {path}" in res.output
+        assert not path.parent.exists()
+
     # an integer triple, (-9/5, 1/5, 11/5) on the hyperplane alpha = 2*beta - gamma,
     # and a 70-bit one; the digest was generated before the CSV was written in blocks
     DEEP_TRIPLES = [
@@ -352,6 +359,38 @@ class TestZeroSearch:
 
     def test_constant_rejected(self):
         assert run("zero-search", "-a", "1", "-b", "1", "-g", "1").exit_code == 2
+
+
+# The first ten triples are built on a primitive relation (n, m, k) as
+# alpha = gamma + t*m, beta = gamma - t*n: (1,-2,1), (1,1,-2), (3,-5,2),
+# (7,4,-11), (12,-1,-11), (13,-6,-7), (50,-49,-1), (51,-50,-1), (0,1,-1) and
+# (2,-3,1) on 70-bit corners.  Then eight seeded small rationals, (5, 0, 1)
+# and a constant triple.  The digest was generated while corner_relations
+# still enumerated every candidate coefficient pair.
+RELATION_TRIPLES = [
+    ("0", "1", "2"), ("29/14", "-41/14", "-3/7"), ("-5/3", "-1", "0"),
+    ("-93/13", "193/13", "11/13"), ("47/9", "23/3", "5"), ("-4", "-37/4", "1/2"),
+    ("-348/5", "-71", "-1"), ("83/11", "84/11", "3"), ("35/12", "2/3", "2/3"),
+    ("-329607529108154317006820015042836883776967/125580362410788284038738308614331811007021",
+     "-309493880782766597206639443660179029169597/125580362410788284038738308614331811007021",
+     "-334226106584129774341/155876139355663594873"),
+    ("12/13", "-12/23", "-78/53"), ("12/53", "-3", "6/47"), ("-47/14", "4/3", "1"),
+    ("-8/35", "48/89", "-62/51"), ("23/78", "49/47", "-5/67"), ("-40", "36/67", "7/16"),
+    ("-13/48", "81/19", "-63/65"), ("-55/94", "-93/25", "11/14"), ("5", "0", "1"),
+    ("4", "4", "4"),
+]
+RELATION_DIGEST = "a105edae78670ef00e41deee1a3d1e2b9009c22fd0d10c2d1a9ae258573a93e4"
+
+
+def test_zero_search_relations_digest():
+    digest = hashlib.sha256()
+    for a, b, g in RELATION_TRIPLES:
+        for bound in ("1", "5", "12", "50"):
+            args = ("zero-search", f"--alpha={a}", f"--beta={b}", f"--gamma={g}",
+                    "--coeff-bound", bound, "--format", "json")
+            res = run(*args)
+            digest.update(json.dumps([args, res.exit_code, res.stdout]).encode())
+    assert digest.hexdigest() == RELATION_DIGEST
 
 
 def test_invocations_leave_no_stream_alive():

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from fractions import Fraction
 
 import mpmath
@@ -61,6 +62,18 @@ class TestRational:
             assert parse_rational("1e5000") == 10 ** 5000
         finally:
             sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("text", ["1e3000000", "1e-3000000", "0e3000000"])
+    def test_huge_exponent_read_first(self, text):
+        # the exponent decides before any power of ten is built
+        limit = sys.get_int_max_str_digits()
+        start = time.perf_counter()
+        if text.startswith("0"):
+            assert parse_rational(text) == 0
+        else:
+            with pytest.raises(ValueError, match=f"more than {limit} digits"):
+                parse_rational(text)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestQuadExt:

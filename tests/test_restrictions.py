@@ -10,12 +10,20 @@ from hypothesis import strategies as st
 from test_gasket import (  # the kernel test's corner strategies and gcd counter
     GCD_TRIPLES,
     constant_triples,
+    corners,
     fraction_gcd_calls,
     triples,
 )
 
 from sgharmonic.exactarith import QuadExt
-from sgharmonic.gasket import EDGES, BoundaryValues, EdgePoint, edge_profile, eval_dyadic
+from sgharmonic.gasket import (
+    EDGES,
+    BoundaryValues,
+    EdgePoint,
+    edge_profile,
+    eval_dyadic,
+    on_edge,
+)
 from sgharmonic.restrictions import (
     THIRD_POINT_STEP_BOUND,
     H,
@@ -154,6 +162,23 @@ class TestLocateExtremum:
         assert all(x < y for x, y in zip(before, before[1:]))
         assert all(x > y for x, y in zip(after, after[1:]))
 
+    @settings(deadline=None)
+    @given(triples(), st.integers(2, 12))
+    def test_kind_from_centre(self, bv, depth):
+        # a max iff alpha is above (beta + gamma)/2 on the edge; the values
+        # rise into the bracket from x = 0 (or leave it toward x = 1) for a max
+        for edge in EDGES:
+            if classify_edge(bv, edge) is not NON:
+                continue
+            t = on_edge(bv, edge)
+            res = locate_extremum(bv, edge, depth)
+            assert res.kind == ("max" if 2 * t.alpha - t.beta - t.gamma > 0 else "min")
+            if res.lo > 0:
+                rises = eval_dyadic(bv, EdgePoint(edge, res.lo)) > t.beta
+            else:
+                rises = eval_dyadic(bv, EdgePoint(edge, res.hi)) > t.gamma
+            assert res.kind == ("max" if rises else "min")
+
     def test_junction_extremum_symmetric_triple(self):
         # beta == gamma forces the extremum onto the midpoint by symmetry
         res = locate_extremum(BoundaryValues(5, 0, 0), "bottom", 10)
@@ -248,18 +273,53 @@ class TestCountZeroJunctions:
             assert count <= 1
 
 
+@st.composite
+def relation_triples(draw):
+    """Triples on a chosen relation n*alpha + m*beta + k*gamma = 0, n + m + k = 0,
+    |n|, |m|, |k| <= 50: alpha = gamma + t*m and beta = gamma - t*n, t != 0."""
+    n = draw(st.integers(-50, 50))
+    m = draw(st.integers(max(-50, -50 - n), min(50, 50 - n)).filter(lambda m: n or m))
+    g, t = draw(corners), draw(corners.filter(bool))
+    return BoundaryValues(g + t * m, g - t * n, g)
+
+
 class TestCornerRelations:
-    @pytest.mark.parametrize("triple", [(-2, 0, 2), (0, 0, 1), (1, 2, 3), (5, 0, 1),
-                                        (Fraction(3, 7), Fraction(-1, 2), 5), (4, 4, 4)])
-    @pytest.mark.parametrize("bound", [1, 2, 5])
-    def test_matches_brute_force(self, triple, bound):
-        bv = BoundaryValues(*triple)
+    @staticmethod
+    def brute_force(bv, bound):
         box = range(-bound, bound + 1)
-        want = [(n, m, k) for n, m, k in product(box, box, box)
+        return [(n, m, k) for n, m, k in product(box, box, box)
                 if n + m + k == 0 and gcd(n, m, k) == 1
                 and next(x for x in (n, m, k) if x) > 0
                 and n * bv.alpha + m * bv.beta + k * bv.gamma == 0]
-        assert corner_relations(bv, bound) == want
+
+    # the last two lie on (50, -49, -1) and (51, -50, -1)
+    @pytest.mark.parametrize("triple", [(-2, 0, 2), (0, 0, 1), (1, 2, 3), (5, 0, 1),
+                                        (Fraction(3, 7), Fraction(-1, 2), 5),
+                                        (Fraction(-348, 5), -71, -1),
+                                        (Fraction(83, 11), Fraction(84, 11), 3)])
+    @pytest.mark.parametrize("bound", [1, 2, 5, 50])
+    def test_matches_brute_force(self, triple, bound):
+        bv = BoundaryValues(*triple)
+        assert corner_relations(bv, bound) == self.brute_force(bv, bound)
+
+    @settings(deadline=None)
+    @given(st.one_of(triples(), relation_triples()), st.integers(0, 12))
+    def test_matches_brute_force_drawn(self, bv, bound):
+        if not bv.is_constant():
+            assert corner_relations(bv, bound) == self.brute_force(bv, bound)
+
+    @given(relation_triples(), st.integers(0, 60))
+    def test_relation_built_on_is_found(self, bv, bound):
+        rel = corner_relations(bv, 50)
+        assert len(rel) == 1
+        n, m, k = rel[0]
+        assert n * bv.alpha + m * bv.beta + k * bv.gamma == 0 and n + m + k == 0
+        assert corner_relations(bv, bound) == (rel if bound >= max(map(abs, rel[0])) else [])
+
+    @pytest.mark.parametrize("value", [4, Fraction(-7, 3), 0])
+    def test_constant_rejected(self, value):
+        with pytest.raises(ValueError):
+            corner_relations(BoundaryValues(value, value, value), 5)
 
 
 class TestThirdPoint:
@@ -482,6 +542,16 @@ class TestGcdCounts:
                     with fraction_gcd_calls() as calls:
                         form(bv, m)
                     assert calls[0] <= 6
+
+    def test_corner_relations_count_independent_of_bound(self):
+        # one solve, whatever the bound: no candidate coefficients are tried
+        for bv in GCD_TRIPLES[:-1]:  # the last one is constant
+            counts = []
+            for bound in (1, 50):
+                with fraction_gcd_calls() as calls:
+                    corner_relations(bv, bound)
+                counts.append(calls[0])
+            assert counts[0] == counts[1]
 
     def test_junction_derivative_divides_nothing(self):
         for bv in GCD_TRIPLES[:-1]:  # the last one is constant
