@@ -57,9 +57,10 @@ class BoundaryValues:
     gamma: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        object.__setattr__(self, "gamma", Fraction(self.gamma))
+        # a part that already is exactly a Fraction is kept as it is
+        for name, x in (("alpha", self.alpha), ("beta", self.beta), ("gamma", self.gamma)):
+            if type(x) is not Fraction:
+                object.__setattr__(self, name, Fraction(x))
 
     @property
     def delta(self) -> Fraction:

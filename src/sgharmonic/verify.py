@@ -63,6 +63,27 @@ def _pass(name: str, details: str, *checked: int) -> SuiteResult:
     return SuiteResult(name, "PASS" if all(checked) else "INCONCLUSIVE", details)
 
 
+#: The corner basis.  Two maps linear in (alpha, beta, gamma) that agree on
+#: these three triples agree on every rational triple.
+UNIT_TRIPLES = (BoundaryValues(1, 0, 0), BoundaryValues(0, 1, 0), BoundaryValues(0, 0, 1))
+
+
+def _linear(name: str, msg: str, sides, ms, scope: str, trials: int, seed: int) -> SuiteResult:
+    """Check sides(bv, m) -> (lhs values, rhs values), two maps linear in the
+    triple, for each m in ms: on UNIT_TRIPLES, which proves the identity for
+    every rational triple, then on `trials` random triples, which checks that
+    the code computes those linear maps, mixed denominators included."""
+    rng = random.Random(seed)
+    for bv in (*UNIT_TRIPLES, *(random_triple(rng) for _ in range(trials))):
+        for m in ms:
+            lhs, rhs = sides(bv, m)
+            for at, (x, y) in enumerate(zip(lhs, rhs)):
+                if x != y:
+                    return _fail(name, msg, bv=bv, m=m, at=at, lhs=x, rhs=y)
+    return _pass(name, f"proven on the unit triples for every rational triple, {scope}; "
+                 f"{trials} random triples agree")
+
+
 def suite_lemma1(trials: int = 10_000, seed: int = 0) -> SuiteResult:
     """Midpoint-ratio conditions agree with the closed inequality form."""
     rng = random.Random(seed)
@@ -82,18 +103,12 @@ def suite_lemma1(trials: int = 10_000, seed: int = 0) -> SuiteResult:
 
 def suite_lemma2(trials: int = 100, m_max: int = 20, seed: int = 0) -> SuiteResult:
     """Closed forms at 1/2^m, 1-1/2^m, l_m, r_m equal recursive evaluation."""
-    rng = random.Random(seed)
-    for _ in range(trials):
-        bv = random_triple(rng)
-        for m in range(1, m_max + 1):
-            for which in gasket.LEMMA2_POINTS:
-                x = gasket.lemma2_abscissa(m, which)
-                lhs = gasket.closed_form_lemma2(bv, m, which)
-                rhs = gasket.eval_dyadic(bv, EdgePoint("bottom", x))
-                if lhs != rhs:
-                    return _fail("lemma2", "closed form != recursion",
-                                 bv=bv, m=m, which=which, closed=lhs, recursive=rhs)
-    return _pass("lemma2", f"{trials} triples, m <= {m_max}, all four families")
+    def sides(bv, m):
+        return ([gasket.closed_form_lemma2(bv, m, w) for w in gasket.LEMMA2_POINTS],
+                [gasket.eval_dyadic(bv, EdgePoint("bottom", gasket.lemma2_abscissa(m, w)))
+                 for w in gasket.LEMMA2_POINTS])
+    return _linear("lemma2", "closed form != recursion", sides, range(1, m_max + 1),
+                   f"m <= {m_max}, all four families", trials, seed)
 
 
 def suite_theorem3(trials: int = 200, seed: int = 0) -> SuiteResult:
@@ -140,21 +155,17 @@ def suite_theorem4(trials: int = 10_000, seed: int = 0) -> SuiteResult:
 
 def suite_lemma4(trials: int = 100, m_max: int = 15, seed: int = 0) -> SuiteResult:
     """Exact left difference quotient at l_m equals its dominant-term form."""
-    rng = random.Random(seed)
     half = Fraction(1, 2)
-    for _ in range(trials):
-        bv = random_triple(rng)
+
+    def sides(bv, m):
         a, b, g = bv.as_tuple()
-        f_half = gasket.eval_dyadic(bv, EdgePoint("bottom", half))
-        for m in range(1, m_max + 1):
-            lm = gasket.lemma2_abscissa(m, "l_m")
-            quot = (gasket.closed_form_lemma2(bv, m, "l_m") - f_half) / (lm - half)
-            expected = (Fraction(3, 5) * Fraction(6, 5) ** m * (g - b)
-                        + Fraction(2, 5) ** m * (2 * a - 3 * b + g) / 5)
-            if quot != expected:
-                return _fail("lemma4", "dominant-term identity broken", bv=bv, m=m,
-                             quotient=quot, expected=expected)
-    return _pass("lemma4", f"{trials} triples, m <= {m_max}")
+        rise = (gasket.closed_form_lemma2(bv, m, "l_m")
+                - gasket.eval_dyadic(bv, EdgePoint("bottom", half)))
+        return ([rise / (gasket.lemma2_abscissa(m, "l_m") - half)],
+                [Fraction(3, 5) * Fraction(6, 5) ** m * (g - b)
+                 + Fraction(2, 5) ** m * (2 * a - 3 * b + g) / 5])
+    return _linear("lemma4", "dominant-term identity broken", sides, range(1, m_max + 1),
+                   f"m <= {m_max}", trials, seed)
 
 
 def suite_theorem5(trials: int = 1000, depth: int = 6, seed: int = 0) -> SuiteResult:
@@ -172,31 +183,23 @@ def suite_theorem5(trials: int = 1000, depth: int = 6, seed: int = 0) -> SuiteRe
 
 def suite_eq16(trials: int = 100, m_max: int = 30, seed: int = 0) -> SuiteResult:
     """5*alpha_m + 15*beta_m + 7*gamma_m is conserved along the nesting."""
-    rng = random.Random(seed)
-    for _ in range(trials):
-        bv = random_triple(rng)
-        c = restrictions.conserved_combination(bv)
-        for m in range(m_max + 1):
-            seq = restrictions.triangle_sequence(bv, m)
-            got = 5 * seq.alpha_m + 15 * seq.beta_m + 7 * seq.gamma_m
-            if got != c:
-                return _fail("eq16", "conserved combination drifted", bv=bv, m=m, got=got)
-    return _pass("eq16", f"{trials} triples, m <= {m_max}")
+    def sides(bv, m):
+        seq = restrictions.triangle_sequence(bv, m)
+        return ([5 * seq.alpha_m + 15 * seq.beta_m + 7 * seq.gamma_m],
+                [restrictions.conserved_combination(bv)])
+    return _linear("eq16", "conserved combination drifted", sides, range(m_max + 1),
+                   f"m <= {m_max}", trials, seed)
 
 
 def suite_closed_form(trials: int = 100, m_max: int = 30, seed: int = 0) -> SuiteResult:
-    """Q(sqrt13) closed forms, from integer powers of 7 + sqrt13, match the
-    exact recursion."""
-    rng = random.Random(seed)
-    for _ in range(trials):
-        bv = random_triple(rng)
-        for m in range(m_max + 1):
-            seq = restrictions.triangle_sequence(bv, m)
-            if restrictions.gamma_closed_form(bv, m) != seq.gamma_m:
-                return _fail("closedform", "gamma closed form mismatch", bv=bv, m=m)
-            if restrictions.beta_closed_form(bv, m) != seq.beta_m:
-                return _fail("closedform", "beta closed form mismatch", bv=bv, m=m)
-    return _pass("closedform", f"{trials} triples, m <= {m_max}")
+    """Q(sqrt13) closed forms (gamma, beta), from integer powers of 7 + sqrt13,
+    match the exact recursion."""
+    def sides(bv, m):
+        seq = restrictions.triangle_sequence(bv, m)
+        return ([restrictions.gamma_closed_form(bv, m), restrictions.beta_closed_form(bv, m)],
+                [seq.gamma_m, seq.beta_m])
+    return _linear("closedform", "closed form != recursion", sides, range(m_max + 1),
+                   f"m <= {m_max}", trials, seed)
 
 
 def suite_theorem6(trials: int = 100, m_max: int = 25, seed: int = 0) -> SuiteResult:
@@ -236,22 +239,17 @@ def suite_theorem6(trials: int = 100, m_max: int = 25, seed: int = 0) -> SuiteRe
 
 
 def suite_oracle(depth: int = 3, trials: int = 25, seed: int = 0) -> SuiteResult:
-    """Graph solve agrees with cell addressing at every vertex, and the
-    five-point checker accepts both."""
-    rng = random.Random(seed)
-    for m in range(1, depth + 1):
+    """Graph solve agrees with cell addressing at every corner of every level-m
+    cell, and the five-point checker accepts the solve."""
+    def sides(bv, m):
         graph = oracle.build_graph(m)
-        for _ in range(trials):
-            bv = random_triple(rng)
-            solved = oracle.solve_harmonic(m, bv)
-            for addr, (i, j, k) in graph.triangles[m]:
-                t = gasket.cell_values(bv, addr)
-                if (solved[i], solved[j], solved[k]) != t.as_tuple():
-                    return _fail("oracle", "solver disagrees with cell addressing",
-                                 bv=bv, m=m, addr=addr)
-            if not oracle.check_five_point(graph, solved):
-                return _fail("oracle", "five-point relation violated", bv=bv, m=m)
-    return _pass("oracle", f"m <= {depth}, {trials} triples per level")
+        solved = oracle.solve_harmonic(m, bv)
+        return ([solved[v] for _, tri in graph.triangles[m] for v in tri]
+                + [oracle.check_five_point(graph, solved)],
+                [x for addr, _ in graph.triangles[m]
+                 for x in gasket.cell_values(bv, addr).as_tuple()] + [True])
+    return _linear("oracle", "solver disagrees with cell addressing or five-point relation",
+                   sides, range(1, depth + 1), f"levels m <= {depth}", trials, seed)
 
 
 SUITES = {
@@ -271,12 +269,16 @@ SUITES = {
 #: Largest --depth per suite: the oracle's level guard, and for theorem5 the
 #: junction depth zero-search accepts (3*2^12 cells per triple).
 MAX_DEPTH = {"oracle": oracle.MAX_LEVEL, "theorem5": 12}
+#: Largest trials * base^depth per suite, as (base, bound): the defaults at the
+#: deepest depth, so every default runs and hours of work are refused.
+MAX_WORK = {"oracle": (3, 25 * 3 ** oracle.MAX_LEVEL), "theorem5": (2, 1000 * 2 ** 12)}
 
 
 def run_suites(names=None, seed: int = 0, **overrides) -> list[SuiteResult]:
     """Run the named suites (all by default), each with the overrides among
-    its parameters.  An override that no named suite takes, or a depth above
-    a named suite's MAX_DEPTH, is a ValueError raised before any suite runs."""
+    its parameters.  An override that no named suite takes, or a depth or work
+    above a named suite's MAX_DEPTH or MAX_WORK, is a ValueError raised before
+    any suite runs."""
     names = list(names or SUITES)
     given = {key: value for key, value in overrides.items() if value is not None}
     params = {name: inspect.signature(SUITES[name]).parameters for name in names}
@@ -285,9 +287,14 @@ def run_suites(names=None, seed: int = 0, **overrides) -> list[SuiteResult]:
             raise ValueError(f"no selected suite ({', '.join(names)}) takes "
                              f"--{key.replace('_', '-')}")
     for name in (name for name in names if name in MAX_DEPTH):
-        if given.get("depth", 0) > MAX_DEPTH[name]:
+        depth, trials = (given.get(k, params[name][k].default) for k in ("depth", "trials"))
+        if depth > MAX_DEPTH[name]:
             raise ValueError(f"suite {name} takes --depth up to {MAX_DEPTH[name]}, "
-                             f"got {given['depth']}")
+                             f"got {depth}")
+        base, bound = MAX_WORK[name]
+        if trials * base ** depth > bound:
+            raise ValueError(f"suite {name} takes --trials * {base}^--depth up to "
+                             f"{bound}, got {trials} * {base}^{depth}")
     results = []
     for name in names:
         start = perf_counter()

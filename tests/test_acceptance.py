@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from sgharmonic import gasket, oracle, restrictions
+from sgharmonic import gasket, oracle, restrictions, verify
 from sgharmonic.exactarith import QuadExt
 from sgharmonic.gasket import (
     LEMMA2_POINTS,
@@ -58,25 +58,23 @@ def test_criterion_02_oracle_equivalence():
     rng = random.Random(102)
     for m in range(1, 5):
         graph = oracle.build_graph(m)
-        for _ in range(100):
-            bv = rand_triple(rng)
+        for bv in (*verify.UNIT_TRIPLES, *(rand_triple(rng) for _ in range(100))):
             solved = oracle.solve_harmonic(m, bv)
             for addr, (i, j, k) in graph.triangles[m]:
                 assert (solved[i], solved[j], solved[k]) == \
                     gasket.cell_values(bv, addr).as_tuple()
-    report(2, "oracle equivalence (m <= 4, 100 triples)")
+    report(2, "oracle equivalence (m <= 4, unit triples and 100 triples)")
 
 
 def test_criterion_03_lemma2_identity():
     rng = random.Random(103)
-    for _ in range(100):
-        bv = rand_triple(rng)
+    for bv in (*verify.UNIT_TRIPLES, *(rand_triple(rng) for _ in range(100))):
         for m in range(1, 21):
             for which in LEMMA2_POINTS:
                 x = gasket.lemma2_abscissa(m, which)
                 assert gasket.closed_form_lemma2(bv, m, which) == eval_dyadic(
                     bv, EdgePoint("bottom", x))
-    report(3, "closed forms vs recursion (m <= 20)")
+    report(3, "closed forms vs recursion (m <= 20, unit triples and 100 triples)")
 
 
 def test_criterion_04_lemma1_equivalence():
@@ -162,8 +160,7 @@ def test_criterion_07_extremum_bracketing():
 def test_criterion_08_dominant_term_identity():
     rng = random.Random(108)
     half = Fraction(1, 2)
-    for _ in range(100):
-        bv = rand_triple(rng)
+    for bv in (*verify.UNIT_TRIPLES, *(rand_triple(rng) for _ in range(100))):
         a, b, g = bv.as_tuple()
         f_half = eval_dyadic(bv, EdgePoint("bottom", half))
         for m in range(1, 16):
@@ -171,7 +168,8 @@ def test_criterion_08_dominant_term_identity():
             quot = (eval_dyadic(bv, EdgePoint("bottom", lm)) - f_half) / (lm - half)
             assert quot == (Fraction(3, 5) * Fraction(6, 5) ** m * (g - b)
                             + Fraction(2, 5) ** m * (2 * a - 3 * b + g) / 5)
-    report(8, "left-quotient dominant-term identity (m <= 15)")
+    report(8, "left-quotient dominant-term identity (m <= 15, unit triples and "
+              "100 triples)")
 
 
 def test_criterion_09_single_zero_junction():
@@ -197,25 +195,24 @@ def test_criterion_09_single_zero_junction():
 
 def test_criterion_10_conserved_combination():
     rng = random.Random(110)
-    for _ in range(100):
-        bv = rand_triple(rng)
+    for bv in (*verify.UNIT_TRIPLES, *(rand_triple(rng) for _ in range(100))):
         c = restrictions.conserved_combination(bv)
         for m in range(31):
             seq = restrictions.triangle_sequence(bv, m)
             assert 5 * seq.alpha_m + 15 * seq.beta_m + 7 * seq.gamma_m == c
-    report(10, "5a+15b+7g conserved (m <= 30, 100 triples)")
+    report(10, "5a+15b+7g conserved (m <= 30, unit triples and 100 triples)")
 
 
 def test_criterion_11_quadratic_closed_forms():
     rng = random.Random(111)
-    for _ in range(100):
-        bv = rand_triple(rng)
+    for bv in (*verify.UNIT_TRIPLES, *(rand_triple(rng) for _ in range(100))):
         for m in range(31):
             seq = restrictions.triangle_sequence(bv, m)
             # closed forms from the s-projector and (7 + sqrt13)^m, not the walk
             assert restrictions.gamma_closed_form(bv, m) == seq.gamma_m
             assert restrictions.beta_closed_form(bv, m) == seq.beta_m
-    report(11, "Q(sqrt13) closed forms match recursion (m <= 30, 100 triples)")
+    report(11, "Q(sqrt13) closed forms match recursion (m <= 30, unit triples and "
+               "100 triples)")
 
 
 def test_criterion_12_quotient_decay():

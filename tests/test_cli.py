@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import gc
 import hashlib
 import json
@@ -289,7 +290,9 @@ class TestVerify:
         # each suite does some work, and all of it inside the command's run
         assert 0 < sum(suite["elapsed_s"] for suite in payload["suites"]) <= wall
         human = run("verify", "--suite", "eq16", "--trials", "5").output
-        assert re.fullmatch(r"eq16: PASS - 5 triples, m <= 30 \(\d+\.\d\d s\)\n", human)
+        assert re.fullmatch(r"eq16: PASS - proven on the unit triples for every rational "
+                            r"triple, m <= 30; 5 random triples agree \(\d+\.\d\d s\)\n",
+                            human)
 
     def test_counterexample_is_exact_text(self):
         from sgharmonic import verify
@@ -335,6 +338,38 @@ class TestVerify:
         res = run("verify", "--suite", suite, "--depth", str(bound + 1))
         assert res.exit_code == 2
         assert f"suite {suite} takes --depth up to {bound}, got {bound + 1}" in res.output
+
+    # trials * base^depth at the bound, and one trial past it; the suite is
+    # replaced by a stub that keeps its signature, so the accepted side is instant
+    @pytest.mark.parametrize("suite,base,depth,trials", [
+        ("theorem5", 2, 12, 1000), ("theorem5", 2, 6, 64000),
+        ("oracle", 3, 8, 25), ("oracle", 3, 3, 6075)])
+    def test_work_bound(self, monkeypatch, suite, base, depth, trials):
+        from sgharmonic import verify
+        bound = trials * base ** depth
+        assert verify.MAX_WORK[suite] == (base, bound)
+        ran = []
+
+        @functools.wraps(verify.SUITES[suite])
+        def stub(**kwargs):
+            ran.append(kwargs)
+            return verify.SuiteResult(suite, "PASS")
+        monkeypatch.setitem(verify.SUITES, suite, stub)
+        res = run("verify", "--suite", suite, "--depth", str(depth), "--trials", str(trials))
+        assert res.exit_code == 0
+        assert ran == [{"seed": 0, "depth": depth, "trials": trials}]
+        res = run("verify", "--suite", suite, "--depth", str(depth),
+                  "--trials", str(trials + 1))
+        assert res.exit_code == 2
+        assert (f"suite {suite} takes --trials * {base}^--depth up to {bound}, "
+                f"got {trials + 1} * {base}^{depth}") in res.output
+        assert len(ran) == 1
+
+    @pytest.mark.parametrize("suite,depth", [("theorem5", 12), ("oracle", 8)])
+    def test_hours_of_work_rejected(self, suite, depth):
+        res = run("verify", "--suite", suite, "--depth", str(depth), "--trials", "1000000")
+        assert res.exit_code == 2
+        assert f"suite {suite} takes --trials *" in res.output
 
 
 class TestZeroSearch:

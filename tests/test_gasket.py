@@ -380,6 +380,23 @@ class TestNormalDerivative:
                 assert renormalized_vertex_difference(bv, m) == nd
 
 
+class TestBoundaryValues:
+    def test_fraction_part_kept(self):
+        parts = (Fraction(19, 27), Fraction(-17, 13), Fraction(-79, 41))
+        bv = BoundaryValues(*parts)
+        assert all(x is y for x, y in zip(bv.as_tuple(), parts))
+        assert all(x is y for x, y in zip(on_edge(bv, "left").as_tuple(),
+                                           (parts[2], parts[0], parts[1])))
+
+    def test_other_parts_converted(self):
+        class Sub(Fraction):
+            pass
+
+        bv = BoundaryValues(1, "3/4", Sub(1, 2))
+        assert bv.as_tuple() == (Fraction(1), Fraction(3, 4), Fraction(1, 2))
+        assert all(type(x) is Fraction for x in bv.as_tuple())
+
+
 class TestOnEdge:
     def test_permutations(self):
         bv = BoundaryValues(1, 2, 3)

@@ -1,0 +1,110 @@
+"""The linear harness of verify: the five identity suites are proven on the
+unit triples, and their random sample checks that the code is linear."""
+
+import dataclasses
+import re
+from fractions import Fraction
+
+from sgharmonic import gasket, oracle, restrictions, verify
+from sgharmonic.gasket import BoundaryValues, EdgePoint
+
+UNITS = ("1,0,0", "0,1,0", "0,0,1")
+EXACT = re.compile(r"-?\d+(/\d+)?")
+
+
+def perturbed(monkeypatch, module, name, delta):
+    """Replace module.name by itself plus delta(bv, m, *rest)."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda bv, m, *rest: real(bv, m, *rest) + delta(bv, m, *rest))
+
+
+def assert_fail(result, bv, m, at, lhs, rhs):
+    assert result.status == "FAIL"
+    ce = result.counterexample
+    assert (ce["bv"], ce["m"], ce["at"]) == (bv, str(m), str(at))
+    assert EXACT.fullmatch(ce["lhs"]) and EXACT.fullmatch(ce["rhs"])
+    assert (Fraction(ce["lhs"]), Fraction(ce["rhs"])) == (lhs, rhs)
+
+
+def test_default_suites_prove_on_unit_triples():
+    for result in verify.run_suites(["lemma2", "lemma4", "eq16", "closedform", "oracle"]):
+        assert result.status == "PASS"
+        assert result.details.startswith("proven on the unit triples for every rational "
+                                         "triple, ")
+
+
+class TestOneWrongDirection:
+    # each fault sits in one coordinate direction at one m, so the unit triple
+    # of that direction is the certificate, and the others pass
+
+    def test_lemma2(self, monkeypatch):
+        perturbed(monkeypatch, gasket, "closed_form_lemma2",
+                  lambda bv, m, which: bv.beta / 7 if m == 5 else 0)
+        x = gasket.lemma2_abscissa(5, gasket.LEMMA2_POINTS[0])
+        true = gasket.eval_dyadic(BoundaryValues(0, 1, 0), EdgePoint("bottom", x))
+        assert_fail(verify.suite_lemma2(trials=3, m_max=6), "0,1,0", 5, 0,
+                    true + Fraction(1, 7), true)
+
+    def test_lemma4(self, monkeypatch):
+        perturbed(monkeypatch, gasket, "closed_form_lemma2",
+                  lambda bv, m, which: bv.gamma if (m, which) == (3, "l_m") else 0)
+        rise = gasket.lemma2_abscissa(3, "l_m") - Fraction(1, 2)
+        true = Fraction(3, 5) * Fraction(6, 5) ** 3 + Fraction(2, 5) ** 3 / 5
+        assert_fail(verify.suite_lemma4(trials=3, m_max=4), "0,0,1", 3, 0,
+                    true + 1 / rise, true)
+
+    def test_eq16(self, monkeypatch):
+        real = restrictions.triangle_sequence
+
+        def drifted(bv, m):
+            seq = real(bv, m)
+            return dataclasses.replace(seq, alpha_m=seq.alpha_m + bv.alpha) if m == 4 else seq
+        monkeypatch.setattr(restrictions, "triangle_sequence", drifted)
+        assert_fail(verify.suite_eq16(trials=3, m_max=6), "1,0,0", 4, 0, 10, 5)
+
+    def test_closed_form(self, monkeypatch):
+        perturbed(monkeypatch, restrictions, "beta_closed_form",
+                  lambda bv, m: bv.beta / 3 if m == 7 else 0)
+        true = restrictions.triangle_sequence(BoundaryValues(0, 1, 0), 7).beta_m
+        assert_fail(verify.suite_closed_form(trials=3, m_max=8), "0,1,0", 7, 1,
+                    true + Fraction(1, 3), true)
+
+    def test_oracle(self, monkeypatch):
+        real = oracle.solve_harmonic
+
+        def shifted(m, bv):
+            solved = real(m, bv)
+            if m == 2:
+                solved[3] += bv.gamma  # vertex 3 is the first one past the corners
+            return solved
+        monkeypatch.setattr(oracle, "solve_harmonic", shifted)
+        corners = [v for _, tri in oracle.build_graph(2).triangles[2] for v in tri]
+        at = corners.index(3)
+        addr, _ = oracle.build_graph(2).triangles[2][at // 3]
+        true = gasket.cell_values(BoundaryValues(0, 0, 1), addr).as_tuple()[at % 3]
+        assert_fail(verify.suite_oracle(depth=3, trials=3), "0,0,1", 2, at, true + 1, true)
+
+    def test_oracle_five_point_side(self, monkeypatch):
+        monkeypatch.setattr(oracle, "check_five_point", lambda graph, values: graph.level < 3)
+        result = verify.suite_oracle(depth=3, trials=3)
+        assert result.status == "FAIL"
+        assert (result.counterexample["bv"], result.counterexample["m"]) == ("1,0,0", "3")
+        assert (result.counterexample["lhs"], result.counterexample["rhs"]) == ("False",
+                                                                                "True")
+
+
+def test_sample_catches_fault_vanishing_on_unit_triples(monkeypatch):
+    # alpha*beta*delta is 0 on every unit triple, so only the sample sees it:
+    # it checks that the code computes a linear map at all
+    perturbed(monkeypatch, restrictions, "gamma_closed_form",
+              lambda bv, m: bv.alpha * bv.beta * bv.delta)
+    assert verify.suite_closed_form(trials=0, m_max=3).status == "PASS"
+    result = verify.suite_closed_form(trials=3, m_max=3)
+    assert result.status == "FAIL"
+    assert result.counterexample["bv"] not in UNITS
+    assert (result.counterexample["m"], result.counterexample["at"]) == ("0", "0")
+
+
+def test_unit_triples_are_the_basis():
+    assert [bv.as_tuple() for bv in verify.UNIT_TRIPLES] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
