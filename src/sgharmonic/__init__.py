@@ -15,7 +15,13 @@ from .gasket import (
     normal_derivative,
     renormalized_vertex_difference,
 )
-from .oracle import GasketGraph, build_graph, check_five_point, solve_harmonic
+from .oracle import (
+    GasketGraph,
+    build_graph,
+    check_five_point,
+    check_mean_value,
+    solve_harmonic,
+)
 from .restrictions import (
     DerivClass,
     ExtremumResult,
@@ -44,11 +50,11 @@ __all__ = [
     "BoundaryValues", "CellAddress", "DerivClass", "EDGES", "EdgePoint",
     "ExtremumResult", "GasketGraph", "MonotonicityClass", "QuadExt",
     "ThirdPointContext", "TriangleSequence", "beta_closed_form",
-    "build_graph", "cell_values", "check_five_point", "classify_edge",
-    "closed_form_lemma2", "count_zero_junctions", "dsv_check", "edge_profile",
-    "eval_dyadic", "extend_once", "format_rational", "gamma_closed_form",
-    "junction_derivative", "locate_extremum", "normal_derivative",
-    "parse_rational", "renormalized_vertex_difference",
+    "build_graph", "cell_values", "check_five_point", "check_mean_value",
+    "classify_edge", "closed_form_lemma2", "count_zero_junctions", "dsv_check",
+    "edge_profile", "eval_dyadic", "extend_once", "format_rational",
+    "gamma_closed_form", "junction_derivative", "locate_extremum",
+    "normal_derivative", "parse_rational", "renormalized_vertex_difference",
     "simultaneous_monotone", "solve_harmonic", "third_point_context",
     "third_point_of_subedge", "third_point_onset", "third_point_quotients",
     "third_point_value", "triangle_sequence",

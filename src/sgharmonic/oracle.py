@@ -4,8 +4,12 @@ Vertices carry exact rational coordinates (u, v) in the affine frame
 p1 = (0,0), p2 = (1,0), p0 = (0,1).  A function is harmonic on the level-m
 graph iff every interior vertex equals the mean of its four neighbors, a
 system solved by exact sparse elimination, finest vertices first, that never
-uses the extension rule; the five-point relation per minimal triangle is
-kept as a separate checker so the two formulations cross-validate each other.
+uses the extension rule.  The elimination is cached per level as integer
+rows over one denominator, so a warm solve is one integer dot product, and
+one Fraction, per vertex.  Two checkers test an assignment on integer
+numerators over one denominator: the mean-value equation at every interior
+vertex, and the five-point relation per minimal triangle, kept apart from
+the solve so the two formulations cross-validate each other.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .gasket import BoundaryValues
 
@@ -105,14 +110,16 @@ def build_graph(m: int) -> GasketGraph:
 
 
 @lru_cache(maxsize=None)
-def _basis_solutions(m: int) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
-    """Per-vertex coefficients of the solution on the three unit boundary triples.
+def _basis_solutions(m: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """Per-vertex coefficients of the solution on the three unit boundary
+    triples, as integer rows over one denominator D: (D, rows).
 
     Row v reads x_v = sum of c * x_u over its items (u, c), at first the mean
     of the four neighbors.  Eliminating interior vertices finest first (reverse
     build_graph index, an order from the graph alone) is a Kron reduction whose
     fill stays inside a cell, as a cell meets the rest only at its corners;
-    back-substitution then runs coarsest first onto the boundary columns."""
+    back-substitution then runs coarsest first onto the boundary columns.  The
+    exact coefficients are then put over D, the lcm of their denominators."""
     g = build_graph(m)
     quarter = Fraction(1, 4)
     interior = [v for v in range(len(g.vertices)) if v not in g.boundary]
@@ -136,34 +143,56 @@ def _basis_solutions(m: int) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
     for v in interior:
         coeffs[v] = tuple(sum(c * coeffs[u][i] for u, c in rows[v].items())
                           for i in range(3))
-    return tuple(coeffs)
+    den = lcm(*(c.denominator for row in coeffs for c in row))
+    return den, tuple(tuple(c.numerator * (den // c.denominator) for c in row)
+                      for row in coeffs)
 
 
 def solve_harmonic(m: int, boundary: BoundaryValues) -> dict[int, Fraction]:
     """Unique exact solution of the discrete harmonicity constraints on the
-    level-m graph with the three corner values fixed."""
+    level-m graph with the three corner values fixed: one integer dot product
+    of the cached basis rows with the corner numerators per vertex."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    coeffs = _basis_solutions(m)
-    a, b, g = boundary.as_tuple()
-    return {i: c0 * a + c1 * b + c2 * g for i, (c0, c1, c2) in enumerate(coeffs)}
+    den, rows = _basis_solutions(m)
+    corners = boundary.as_tuple()
+    scale = lcm(*(x.denominator for x in corners))
+    a, b, g = (x.numerator * (scale // x.denominator) for x in corners)
+    den *= scale
+    return {i: Fraction(c0 * a + c1 * b + c2 * g, den) for i, (c0, c1, c2) in enumerate(rows)}
+
+
+def _numerators(graph: GasketGraph, values: dict) -> list[int]:
+    """Integer numerators of values[v] for every vertex v of graph, over the
+    lcm of their denominators (ints are accepted)."""
+    missing = [i for i in range(len(graph.vertices)) if i not in values]
+    if missing:
+        raise ValueError(f"values missing for vertices {missing[:5]}")
+    vals = [values[i] for i in range(len(graph.vertices))]
+    den = lcm(*(x.denominator for x in vals))
+    return [x.numerator * (den // x.denominator) for x in vals]
 
 
 def check_five_point(graph: GasketGraph, values: dict[int, Fraction]) -> bool:
     """True iff the five-point relation holds exactly for every minimal
     triangle of every level below graph.level."""
-    missing = [i for i in range(len(graph.vertices)) if i not in values]
-    if missing:
-        raise ValueError(f"values missing for vertices {missing[:5]}")
+    n = _numerators(graph, values)
     for lvl in range(graph.level):
         children = graph.triangles[lvl + 1]
         for p, (_, (i, j, k)) in enumerate(graph.triangles[lvl]):
             _, (_, mij, mik) = children[3 * p]
             _, (_, _, mjk) = children[3 * p + 1]
-            if values[i] + values[j] + values[mik] + values[mjk] - 4 * values[mij] != 0:
-                return False
-            if values[j] + values[k] + values[mij] + values[mik] - 4 * values[mjk] != 0:
-                return False
-            if values[i] + values[k] + values[mij] + values[mjk] - 4 * values[mik] != 0:
+            if (n[i] + n[j] + n[mik] + n[mjk] != 4 * n[mij]
+                    or n[j] + n[k] + n[mij] + n[mik] != 4 * n[mjk]
+                    or n[i] + n[k] + n[mij] + n[mjk] != 4 * n[mik]):
                 return False
     return True
+
+
+def check_mean_value(graph: GasketGraph, values: dict[int, Fraction]) -> bool:
+    """True iff every interior vertex of the level-m graph equals the mean of
+    its four neighbors exactly: the residual of every equation the solve
+    eliminates is zero."""
+    n = _numerators(graph, values)
+    return all(4 * n[v] == sum(n[u] for u in nbrs)
+               for v, nbrs in enumerate(graph.neighbors) if v not in graph.boundary)

@@ -72,14 +72,27 @@ def _linear(name: str, msg: str, sides, ms, scope: str, trials: int, seed: int) 
     """Check sides(bv, m) -> (lhs values, rhs values), two maps linear in the
     triple, for each m in ms: on UNIT_TRIPLES, which proves the identity for
     every rational triple, then on `trials` random triples, which checks that
-    the code computes those linear maps, mixed denominators included."""
+    the code computes those linear maps, mixed denominators included: each
+    sampled value (a boolean flag aside) must also equal alpha*u0 + beta*u1 +
+    gamma*u2 of its unit-triple values u, in plain Fraction arithmetic, so a
+    fault shared by both sides off the unit triples is seen too."""
     rng = random.Random(seed)
+    units = {m: [] for m in ms}  # m -> the lhs values on each unit triple, in order
     for bv in (*UNIT_TRIPLES, *(random_triple(rng) for _ in range(trials))):
         for m in ms:
             lhs, rhs = sides(bv, m)
             for at, (x, y) in enumerate(zip(lhs, rhs)):
                 if x != y:
                     return _fail(name, msg, bv=bv, m=m, at=at, lhs=x, rhs=y)
+            if len(units[m]) < 3:
+                units[m].append(lhs)
+                continue
+            for at, (x, u0, u1, u2) in enumerate(zip(lhs, *units[m])):
+                combined = x if isinstance(x, bool) else (
+                    bv.alpha * u0 + bv.beta * u1 + bv.gamma * u2)
+                if x != combined:
+                    return _fail(name, "sample is not the combination of its unit-triple "
+                                 "values", bv=bv, m=m, at=at, lhs=x, rhs=combined)
     return _pass(name, f"proven on the unit triples for every rational triple, {scope}; "
                  f"{trials} random triples agree")
 
@@ -240,15 +253,17 @@ def suite_theorem6(trials: int = 100, m_max: int = 25, seed: int = 0) -> SuiteRe
 
 def suite_oracle(depth: int = 3, trials: int = 25, seed: int = 0) -> SuiteResult:
     """Graph solve agrees with cell addressing at every corner of every level-m
-    cell, and the five-point checker accepts the solve."""
+    cell, and the five-point and mean-value checkers accept the solve."""
     def sides(bv, m):
         graph = oracle.build_graph(m)
         solved = oracle.solve_harmonic(m, bv)
         return ([solved[v] for _, tri in graph.triangles[m] for v in tri]
-                + [oracle.check_five_point(graph, solved)],
+                + [oracle.check_five_point(graph, solved),
+                   oracle.check_mean_value(graph, solved)],
                 [x for addr, _ in graph.triangles[m]
-                 for x in gasket.cell_values(bv, addr).as_tuple()] + [True])
-    return _linear("oracle", "solver disagrees with cell addressing or five-point relation",
+                 for x in gasket.cell_values(bv, addr).as_tuple()] + [True, True])
+    return _linear("oracle", "solver disagrees with cell addressing, five-point relation "
+                   "or mean-value equations",
                    sides, range(1, depth + 1), f"levels m <= {depth}", trials, seed)
 
 

@@ -4,15 +4,32 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_gasket import triples  # the kernel test's corner strategy
+from test_gasket import (  # the kernel test's corner strategy and gcd counter
+    GCD_TRIPLES,
+    fraction_gcd_calls,
+    triples,
+)
 
 from sgharmonic.gasket import BoundaryValues, cell_values
-from sgharmonic.oracle import build_graph, check_five_point, solve_harmonic
+from sgharmonic.oracle import (
+    build_graph,
+    check_five_point,
+    check_mean_value,
+    solve_harmonic,
+)
 
 
 def rand_triple(rng, bound=100):
     return BoundaryValues(*(Fraction(rng.randint(-bound, bound),
                                      rng.randint(1, bound)) for _ in range(3)))
+
+
+def extension_values(graph, bv):
+    """An assignment built purely from the midpoint extension rule."""
+    values = {}
+    for addr, corners in graph.triangles[graph.level]:
+        values.update(zip(corners, cell_values(bv, addr).as_tuple()))
+    return values
 
 
 class TestBuildGraph:
@@ -112,14 +129,8 @@ class TestCheckFivePoint:
         assert check_five_point(g, solve_harmonic(3, BoundaryValues(0, 0, 1)))
 
     def test_accepts_extension_values(self):
-        # values assembled purely from the midpoint extension rule
         g = build_graph(3)
-        bv = BoundaryValues(2, -1, 4)
-        values = {}
-        for addr, (i, j, k) in g.triangles[3]:
-            t = cell_values(bv, addr)
-            values[i], values[j], values[k] = t.alpha, t.beta, t.gamma
-        assert check_five_point(g, values)
+        assert check_five_point(g, extension_values(g, BoundaryValues(2, -1, 4)))
 
     def test_rejects_perturbation(self):
         g = build_graph(2)
@@ -143,3 +154,59 @@ class TestCheckFivePoint:
         values.pop(next(iter(values)))
         with pytest.raises(ValueError):
             check_five_point(g, values)
+
+
+class TestIntegerPath:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_one_fraction_per_vertex_and_none_in_the_checks(self, m):
+        g = build_graph(m)
+        solve_harmonic(m, GCD_TRIPLES[0])  # warm the level's cached basis
+        for bv in GCD_TRIPLES:
+            with fraction_gcd_calls() as calls:
+                values = solve_harmonic(m, bv)
+            assert calls[0] == len(g.vertices)
+            with fraction_gcd_calls() as calls:
+                assert check_five_point(g, values)
+                assert check_mean_value(g, values)
+            assert calls[0] == 0
+
+    def test_checks_accept_int_values(self):
+        # (0, 0, 25) has integer values at level 2, whose basis is over 25
+        g = build_graph(2)
+        values = {v: int(x) for v, x in solve_harmonic(2, BoundaryValues(0, 0, 25)).items()}
+        assert all(type(x) is int for x in values.values())
+        assert check_five_point(g, values) and check_mean_value(g, values)
+        values[7] += 1
+        assert not check_five_point(g, values) and not check_mean_value(g, values)
+
+    def test_checks_accept_mixed_denominators(self):
+        g = build_graph(3)
+        values = solve_harmonic(3, BoundaryValues(4, Fraction(1, 3), Fraction(-2, 7)))
+        assert len({x.denominator for x in values.values()}) > 1
+        values[0] = 4  # corner p0 as an int among Fractions
+        assert check_five_point(g, values) and check_mean_value(g, values)
+
+
+class TestCheckMeanValue:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_accepts_solver_and_extension_values(self, m):
+        g = build_graph(m)
+        bv = BoundaryValues(Fraction(19, 27), Fraction(-17, 13), Fraction(-79, 41))
+        assert check_mean_value(g, solve_harmonic(m, bv))
+        assert check_mean_value(g, extension_values(g, bv))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_rejects_tiny_perturbation(self, m):
+        # the first midpoint and the last vertex, made at level 1 and level m
+        g = build_graph(m)
+        for victim in (3, len(g.vertices) - 1):
+            values = solve_harmonic(m, BoundaryValues(2, -1, 4))
+            values[victim] += Fraction(1, 10 ** 40)
+            assert not check_mean_value(g, values)
+
+    def test_missing_vertex_rejected(self):
+        g = build_graph(2)
+        values = solve_harmonic(2, BoundaryValues(0, 0, 1))
+        values.pop(len(g.vertices) - 1)
+        with pytest.raises(ValueError):
+            check_mean_value(g, values)

@@ -1,9 +1,11 @@
 """The linear harness of verify: the five identity suites are proven on the
 unit triples, and their random sample checks that the code is linear."""
 
+import ast
 import dataclasses
 import re
 from fractions import Fraction
+from pathlib import Path
 
 from sgharmonic import gasket, oracle, restrictions, verify
 from sgharmonic.gasket import BoundaryValues, EdgePoint
@@ -108,3 +110,28 @@ def test_sample_catches_fault_vanishing_on_unit_triples(monkeypatch):
 
 def test_unit_triples_are_the_basis():
     assert [bv.as_tuple() for bv in verify.UNIT_TRIPLES] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+def test_kernel_fault_fails_every_linear_suite(monkeypatch):
+    # the lcm of to_numerators replaced by max: equal on the unit triples, so
+    # only the sample sees it.  lemma2 and closedform read the kernel on both
+    # sides; the unit-triple combination still catches them.
+    def max_numerators(bv):
+        den = max(x.denominator for x in bv.as_tuple())
+        return tuple(x.numerator * (den // x.denominator) for x in bv.as_tuple()), den
+    monkeypatch.setattr(gasket, "to_numerators", max_numerators)
+    monkeypatch.setattr(restrictions, "to_numerators", max_numerators)
+    results = verify.run_suites(["lemma2", "lemma4", "eq16", "closedform", "oracle"],
+                                trials=5)
+    assert [r.status for r in results] == ["FAIL"] * 5
+    assert all(r.counterexample["bv"] not in UNITS for r in results)
+
+
+def test_oracle_independent_of_the_kernel():
+    source = Path(oracle.__file__).read_text()
+    imported = [(node.module, alias.name) for node in ast.walk(ast.parse(source))
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    assert [name for module, name in imported
+            if "gasket" in (module or "") or "gasket" in name] == ["BoundaryValues"]
+    assert "to_numerators" not in source
+    assert not re.search(r"5\s*\*\*", source)
