@@ -71,12 +71,13 @@ def _emit_json(command: str, inputs: dict, results: dict) -> None:
                      indent=2))
 
 
-def _display_float(q: Fraction) -> float:
-    """The float nearest q, as float(q) gives it, or +-inf past a float's range."""
+def _display_float(p: int, q: int) -> float:
+    """The float nearest p/q (q > 0), as float(Fraction(p, q)) gives it, or +-inf
+    past a float's range."""
     try:
-        return q.numerator / q.denominator
+        return p / q
     except OverflowError:
-        return math.inf if q > 0 else -math.inf
+        return math.inf if p > 0 else -math.inf
 
 
 def _triple_inputs(bv: BoundaryValues) -> dict:
@@ -127,14 +128,14 @@ def cmd_eval(alpha, beta, gamma, edge, point, fmt):
         value = _eval_point(bv, edge, point)
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    approx = _display_float(value.numerator, value.denominator)
     if fmt == "json":
         inputs = {**_triple_inputs(bv), "edge": edge, "point": format_rational(point)}
-        approx = _display_float(value)
         # JSON has no infinities: an out-of-range companion is null
         _emit_json("eval", inputs, {"value": format_rational(value),
                                     "value_float": approx if math.isfinite(approx) else None})
     else:
-        _echo(f"{format_rational(value)} ({_display_float(value):g})")
+        _echo(f"{format_rational(value)} ({approx:g})")
 
 
 @cli.command("classify")
@@ -190,6 +191,22 @@ def cmd_classify(alpha, beta, gamma, depth, fmt):
 _SCAN_BLOCK_ROWS = 4096
 
 
+def _x_texts(start: int, stop: int, depth: int) -> list[str]:
+    """"num,den" of x = k/2^depth in lowest terms for start <= k < stop, built
+    level by level: (k >> j)/(2^depth >> j) for k = odd * 2^j; 0 is 0/1 and 1
+    is 1/1."""
+    n = 1 << depth
+    xs = ["0,1"] * (stop - start)
+    if stop > n:
+        xs[-1] = "1,1"
+    for j in range(depth):
+        first = start + ((1 << j) - start) % (2 << j)  # least such k >= start
+        tail = f",{n >> j}"
+        xs[first - start::2 << j] = [f"{o}{tail}"
+                                     for o in range(first >> j, ((stop - 1) >> j) + 1, 2)]
+    return xs
+
+
 @cli.command("scan")
 @triple_options
 @click.option("--edge", type=click.Choice(EDGES), default="bottom", show_default=True)
@@ -204,17 +221,17 @@ def cmd_scan(alpha, beta, gamma, edge, depth, output):
     except OSError as exc:
         raise click.UsageError(f"cannot write --output {output}: {exc.strerror}")
     try:
-        profile = edge_profile(bv, depth, edge)
-        n = 2 ** depth
+        values, den = edge_profile(bv, depth, edge)
         # CSV as csv.writer writes it (no field needs quoting, \r\n ends each
-        # row), written a block of rows at a time
+        # row), written a block of rows at a time; each value in lowest terms
         stream.write("x_num,x_den,f_num,f_den,f_float\r\n")
-        for start in range(0, n + 1, _SCAN_BLOCK_ROWS):
+        for start in range(0, len(values), _SCAN_BLOCK_ROWS):
             block = []
-            for k, value in enumerate(profile[start:start + _SCAN_BLOCK_ROWS], start):
-                low = k & -k or n  # k/n in lowest terms is (k/low)/(n/low); 0 is 0/1
-                block.append(f"{k // low},{n // low},{value.numerator},"
-                             f"{value.denominator},{_display_float(value)!r}\r\n")
+            stop = min(start + _SCAN_BLOCK_ROWS, len(values))
+            for x, v in zip(_x_texts(start, stop, depth), values[start:stop]):
+                c = math.gcd(v, den)
+                p, q = v // c, den // c
+                block.append(f"{x},{p},{q},{_display_float(p, q)!r}\r\n")
             stream.write("".join(block))
     finally:
         if output:

@@ -20,7 +20,8 @@ numerators over L*5^|w|; :func:`child_numerators` maps a parent's to a
 child's, and :func:`cell_numerators` walks to a single cell.  The closed
 forms of lemma 2 are integer rows over 2*5^m or 10*5^m applied to the same
 numerators.  Every walk and closed form divides only for the values it
-returns: one ``Fraction`` per value.
+returns: one ``Fraction`` per value.  :func:`edge_profile` returns its values
+as integer numerators over one denominator and divides for none.
 """
 
 from __future__ import annotations
@@ -201,11 +202,24 @@ def eval_dyadic(bv: BoundaryValues, pt: EdgePoint) -> Fraction:
     return Fraction(t[_EDGE_PERMUTATION[pt.edge][2 if place else 1]], den)
 
 
-def edge_profile(bv: BoundaryValues, depth: int, edge: str = "bottom") -> list[Fraction]:
-    """Values at all points k/2^depth, k = 0..2^depth, along an edge."""
+def edge_profile(bv: BoundaryValues, depth: int,
+                 edge: str = "bottom") -> tuple[list[int], int]:
+    """Values at all points k/2^depth, k = 0..2^depth, along an edge: their
+    2^depth + 1 integer numerators over one positive denominator, and that
+    denominator L * 5^depth (L = to_numerators(on_edge(bv, edge))[1]).
+
+    Each cell (a, b, g) of the walk to depth - 1 gives the values at its left
+    corner and at its midpoint p12, 5b and a + 2b + 2g over L * 5^depth; the
+    right end of the edge comes last."""
     t = on_edge(bv, edge)
-    den = to_numerators(t)[1] * 5 ** depth
-    return [Fraction(c[1], den) for c in _bottom_walk(t, depth)] + [t.gamma]
+    (_, beta, gamma), den = to_numerators(t)
+    if not depth:
+        return [beta, gamma], den
+    values = []
+    for a, b, g in _bottom_walk(t, depth - 1):
+        values += (5 * b, a + 2 * b + 2 * g)
+    values.append(5 ** depth * gamma)
+    return values, den * 5 ** depth
 
 
 def bottom_cells(bv: BoundaryValues, depth: int) -> list[Numerators]:

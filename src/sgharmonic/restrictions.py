@@ -9,6 +9,7 @@ rational (or Q(sqrt13)) comparisons only.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -356,6 +357,24 @@ def third_point_quotients(bv: BoundaryValues, m: int, side: str) -> Fraction:
     if side == "left":
         return (seq.beta_m - f_third) / (seq.p1_m - third)
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+
+def _third_point_sweep(bv: BoundaryValues) -> Iterator[dict[str, Fraction]]:
+    """{"left": q, "right": q} of third_point_quotients at m = 1, 2, ..., from
+    one walk of the nested triangles on integer numerators: one "12" step and
+    one Fraction per quotient.
+
+    With c = 5a + 15b + 7g on the corner numerators over L, the m-th triangle
+    (a_m, b_m, g_m) and c_m = 25^m c over L 25^m, and f(1/3) = c/27L:
+    q_right = (27g_m - c_m) 4^m / (18 L 25^m) and
+    q_left = -(27b_m - c_m) 4^m / (9 L 25^m)."""
+    t, den = to_numerators(bv)
+    c, four = 5 * t[0] + 15 * t[1] + 7 * t[2], 1
+    while True:
+        t = child_numerators(child_numerators(t, "1"), "2")
+        den, c, four = 25 * den, 25 * c, 4 * four
+        yield {"left": Fraction((c - 27 * t[1]) * four, 9 * den),
+               "right": Fraction((27 * t[2] - c) * four, 18 * den)}
 
 
 def third_point_of_subedge(

@@ -9,6 +9,7 @@ import inspect
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from time import perf_counter
 
 from . import gasket, oracle, restrictions
@@ -134,7 +135,8 @@ def suite_theorem3(trials: int = 200, seed: int = 0) -> SuiteResult:
         bv = random_triple(rng, 30)
         cls = restrictions.classify_edge(bv, "bottom")
         if cls is inc and checked_inc < 40:
-            prof = gasket.edge_profile(bv, 10)
+            # numerators over one positive denominator, in the values' order
+            prof, _ = gasket.edge_profile(bv, 10)
             if any(x >= y for x, y in zip(prof, prof[1:])):
                 return _fail("theorem3", "increasing class not strictly increasing", bv=bv)
             checked_inc += 1
@@ -143,7 +145,7 @@ def suite_theorem3(trials: int = 200, seed: int = 0) -> SuiteResult:
             margin = max(abs(a - (2 * b - g)), abs(a - (2 * g - b)), abs(b - g))
             if margin < 1:
                 continue  # near-boundary triples need unbounded depth
-            prof = gasket.edge_profile(bv, 12)
+            prof, _ = gasket.edge_profile(bv, 12)
             diffs = [y - x for x, y in zip(prof, prof[1:])]
             if not (any(d > 0 for d in diffs) and any(d < 0 for d in diffs)):
                 return _fail("theorem3", "non-monotone class looks monotone at depth 12", bv=bv)
@@ -228,12 +230,14 @@ def suite_theorem6(trials: int = 100, m_max: int = 25, seed: int = 0) -> SuiteRe
     table = []
     for t in range(trials):
         bv = random_nonconstant_triple(rng)
+        # quotients[m - 1] holds q(m) of both sides, from one walk
+        quotients = list(islice(restrictions._third_point_sweep(bv), max(m_max, 3)))
         for side in ("left", "right"):
             m0 = restrictions.third_point_onset(bv, side)
             worst_m0 = max(worst_m0, m0)
-            prev = abs(restrictions.third_point_quotients(bv, 3, side))
+            prev = abs(quotients[2][side])
             for m in range(3, m_max):
-                q = abs(restrictions.third_point_quotients(bv, m + 1, side))
+                q = abs(quotients[m][side])
                 if m < m0:
                     passed_over += 1
                 elif q > ratio * prev:

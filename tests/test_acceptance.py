@@ -6,6 +6,7 @@ no floating tolerances anywhere.
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -98,16 +99,18 @@ def test_criterion_05_monotonicity_behavior():
         bv = rand_triple(rng, 30)
         cls = restrictions.classify_edge(bv, "bottom")
         if cls is INC and inc_checked < 25:
-            prof = edge_profile(bv, 10)
-            assert len(prof) == 1025
+            # numerators over one positive denominator: the values' order
+            prof, den = edge_profile(bv, 10)
+            assert len(prof) == 1025 and den > 0
             assert all(x < y for x, y in zip(prof, prof[1:]))
             inc_checked += 1
         elif cls is NON and non_checked < 25:
             a, b, g = bv.as_tuple()
             if min(abs(a - (2 * b - g)), abs(a - (2 * g - b))) < 1 and b != g:
                 continue  # keep margin >= 1 from the boundary hyperplanes
-            diffs = [y - x for x, y in
-                     zip(edge_profile(bv, 12), edge_profile(bv, 12)[1:])]
+            prof, den = edge_profile(bv, 12)
+            assert den > 0
+            diffs = [y - x for x, y in zip(prof, prof[1:])]
             assert any(d > 0 for d in diffs) and any(d < 0 for d in diffs)
             non_checked += 1
     report(5, "classification matches sampled behavior (25 + 25 triples)")
@@ -144,7 +147,8 @@ def test_criterion_07_extremum_bracketing():
             if prev is not None:
                 assert prev.lo <= res.lo and res.hi <= prev.hi
             prev = res
-        prof = edge_profile(bv, 10)
+        prof, den = edge_profile(bv, 10)
+        assert den > 0
         n = 1024
         before = [v for k, v in enumerate(prof) if Fraction(k, n) <= final.lo]
         after = [v for k, v in enumerate(prof) if Fraction(k, n) >= final.hi]
@@ -236,12 +240,14 @@ def test_criterion_12_quotient_decay():
     violations = []
     for _ in range(100):
         bv = rand_nonconstant(rng)
+        # q(1), ..., q(25) of both sides from one walk of the nested triangles
+        quotients = list(islice(restrictions._third_point_sweep(bv), 25))
         for side in ("left", "right"):
             m0 = restrictions.third_point_onset(bv, side)
             assert m0 <= 21  # at least the steps from m = 21 on are checked
-            prev = abs(restrictions.third_point_quotients(bv, 3, side))
+            prev = abs(quotients[2][side])
             for m in range(3, 25):
-                cur = abs(restrictions.third_point_quotients(bv, m + 1, side))
+                cur = abs(quotients[m][side])
                 step = (",".join(map(str, bv.as_tuple())), side, m, m0,
                         str(cur / prev) if prev else "inf")
                 if m < m0:

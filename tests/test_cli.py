@@ -161,6 +161,23 @@ class TestScan:
                 digest.update(json.dumps([args, res.exit_code, res.stdout]).encode())
         assert digest.hexdigest() == self.DEEP_DIGEST
 
+    # the deep triples, one with every corner negative and one whose values
+    # overflow a float both ways; the digest was generated while scan still
+    # built one Fraction per value
+    SCAN_TRIPLES = [*DEEP_TRIPLES, ("-7/3", "-11/2", "-1/9"), ("1e400", "-1e400", "7/2")]
+    SCAN_DIGEST = "42f2084a23406a2ccbb948ec9ef5985c8e4d623110054b6ffe48bc1bf2051bd4"
+
+    def test_scan_digest(self):
+        digest = hashlib.sha256()
+        for a, b, g in self.SCAN_TRIPLES:
+            for edge in ("bottom", "left", "right"):
+                for depth in ("0", "1", "5", "13"):
+                    args = ("scan", f"--alpha={a}", f"--beta={b}", f"--gamma={g}",
+                            "--edge", edge, "--depth", depth)
+                    res = run(*args)
+                    digest.update(json.dumps([args, res.exit_code, res.stdout]).encode())
+        assert digest.hexdigest() == self.SCAN_DIGEST
+
 
 class TestFloatOverflow:
     # the float companion of a value past a float's range reads as an
@@ -224,8 +241,9 @@ class TestIntStrLimit:
         res = run("scan", *self.WIDE_ARGS, "--depth", "1")
         assert res.exit_code == 0
         rows = [row.split(",") for row in res.stdout.strip().splitlines()[1:]]
-        assert [self.exact(f"{fn}/{fd}") for _, _, fn, fd, _ in rows] == edge_profile(
-            self.WIDE, 1)
+        values, den = edge_profile(self.WIDE, 1)
+        assert [self.exact(f"{fn}/{fd}") for _, _, fn, fd, _ in rows] == [
+            Fraction(v, den) for v in values]
 
     def test_classify(self):
         res = run("classify", *self.WIDE_ARGS, "--format", "json")

@@ -7,9 +7,11 @@ import types
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from click.testing import CliRunner
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sgharmonic.cli import cli
 from sgharmonic.gasket import (
     EDGES,
     LEMMA2_POINTS,
@@ -166,7 +168,10 @@ class TestKernelDifferential:
         den = to_numerators(t)[1] * 5 ** m
         assert bottom_cells(t, m) == [tuple(x * den for x in c.as_tuple()) for c in cells]
         assert bottom_cells(t, 0) == [to_numerators(t)[0]]
-        assert edge_profile(bv, m, edge) == [c.beta for c in cells] + [cells[-1].gamma]
+        values, pden = edge_profile(bv, m, edge)
+        assert pden == den
+        assert [Fraction(v, pden) for v in values] == (
+            [c.beta for c in cells] + [cells[-1].gamma])
         for k in range(n + 1):
             x = Fraction(k, n)
             assert eval_dyadic(bv, EdgePoint(edge, x)) == (
@@ -280,19 +285,32 @@ class TestEdgeProfile:
     def test_matches_pointwise_eval(self):
         bv = BoundaryValues(5, 0, 1)
         for edge in EDGES:
-            prof = edge_profile(bv, 4, edge)
+            prof, den = edge_profile(bv, 4, edge)
             assert len(prof) == 17
             for k, val in enumerate(prof):
-                assert val == eval_dyadic(bv, EdgePoint(edge, Fraction(k, 16)))
+                assert Fraction(val, den) == eval_dyadic(
+                    bv, EdgePoint(edge, Fraction(k, 16)))
+
+    @settings(deadline=None, max_examples=40)
+    @given(triples(), st.integers(0, 8))
+    @example(BoundaryValues(2, -3, 7), 0)
+    @example(BoundaryValues(Fraction(-9, 5), Fraction(1, 5), Fraction(11, 5)), 8)
+    def test_numerators_match_eval_dyadic(self, bv, d):
+        # every k/2^d, k = 0..2^d, on every edge, over one positive denominator
+        for edge in EDGES:
+            values, den = edge_profile(bv, d, edge)
+            assert len(values) == 2 ** d + 1 and den > 0
+            for k, v in enumerate(values):
+                assert Fraction(v, den) == eval_dyadic(bv, EdgePoint(edge, Fraction(k, 2 ** d)))
 
     def test_bottom_cells_cover_profile(self):
         bv = BoundaryValues(2, -3, 5)
         cells = bottom_cells(bv, 3)
         den = to_numerators(bv)[1] * 5 ** 3
-        prof = edge_profile(bv, 3)
+        prof, pden = edge_profile(bv, 3)
         for k, cell in enumerate(cells):
-            assert Fraction(cell[1], den) == prof[k]
-            assert Fraction(cell[2], den) == prof[k + 1]
+            assert Fraction(cell[1], den) == Fraction(prof[k], pden)
+            assert Fraction(cell[2], den) == Fraction(prof[k + 1], pden)
 
 
 class TestLemma2:
@@ -429,3 +447,24 @@ class TestGcdCounts:
                     with fraction_gcd_calls() as calls:
                         closed_form_lemma2(bv, m, which)
                     assert calls[0] == 1
+
+    def test_edge_profile_makes_no_fraction(self):
+        for bv in GCD_TRIPLES:
+            for edge in EDGES:
+                for depth in (0, 1, 5, 9):
+                    with fraction_gcd_calls() as calls:
+                        edge_profile(bv, depth, edge)
+                    assert calls[0] == 0
+
+    def test_scan_count_independent_of_depth(self):
+        # what scan divides in Fractions (parsing its options) does not grow
+        # with the 2^depth + 1 rows it prints
+        for bv in GCD_TRIPLES:
+            args = ["scan", *(f"--{name}={x}" for name, x in
+                              zip(("alpha", "beta", "gamma"), bv.as_tuple()))]
+            counts = []
+            for depth in ("2", "12"):
+                with fraction_gcd_calls() as calls:
+                    assert CliRunner().invoke(cli, [*args, "--depth", depth]).exit_code == 0
+                counts.append(calls[0])
+            assert counts[0] == counts[1]

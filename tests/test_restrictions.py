@@ -1,7 +1,7 @@
 import random
 import re
 from fractions import Fraction
-from itertools import count, product
+from itertools import count, islice, product
 from math import gcd
 
 import pytest
@@ -15,6 +15,7 @@ from test_gasket import (  # the kernel test's corner strategies and gcd counter
     triples,
 )
 
+from sgharmonic import restrictions
 from sgharmonic.exactarith import QuadExt
 from sgharmonic.gasket import (
     EDGES,
@@ -155,7 +156,8 @@ class TestLocateExtremum:
         bv = BoundaryValues(5, 0, 1)
         res = locate_extremum(bv, "bottom", 4)
         assert res.hi - res.lo == Fraction(1, 16)
-        prof = edge_profile(bv, 8)
+        prof, den = edge_profile(bv, 8)  # numerators over den > 0: the values' order
+        assert den > 0
         n = 256
         before = [v for k, v in enumerate(prof) if Fraction(k, n) <= res.lo]
         after = [v for k, v in enumerate(prof) if Fraction(k, n) >= res.hi]
@@ -498,6 +500,14 @@ class TestClosedFormDifferential:
             assert seq.p1_m == third - third * Fraction(1, 4) ** m
             assert seq.p2_m == third + 2 * third * Fraction(1, 4) ** m
 
+    @settings(deadline=None, max_examples=12)
+    @given(third_point_triples)
+    def test_sweep_matches_quotients(self, bv):
+        # one walk of the nested triangles against a walk from the root per m
+        for m, q in enumerate(islice(restrictions._third_point_sweep(bv), 40), 1):
+            assert q == {side: third_point_quotients(bv, m, side)
+                         for side in ("left", "right")}
+
     @settings(deadline=None, max_examples=60)
     @given(third_point_triples)
     def test_context_matches_fraction_derivation(self, bv):
@@ -533,6 +543,12 @@ class TestGcdCounts:
                 with fraction_gcd_calls() as calls:
                     triangle_sequence(bv, m)
                 assert calls[0] <= 5
+
+    def test_third_point_sweep_one_fraction_per_quotient(self):
+        for bv in GCD_TRIPLES:
+            with fraction_gcd_calls() as calls:
+                list(islice(restrictions._third_point_sweep(bv), 30))
+            assert calls[0] == 2 * 30
 
     def test_closed_forms_build_context_and_value_only(self):
         # five for the context (c and the two parts of B and C), one for the value

@@ -135,3 +135,18 @@ def test_oracle_independent_of_the_kernel():
             if "gasket" in (module or "") or "gasket" in name] == ["BoundaryValues"]
     assert "to_numerators" not in source
     assert not re.search(r"5\s*\*\*", source)
+
+
+def test_theorem6_walks_nested_triangles_once_per_triple(monkeypatch):
+    # one "12" step (two child maps) per m, not a walk from the root per m
+    steps = [0]
+
+    def counted(real):
+        def child(t, digit):
+            steps[0] += 1
+            return real(t, digit)
+        return child
+    for module in (gasket, restrictions):
+        monkeypatch.setattr(module, "child_numerators", counted(module.child_numerators))
+    assert verify.suite_theorem6(trials=3, m_max=25).status == "PASS"
+    assert steps[0] == 3 * 2 * 25
