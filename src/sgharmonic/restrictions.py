@@ -3,7 +3,8 @@
 Everything here works on the restriction of a harmonic function to an edge
 of the outer triangle, mapped onto [0, 1] via the edge permutations of
 :mod:`sgharmonic.gasket`.  The classifications are decided by exact
-rational (or Q(sqrt13)) comparisons only.
+rational or integer comparisons only; the third-point onset compares
+integers standing for elements of Z[sqrt13].
 """
 
 from __future__ import annotations
@@ -237,12 +238,9 @@ def triangle_sequence(bv: BoundaryValues, m: int) -> TriangleSequence:
                             Fraction(q - 1, 3 * q), Fraction(q + 2, 3 * q))
 
 
-#: Eigenvalues s, h = (7 +- sqrt13)/50 of the third-point step (third_point_context).
-S = QuadExt(Fraction(7, 50), Fraction(1, 50))
-H = S.conjugate()
-
-#: (100s + 4h)/24 = 91/150 + (2/25)sqrt13 ~ 0.8951: bound on the step ratio
-#: of third_point_quotients from the onset of third_point_onset on.
+#: (100s + 4h)/24 = 91/150 + (2/25)sqrt13 ~ 0.8951, with s, h = (7 +- sqrt13)/50
+#: the eigenvalues of the third-point step: bound on the step ratio of
+#: third_point_quotients from the onset of third_point_onset on.
 THIRD_POINT_STEP_BOUND = QuadExt(Fraction(91, 150), Fraction(2, 25))
 
 
@@ -258,8 +256,10 @@ class ThirdPointContext:
     D: QuadExt
 
 
-def third_point_context(bv: BoundaryValues) -> ThirdPointContext:
-    """Closed-form coefficients from one 2x2 step and its s-projector."""
+def _slow_pairs(bv: BoundaryValues) -> tuple[int, int, tuple[int, int], tuple[int, int]]:
+    """(c, L, B, C): the conserved combination c over L, the lcm of the corner
+    denominators, and the slow coefficients B and C of third_point_context as
+    integer pairs (u, v) for (u + v sqrt13) / 3510L."""
     # The step "12" takes beta, gamma to (4 alpha + 16 beta + 5 gamma)/25 and
     # (alpha + 2 beta + 2 gamma)/5.  With alpha = (c - 15 beta - 7 gamma)/5
     # these are (4c + 20 beta - 3 gamma)/125 and (c - 5 beta + 3 gamma)/25,
@@ -273,8 +273,14 @@ def third_point_context(bv: BoundaryValues) -> ThirdPointContext:
     (a, b, g), den = to_numerators(bv)
     c = 5 * a + 15 * b + 7 * g
     xb, xg = 27 * b - c, 27 * g - c
-    B = QuadExt(Fraction(xg, 54 * den), Fraction(-10 * xb - xg, 702 * den))
-    C = QuadExt(Fraction(xb, 54 * den), Fraction(5 * xb - 6 * xg, 3510 * den))
+    return c, den, (65 * xg, -5 * (10 * xb + xg)), (65 * xb, 5 * xb - 6 * xg)
+
+
+def third_point_context(bv: BoundaryValues) -> ThirdPointContext:
+    """Closed-form coefficients from one 2x2 step and its s-projector."""
+    c, den, (u_b, v_b), (u_c, v_c) = _slow_pairs(bv)
+    B = QuadExt(Fraction(u_b, 3510 * den), Fraction(v_b, 3510 * den))
+    C = QuadExt(Fraction(u_c, 3510 * den), Fraction(v_c, 3510 * den))
     return ThirdPointContext(Fraction(c, den), B.conjugate(), B, C, C.conjugate())
 
 
@@ -294,15 +300,27 @@ def third_point_onset(bv: BoundaryValues, side: str) -> int:
 
     Before m0 the two terms can nearly cancel, and the step ratio there
     exceeds any bound below 1.
+
+    Decided in integers: with slow = (u + v sqrt13)/3510L from _slow_pairs
+    and 50s = 7 + sqrt13, the condition times 25 * 3510L * 50^m > 0 reads
+    25|conj z| <= |z| with z = u + v sqrt13 after m steps
+    (u, v) -> (7u + 13v, u + 7v), each a product by 7 + sqrt13.  It holds
+    when u = v = 0.  Otherwise it needs u v > 0 (else |z| <= |conj z|, and
+    conj z != 0 as sqrt13 is irrational).  Then squaring once gives
+    624(u^2 + 13v^2) <= 1252 u v sqrt13, both sides positive, and squaring
+    again (624(u^2 + 13v^2))^2 <= 1252^2 * 13 u^2 v^2: an equivalence on
+    integers, with no rounding.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    ctx = third_point_context(bv)
-    fast, slow = (ctx.A, ctx.B) if side == "right" else (ctx.D, ctx.C)
-    fast_term, slow_term = max(fast, -fast), max(slow, -slow) * Fraction(1, 25)
+    _, _, slow_b, slow_c = _slow_pairs(bv)
+    u, v = slow_b if side == "right" else slow_c
     m = 0
-    while fast_term > slow_term:
-        fast_term, slow_term, m = fast_term * H, slow_term * S, m + 1
+    while u or v:
+        uv = u * v
+        if uv > 0 and (624 * (u * u + 13 * v * v)) ** 2 <= 1252 ** 2 * 13 * uv * uv:
+            break
+        u, v, m = 7 * u + 13 * v, u + 7 * v, m + 1
     return m
 
 
@@ -349,14 +367,14 @@ def third_point_quotients(bv: BoundaryValues, m: int, side: str) -> Fraction:
     """Difference quotient toward x = 1/3 along the nested triangle corners."""
     if m < 1:
         raise ValueError("m must be >= 1")
+    if side not in ("left", "right"):  # before the O(m^2) walk
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     seq = triangle_sequence(bv, m)
     f_third = third_point_value(bv)
     third = Fraction(1, 3)
     if side == "right":
         return (seq.gamma_m - f_third) / (seq.p2_m - third)
-    if side == "left":
-        return (seq.beta_m - f_third) / (seq.p1_m - third)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return (seq.beta_m - f_third) / (seq.p1_m - third)
 
 
 def _third_point_sweep(bv: BoundaryValues) -> Iterator[dict[str, Fraction]]:

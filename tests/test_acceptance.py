@@ -231,9 +231,14 @@ def test_criterion_12_quotient_decay():
     bv = BoundaryValues(0, 0, 1)
     assert restrictions.third_point_quotients(bv, 1, "right") == Fraction(38, 45)
     assert restrictions.third_point_quotients(bv, 2, "right") == Fraction(776, 1125)
-    bound = (100 * restrictions.S + 4 * restrictions.H) * Fraction(1, 24)
-    assert bound == restrictions.THIRD_POINT_STEP_BOUND
-    assert bound < QuadExt(Fraction(9, 10))
+    # (100s + 4h)/24 with s, h = (7 +- sqrt13)/50, by parts: (728 + 96 sqrt13)/1200
+    rational, root13 = Fraction(100 * 7 + 4 * 7, 50 * 24), Fraction(100 - 4, 50 * 24)
+    assert (rational, root13) == (Fraction(728, 1200), Fraction(96, 1200))
+    assert restrictions.THIRD_POINT_STEP_BOUND == QuadExt(rational, root13)
+    assert restrictions.THIRD_POINT_STEP_BOUND == QuadExt(Fraction(91, 150), Fraction(2, 25))
+    # below 9/10: (2/25) sqrt13 < 9/10 - 91/150 = 22/75 is sqrt13 < 11/3, as 13 * 9 < 121
+    assert (Fraction(9, 10) - rational) / root13 == Fraction(11, 3)
+    assert 13 * 3 ** 2 < 11 ** 2
     rng = random.Random(112)
     checked = 0
     passed_over = []

@@ -12,9 +12,16 @@ from sgharmonic.exactarith import QuadExt, format_rational, parse_rational
 
 fractions_st = st.fractions(max_denominator=10 ** 6)
 
-SQRT13 = QuadExt(0, 1)
-S = QuadExt(Fraction(7, 50), Fraction(1, 50))   # (7 + sqrt13)/50
-H = QuadExt(Fraction(7, 50), Fraction(-1, 50))  # (7 - sqrt13)/50
+S = QuadExt(Fraction(7, 50), Fraction(1, 50))  # (7 + sqrt13)/50
+H = S.conjugate()                              # (7 - sqrt13)/50
+
+
+def sign13(a, b) -> int:
+    """Exact sign of a + b*sqrt13 for integers (or rationals) a and b, apart
+    from the package: when the terms differ in sign, a^2 against 13 b^2."""
+    if a * b >= 0:  # the terms agree in sign, or one is 0
+        return (a > 0 or b > 0) - (a < 0 or b < 0)
+    return (1 if a > 0 else -1) if a * a > 13 * b * b else (1 if b > 0 else -1)
 
 
 class TestRational:
@@ -77,53 +84,74 @@ class TestRational:
 
 
 class TestQuadExt:
+    # a value type: parts, conjugate, equality and hash; signs and the facts
+    # about s and h are decided on the parts with sign13
+
     def test_norm_of_one_plus_sqrt13(self):
-        assert (1 + SQRT13) * (1 - SQRT13) == QuadExt(-12)
+        x = QuadExt(1, 1)
+        assert x.conjugate() == QuadExt(1, -1)
+        # (1 + sqrt13)(1 - sqrt13) = 1 - 13 < 0: the conjugates differ in sign
+        assert x.rational_part ** 2 - 13 * x.root13_part ** 2 == -12
+        assert (sign13(1, 1), sign13(1, -1)) == (1, -1)
 
     def test_s_plus_h(self):
-        assert S + H == QuadExt(Fraction(7, 25))
+        # trace 7/25 and determinant 9/625 of the third-point step, by parts
+        assert H == QuadExt(Fraction(7, 50), Fraction(-1, 50))
+        assert S.rational_part + H.rational_part == Fraction(7, 25)
+        assert S.root13_part + H.root13_part == 0
+        assert S.rational_part ** 2 - 13 * S.root13_part ** 2 == Fraction(9, 625)
 
     def test_s_minus_h_positive(self):
-        d = S - H
-        assert d == QuadExt(0, Fraction(1, 25))
-        assert d.sign() == 1
+        d = (S.rational_part - H.rational_part, S.root13_part - H.root13_part)
+        assert d == (0, Fraction(1, 25))
+        assert sign13(*d) == 1
 
     def test_s_and_h_between_zero_and_quarter(self):
-        quarter = QuadExt(Fraction(1, 4))
-        assert QuadExt(0) < H < quarter
-        assert QuadExt(0) < S < quarter
+        # 0 < (7 -+ sqrt13)/50 < 1/4, i.e. 7 -+ sqrt13 > 0 and 11 -+ 2 sqrt13 > 0
+        for root in (1, -1):
+            assert sign13(7, root) == 1
+            assert sign13(11, 2 * root) == 1
 
     def test_division_and_power(self):
         x = QuadExt(Fraction(3, 7), Fraction(-2, 5))
-        assert x ** 3 == x * x * x
-        with pytest.raises(TypeError):  # no division, so no negative powers
-            x ** -1
+        for op in (lambda: x ** 3, lambda: x ** -1, lambda: x / x, lambda: 1 / x):
+            with pytest.raises(TypeError):
+                op()
 
     def test_sign_matches_high_precision_float(self):
         rng = random.Random(13)
-        checked = 0
-        with mpmath.workprec(128):
-            root = mpmath.sqrt(13)
-            while checked < 2000:
-                a = Fraction(rng.randint(-10 ** 6, 10 ** 6),
-                             rng.randint(1, 10 ** 6))
-                b = Fraction(rng.randint(-10 ** 6, 10 ** 6),
-                             rng.randint(1, 10 ** 6))
-                approx = mpmath.mpf(a.numerator) / a.denominator \
-                    + root * b.numerator / b.denominator
-                if abs(approx) <= mpmath.mpf("1e-10"):
-                    continue
-                assert QuadExt(a, b).sign() == (1 if approx > 0 else -1)
-                checked += 1
+        pairs = [(rng.randint(-10 ** 6, 10 ** 6), rng.randint(-10 ** 6, 10 ** 6))
+                 for _ in range(2000)]
+        p, q = 1, 0
+        for _ in range(12):  # p -+ q sqrt13 = (649 -+ 180 sqrt13)^k, within 1/(2p) of 0
+            p, q = 649 * p + 2340 * q, 180 * p + 649 * q
+            pairs += [(p, -q), (-p, q), (p + 1, -q), (p - 1, -q), (-p - 1, q)]
+        for a, b in pairs:
+            # |a + b sqrt13| >= 1/(|a| + 4|b|), so twice the bits and 64 more decide it
+            with mpmath.workprec(2 * max(abs(a), abs(b)).bit_length() + 64):
+                approx = a + b * mpmath.sqrt(13)
+                assert sign13(a, b) == (1 if approx > 0 else -1)
+        assert sign13(0, 0) == 0
 
-    @given(fractions_st, fractions_st, fractions_st, fractions_st)
-    def test_mul_consistent_with_conjugate(self, a, b, c, d):
-        x, y = QuadExt(a, b), QuadExt(c, d)
-        assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+    @given(fractions_st, fractions_st)
+    def test_conjugate_is_an_involution(self, a, b):
+        x = QuadExt(a, b)
+        assert x.conjugate() == QuadExt(a, -b)
+        assert x.conjugate().conjugate() == x
+        assert hash(x) == hash(QuadExt(a, b))
+        assert (x == x.conjugate()) == (b == 0)
 
-    def test_total_order(self):
-        vals = [QuadExt(0), H, S, QuadExt(Fraction(1, 4)), 1 + SQRT13]
-        assert sorted(vals, reverse=True) == list(reversed(vals))
+    def test_no_ring_and_no_order(self):
+        ops = (lambda: S + H, lambda: S - H, lambda: S * H, lambda: 2 * S, lambda: -S,
+               lambda: S < H, lambda: S >= 0, lambda: sorted([S, H]))
+        for op in ops:
+            with pytest.raises(TypeError):
+                op()
+        assert QuadExt(3) != 3  # no coercion from rationals either
+        assert len({S, QuadExt(S.rational_part, S.root13_part), H}) == 2
+        assert repr(H) == "QuadExt(Fraction(7, 50), Fraction(-1, 50))"
+        with pytest.raises(AttributeError):
+            S.rational_part = 0
 
 
 def test_every_exported_name_resolves():

@@ -2,11 +2,13 @@ import random
 import re
 from fractions import Fraction
 from itertools import count, islice, product
-from math import gcd
+from math import gcd, lcm
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_exactarith import sign13  # exact sign of a + b sqrt13, apart from the package
 from test_gasket import (  # the kernel test's corner strategies and gcd counter
     GCD_TRIPLES,
     constant_triples,
@@ -27,8 +29,6 @@ from sgharmonic.gasket import (
 )
 from sgharmonic.restrictions import (
     THIRD_POINT_STEP_BOUND,
-    H,
-    S,
     DerivClass,
     MonotonicityClass,
     beta_closed_form,
@@ -381,13 +381,14 @@ class TestThirdPoint:
                 assert gamma_closed_form(bv, m) == seq.gamma_m
                 assert beta_closed_form(bv, m) == seq.beta_m
 
-    def test_root13_power_matches_quadext_power(self):
-        from sgharmonic.exactarith import QuadExt
+    def test_root13_power_matches_stepwise_product(self):
+        # binary powering against m single steps (x, y) -> (7x + 13y, x + 7y)
         from sgharmonic.restrictions import _root13_power
+        x, y = 1, 0
         for m in range(65):
-            x, y = _root13_power(m)
-            assert type(x) is int and type(y) is int
-            assert QuadExt(x, y) == QuadExt(7, 1) ** m
+            got = _root13_power(m)
+            assert got == (x, y) and all(type(v) is int for v in got)
+            x, y = 7 * x + 13 * y, x + 7 * y
 
     def test_closed_forms_reject_negative_m(self):
         for form in (gamma_closed_form, beta_closed_form, triangle_sequence):
@@ -399,9 +400,8 @@ class TestThirdPoint:
     def test_context_invariants(self):
         bv = BoundaryValues(3, -2, 5)
         ctx = third_point_context(bv)
-        from sgharmonic.exactarith import QuadExt
         assert ctx.c == conserved_combination(bv)
-        assert S - H == QuadExt(0, Fraction(1, 25))
+        assert ctx.A == ctx.B.conjugate() and ctx.D == ctx.C.conjugate()
 
     def test_quotient_examples(self):
         bv = BoundaryValues(0, 0, 1)
@@ -413,31 +413,33 @@ class TestThirdPoint:
         # sound form of the decay: |q_right(m)| <= (3/2)(|A|+|B|)(4s)^m and
         # 4s < 9/10 exactly, so the quotients tend to zero geometrically
         # even across transient cancellations of the two terms
-        from sgharmonic.exactarith import QuadExt
+        def envelope(coef, factor, m, x, y):
+            # factor (|coef| + |conj coef|)(4s)^m as parts, where
+            # (4s)^m = (2/25)^m (x + y sqrt13) and, for conjugates,
+            # |a + b sqrt13| + |a - b sqrt13| = 2 max(|a|, |b| sqrt13)
+            a, b = abs(coef.rational_part), abs(coef.root13_part)
+            k = 2 * factor * Fraction(2, 25) ** m
+            return (k * a * x, k * a * y) if sign13(a, -b) >= 0 else (13 * k * b * y, k * b * x)
 
-        def qabs(x):
-            return x if x.sign() >= 0 else -x
-
+        assert sign13(17, -4) == 1  # 4s = (28 + 4 sqrt13)/50 < 9/10: 170 > 40 sqrt13
         rng = random.Random(21)
         for _ in range(30):
             bv = rand_nonconstant(rng)
             ctx = third_point_context(bv)
-            four_s = 4 * S
-            assert four_s < QuadExt(Fraction(9, 10))
-            right_env = Fraction(3, 2) * (qabs(ctx.A) + qabs(ctx.B))
-            left_env = 3 * (qabs(ctx.C) + qabs(ctx.D))
+            x, y = 7, 1  # (7 + sqrt13)^m
             for m in range(1, 16):
-                qr = abs(third_point_quotients(bv, m, "right"))
-                ql = abs(third_point_quotients(bv, m, "left"))
-                growth = four_s ** m
-                assert QuadExt(qr) <= right_env * growth
-                assert QuadExt(ql) <= left_env * growth
+                for side, coef, factor in (("right", ctx.B, Fraction(3, 2)),
+                                           ("left", ctx.C, 3)):
+                    env_r, env_s = envelope(coef, factor, m, x, y)
+                    q = abs(third_point_quotients(bv, m, side))
+                    assert sign13(env_r - q, env_s) >= 0
+                x, y = 7 * x + 13 * y, x + 7 * y
 
     def test_onset_bounds_every_later_step(self):
         # a triple whose two terms nearly cancel: a left step ratio of ~2.78
         # before the onset, and every step from the onset on is within the
         # exact bound (100s + 4h)/24
-        from sgharmonic.exactarith import QuadExt
+        bound = THIRD_POINT_STEP_BOUND
         bv = BoundaryValues(Fraction(19, 27), Fraction(-17, 13), Fraction(-79, 41))
         assert third_point_onset(bv, "left") == 7
         assert third_point_onset(bv, "right") == 8
@@ -448,13 +450,24 @@ class TestThirdPoint:
             for m in range(max(m0, 1), 30):
                 ratio = (third_point_quotients(bv, m + 1, side)
                          / third_point_quotients(bv, m, side))
-                assert QuadExt(abs(ratio)) <= THIRD_POINT_STEP_BOUND
+                assert sign13(bound.rational_part - abs(ratio), bound.root13_part) >= 0
 
     def test_onset_edge_cases(self):
         assert third_point_onset(BoundaryValues(1, 1, 1), "left") == 0
         assert third_point_onset(BoundaryValues(1, 1, 1), "right") == 0
         with pytest.raises(ValueError):
             third_point_onset(BoundaryValues(0, 0, 1), "middle")
+
+    def test_quotient_arguments_checked_before_the_walk(self, monkeypatch):
+        def walk(bv, m):
+            raise AssertionError("triangle_sequence walked before the arguments were checked")
+
+        monkeypatch.setattr(restrictions, "triangle_sequence", walk)
+        bv = BoundaryValues(0, 0, 1)
+        with pytest.raises(ValueError, match="side must be 'left' or 'right', got 'middle'"):
+            third_point_quotients(bv, 10 ** 6, "middle")
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            third_point_quotients(bv, 0, "left")
 
     def test_subedge_examples(self):
         bv = BoundaryValues(0, 0, 1)
@@ -482,6 +495,28 @@ class TestThirdPoint:
 small = st.builds(Fraction, st.integers(-100, 100), st.integers(1, 100))
 third_point_triples = st.one_of(triples(), st.builds(BoundaryValues, small, small, small),
                                 constant_triples)
+
+
+def onset_by_mpmath(slow):
+    """The onset's definition by brute force: the least m with
+    |conj slow| h^m <= |slow| s^m / 25, h, s = (7 -+ sqrt13)/50, in mpmath.
+
+    With slow = (a + b sqrt13)/D on integers, both sides times 25 50^m D are
+    25|conj z| and |z| for z = (a + b sqrt13)(7 + sqrt13)^m, whose integers
+    stay below 2^(bits + 5m).  Their difference +-z -+ 25 conj z is x + y sqrt13
+    with integers below 2^(bits + 5m + 5), nonzero unless slow = 0 as sqrt13
+    is irrational, and |x + y sqrt13| >= 1/(|x| + 4|y|) for such integers, so
+    2 (bits + 5m + 8) + 64 bits decide each step."""
+    r, s = slow.rational_part, slow.root13_part
+    den = lcm(r.denominator, s.denominator)
+    a, b = r.numerator * (den // r.denominator), s.numerator * (den // s.denominator)
+    bits = max(abs(a), abs(b)).bit_length()
+    for m in count():
+        with mpmath.workprec(2 * (bits + 5 * m + 8) + 64):
+            root = mpmath.sqrt(13)
+            if (25 * abs(a - b * root) * (7 - root) ** m
+                    <= abs(a + b * root) * (7 + root) ** m):
+                return m
 
 
 class TestClosedFormDifferential:
@@ -524,14 +559,29 @@ class TestClosedFormDifferential:
     @given(third_point_triples)
     @example(BoundaryValues(-3, 3, -2))  # right m0 = 3; it would be 2 with 1/24
     @example(BoundaryValues(-3, 3, 2))   # right m0 = 3; it would be 4 with 1/26
+    @example(BoundaryValues(-3, 1, 0))   # x_g = 0: B = -1350 sqrt13/3510, right m0 = 3
     def test_onset_is_least_m_of_the_margin(self, bv):
-        # least m with |fast| h^m <= |slow| s^m / 25 (fast = 0 when slow = 0)
         ctx = third_point_context(bv)
-        for side, fast, slow in (("right", ctx.A, ctx.B), ("left", ctx.D, ctx.C)):
-            m0 = next(m for m in count()
-                      if max(fast, -fast) * H ** m
-                      <= max(slow, -slow) * S ** m * Fraction(1, 25))
-            assert third_point_onset(bv, side) == m0
+        assert third_point_onset(bv, "right") == onset_by_mpmath(ctx.B)
+        assert third_point_onset(bv, "left") == onset_by_mpmath(ctx.C)
+
+    @pytest.mark.parametrize("k, left_m0, right_m0", [
+        (1, 15, 16), (2, 28, 28), (3, 41, 41), (4, 53, 54),
+        (5, 66, 66), (6, 78, 79), (7, 91, 91), (8, 104, 104)])
+    def test_onset_where_the_terms_nearly_cancel(self, k, left_m0, right_m0):
+        # c = 0, x_g = 10p and x_b = 13q - p for (649 + 180 sqrt13)^k = p + q sqrt13
+        # make B = 650 (p - q sqrt13)/3510L, of size about 1/p against its
+        # conjugate A, so the fast term dominates for about 12.5 k steps
+        p, q = 1, 0
+        for _ in range(k):
+            p, q = 649 * p + 2340 * q, 180 * p + 649 * q
+        xg, xb = 10 * p, 13 * q - p
+        bv = BoundaryValues(Fraction(-(15 * xb + 7 * xg), 135), Fraction(xb, 27),
+                            Fraction(xg, 27))
+        assert conserved_combination(bv) == 0
+        ctx = third_point_context(bv)
+        assert third_point_onset(bv, "right") == onset_by_mpmath(ctx.B) == right_m0
+        assert third_point_onset(bv, "left") == onset_by_mpmath(ctx.C) == left_m0
 
 
 class TestGcdCounts:
@@ -549,6 +599,13 @@ class TestGcdCounts:
             with fraction_gcd_calls() as calls:
                 list(islice(restrictions._third_point_sweep(bv), 30))
             assert calls[0] == 2 * 30
+
+    def test_onset_makes_no_fraction(self):
+        for bv in GCD_TRIPLES:
+            for side in ("left", "right"):
+                with fraction_gcd_calls() as calls:
+                    third_point_onset(bv, side)
+                assert calls[0] == 0
 
     def test_closed_forms_build_context_and_value_only(self):
         # five for the context (c and the two parts of B and C), one for the value
