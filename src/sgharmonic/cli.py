@@ -250,7 +250,7 @@ def cmd_verify(suites, trials, depth, m_max, seed, fmt):
     """Run cross-check suites; nonzero exit on any failure."""
     names = list(suites) or list(verify.SUITES)
     try:
-        results = verify.run_suites(names, seed=seed, trials=trials, depth=depth,
+        results = verify.run_suites(suites, seed=seed, trials=trials, depth=depth,
                                     m_max=m_max)
     except ValueError as exc:
         raise click.UsageError(str(exc))

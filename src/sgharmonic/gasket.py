@@ -17,11 +17,14 @@ child of cell w containing corner i.  A child's corner triple keeps the
 Every cell walk runs on one integer kernel.  The rule is linear, so with L
 the lcm of the corner denominators, the corners of cell w are integer
 numerators over L*5^|w|; :func:`child_numerators` maps a parent's to a
-child's, and :func:`cell_numerators` walks to a single cell.  The closed
-forms of lemma 2 are integer rows over 2*5^m or 10*5^m applied to the same
-numerators.  Every walk and closed form divides only for the values it
-returns: one ``Fraction`` per value.  :func:`edge_profile` returns its values
-as integer numerators over one denominator and divides for none.
+child's.  So cell w is a fixed integer 3x3 map, over 5^|w|, of the outer
+numerators: :func:`cell_numerators` applies it, built from child_numerators
+once per word and kept in a bounded cache, and each triple computes its
+numerators once.  The closed forms of lemma 2 are integer rows over 2*5^m
+or 10*5^m applied to the same numerators.  Every walk and closed form
+divides only for the values it returns: one ``Fraction`` per value.
+:func:`edge_profile` returns its values as integer numerators over one
+denominator and divides for none.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import lcm
 
 EDGES = ("bottom", "left", "right")
@@ -73,6 +77,17 @@ class BoundaryValues:
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.alpha, self.beta, self.gamma)
 
+    @cached_property
+    def _corner_numerators(self) -> tuple[Numerators, int]:
+        """What :func:`to_numerators` returns, computed once per triple.  Not a
+        field: repr, ==, hash and pickling see the three corners only."""
+        den = lcm(*(x.denominator for x in self.as_tuple()))
+        return tuple(x.numerator * (den // x.denominator) for x in self.as_tuple()), den
+
+    def __getstate__(self):
+        # pickle the corners, not the cached numerators
+        return {"alpha": self.alpha, "beta": self.beta, "gamma": self.gamma}
+
 
 @dataclass(frozen=True)
 class EdgePoint:
@@ -109,9 +124,9 @@ Numerators = tuple[int, int, int]
 
 
 def to_numerators(bv: BoundaryValues) -> tuple[Numerators, int]:
-    """Integer corner numerators over one common denominator L, and L."""
-    den = lcm(*(x.denominator for x in bv.as_tuple()))
-    return tuple(x.numerator * (den // x.denominator) for x in bv.as_tuple()), den
+    """Integer corner numerators over one common denominator L, and L; each
+    triple computes them once."""
+    return bv._corner_numerators
 
 
 def child_numerators(t: Numerators, digit: str) -> Numerators:
@@ -127,6 +142,7 @@ def child_numerators(t: Numerators, digit: str) -> Numerators:
     raise ValueError(f"cell digit must be 0, 1 or 2, got {digit!r}")
 
 
+@lru_cache(maxsize=1024)
 def cell_word(k: int, m: int) -> CellAddress:
     """Word of the depth-m cell over [k/2^m, (k+1)/2^m] of the bottom edge:
     the m binary digits of k, most significant first, with 0 -> 1, 1 -> 2."""
@@ -178,13 +194,25 @@ def _bottom_walk(bv: BoundaryValues, depth: int) -> Iterator[Numerators]:
             stack.append((left, d - 1))
 
 
+@lru_cache(maxsize=1024)
+def _word_map(addr: CellAddress) -> tuple[Numerators, Numerators, Numerators]:
+    """Rows of the integer 3x3 map, over 5^|addr|, from a triple's corner
+    numerators to those of the cell `addr`: child_numerators folded over the
+    word on each unit column.  Built once per word."""
+    cols = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for digit in addr:
+        cols = tuple(child_numerators(c, digit) for c in cols)
+    return tuple(zip(*cols))
+
+
 def cell_numerators(bv: BoundaryValues, addr: CellAddress) -> tuple[Numerators, int]:
     """Integer corner numerators of the cell named by `addr` (composition of
-    children), and their one denominator to_numerators(bv)[1] * 5^|addr|."""
-    t, den = to_numerators(bv)
-    for digit in addr:
-        t = child_numerators(t, digit)
-    return t, den * 5 ** len(addr)
+    children), and their one denominator to_numerators(bv)[1] * 5^|addr|: the
+    word's map applied to the triple's numerators."""
+    (a, b, g), den = to_numerators(bv)
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = _word_map(addr)
+    return ((x0 * a + y0 * b + z0 * g, x1 * a + y1 * b + z1 * g, x2 * a + y2 * b + z2 * g),
+            den * 5 ** len(addr))
 
 
 def cell_values(bv: BoundaryValues, addr: CellAddress) -> BoundaryValues:
@@ -244,6 +272,7 @@ def lemma2_abscissa(m: int, which: str) -> Fraction:
     raise ValueError(f"unknown point family {which!r}")
 
 
+@lru_cache(maxsize=256)
 def _lemma2_row(m: int, which: str) -> tuple[Numerators, int]:
     """Integer (alpha, beta, gamma) row of the closed form at depth m, and its
     denominator 2*5^m or 10*5^m.

@@ -229,7 +229,9 @@ def third_point_value(bv: BoundaryValues) -> Fraction:
 
 def triangle_sequence(bv: BoundaryValues, m: int) -> TriangleSequence:
     """Exact corner values of the m-th nested triangle (each step is the
-    right third of the left third, i.e. the cell step "12")."""
+    right third of the left third, i.e. the cell step "12"): the cached map
+    of the word "12"*m applied to the triple's numerators, so no step is
+    walked once that word has been seen."""
     if m < 0:
         raise ValueError("m must be >= 0")
     t, den = cell_numerators(bv, "12" * m)
@@ -367,7 +369,7 @@ def third_point_quotients(bv: BoundaryValues, m: int, side: str) -> Fraction:
     """Difference quotient toward x = 1/3 along the nested triangle corners."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if side not in ("left", "right"):  # before the O(m^2) walk
+    if side not in ("left", "right"):  # before the walk
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     seq = triangle_sequence(bv, m)
     f_third = third_point_value(bv)

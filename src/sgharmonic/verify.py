@@ -297,23 +297,30 @@ def run_suites(names=None, seed: int = 0, **overrides) -> list[SuiteResult]:
     """Run the named suites (all by default), each with the overrides among
     its parameters.  An override that no named suite takes, or a depth or work
     above a named suite's MAX_DEPTH or MAX_WORK, is a ValueError raised before
-    any suite runs."""
-    names = list(names or SUITES)
+    any suite runs; with no names it also says which suites refuse."""
+    every, names = not names, list(names or SUITES)
     given = {key: value for key, value in overrides.items() if value is not None}
     params = {name: inspect.signature(SUITES[name]).parameters for name in names}
     for key in given:
         if not any(key in p for p in params.values()):
             raise ValueError(f"no selected suite ({', '.join(names)}) takes "
                              f"--{key.replace('_', '-')}")
+    refused = {}
     for name in (name for name in names if name in MAX_DEPTH):
         depth, trials = (given.get(k, params[name][k].default) for k in ("depth", "trials"))
-        if depth > MAX_DEPTH[name]:
-            raise ValueError(f"suite {name} takes --depth up to {MAX_DEPTH[name]}, "
-                             f"got {depth}")
         base, bound = MAX_WORK[name]
-        if trials * base ** depth > bound:
-            raise ValueError(f"suite {name} takes --trials * {base}^--depth up to "
-                             f"{bound}, got {trials} * {base}^{depth}")
+        if depth > MAX_DEPTH[name]:
+            refused[name] = f"suite {name} takes --depth up to {MAX_DEPTH[name]}, got {depth}"
+        elif trials * base ** depth > bound:
+            refused[name] = (f"suite {name} takes --trials * {base}^--depth up to "
+                              f"{bound}, got {trials} * {base}^{depth}")
+    if refused:
+        message = "; ".join(refused.values())
+        if every:
+            message += (f". With no --suite every suite runs, and {' and '.join(refused)} "
+                        f"refuse{'s' if len(refused) == 1 else ''} these options: pick "
+                        "the others with --suite")
+        raise ValueError(message)
     results = []
     for name in names:
         start = perf_counter()

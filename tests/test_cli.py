@@ -389,6 +389,19 @@ class TestVerify:
         assert res.exit_code == 2
         assert f"suite {suite} takes --trials *" in res.output
 
+    def test_whole_run_names_the_suites_that_refuse(self):
+        res = run("verify", "--trials", "7000")
+        assert res.exit_code == 2
+        assert ("suite oracle takes --trials * 3^--depth up to 164025, got 7000 * 3^3. "
+                "With no --suite every suite runs, and oracle refuses these options: "
+                "pick the others with --suite") in res.output
+        res = run("verify", "--trials", "100000")
+        assert res.exit_code == 2
+        assert "and theorem5 and oracle refuse these options" in res.output
+        res = run("verify", "--suite", "oracle", "--trials", "7000")
+        assert res.exit_code == 2
+        assert "got 7000 * 3^3" in res.output and "With no --suite" not in res.output
+
 
 class TestZeroSearch:
     def test_relation_reported(self):

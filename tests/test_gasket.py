@@ -1,6 +1,8 @@
 import contextlib
+import dataclasses
 import fractions
 import math
+import pickle
 import random
 import re
 import types
@@ -11,15 +13,19 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sgharmonic import gasket
 from sgharmonic.cli import cli
 from sgharmonic.gasket import (
     EDGES,
     LEMMA2_POINTS,
     BoundaryValues,
     EdgePoint,
+    _word_map,
     bottom_cells,
+    cell_numerators,
     cell_values,
     cell_word,
+    child_numerators,
     closed_form_lemma2,
     decode_edge_point,
     edge_profile,
@@ -32,7 +38,7 @@ from sgharmonic.gasket import (
     renormalized_vertex_difference,
     to_numerators,
 )
-from sgharmonic.restrictions import DerivClass, junction_derivative
+from sgharmonic.restrictions import DerivClass, junction_derivative, triangle_sequence
 
 
 def rand_triple(rng, bound=100):
@@ -201,6 +207,94 @@ class TestKernelDifferential:
                 cells = bottom_cells(t, m)
                 for (a, b, g), (a2, b2, g2) in zip(cells, cells[1:]):
                     assert 2 * g - a - b == a2 + g2 - 2 * b2
+
+
+def fold(t, addr):
+    """Reference cell numerators: child_numerators one digit at a time."""
+    for digit in addr:
+        t = child_numerators(t, digit)
+    return t
+
+
+def plain_cell_word(k, m):
+    """Reference cell word: the binary digits of 2^m + k after its leading 1."""
+    return format(2 ** m + k, "b")[1:].translate(str.maketrans("01", "12"))
+
+
+words = st.text("012", max_size=80)
+
+
+@st.composite
+def cells(draw):
+    m = draw(st.integers(0, 80))
+    return draw(st.integers(0, 2 ** m - 1)), m
+
+
+class TestCaches:
+    # the word maps and cell words are cached; a cached answer must equal the
+    # plain one, cold, warm and after the cache has evicted
+
+    @settings(deadline=None)
+    @given(triples(), words)
+    def test_cell_numerators_fold_child_numerators(self, bv, addr):
+        t, den = to_numerators(bv)
+        want = (fold(t, addr), den * 5 ** len(addr))
+        assert cell_numerators(bv, addr) == want
+        _word_map.cache_clear()
+        assert cell_numerators(bv, addr) == want  # built on this call
+        assert cell_numerators(bv, addr) == want  # read from the cache
+
+    @settings(deadline=None, max_examples=10)
+    @given(triples(), words)
+    def test_word_map_bounded(self, bv, addr):
+        maxsize = _word_map.cache_parameters()["maxsize"]
+        filler = [cell_word(k, 11) for k in range(maxsize + 1)]
+        for w in filler:
+            cell_numerators(bv, w)
+        assert _word_map.cache_info().currsize <= maxsize
+        t, den = to_numerators(bv)
+        for w in (addr, filler[0], filler[-1]):  # filler[0] was evicted
+            assert cell_numerators(bv, w) == (fold(t, w), den * 5 ** len(w))
+
+    @settings(deadline=None)
+    @given(cells())
+    def test_cell_word_is_plain(self, cell):
+        want = plain_cell_word(*cell)
+        assert cell_word(*cell) == want
+        cell_word.cache_clear()
+        assert cell_word(*cell) == want
+        assert cell_word(*cell) == want
+
+    @settings(deadline=None, max_examples=10)
+    @given(cells())
+    def test_cell_word_bounded(self, cell):
+        maxsize = cell_word.cache_parameters()["maxsize"]
+        for k in range(maxsize + 1):
+            cell_word(k, 12)
+        assert cell_word.cache_info().currsize <= maxsize
+        for k, m in (cell, (0, 12), (maxsize, 12)):  # (0, 12) was evicted
+            assert cell_word(k, m) == plain_cell_word(k, m)
+
+    def test_seen_words_walk_no_step(self, monkeypatch):
+        # a new triple on words already seen is matrix-vector products only
+        steps = [0]
+        real = gasket.child_numerators
+
+        def counted(t, digit):
+            steps[0] += 1
+            return real(t, digit)
+        monkeypatch.setattr(gasket, "child_numerators", counted)
+        pt = EdgePoint("left", Fraction(37, 64))
+        _word_map.cache_clear()
+        triangle_sequence(BoundaryValues(1, -2, 5), 30)
+        eval_dyadic(BoundaryValues(1, -2, 5), pt)
+        assert steps[0] == 3 * (60 + 6)  # each word built once, on three columns
+        steps[0] = 0
+        bv = BoundaryValues(Fraction(-3, 7), Fraction(2, 9), 4)
+        seq, value = triangle_sequence(bv, 30), eval_dyadic(bv, pt)
+        assert steps[0] == 0
+        assert (seq.alpha_m, seq.beta_m, seq.gamma_m) == step_by_step(bv, "12" * 30).as_tuple()
+        assert value == step_by_step(on_edge(bv, "left"), cell_word(37, 6)).beta
 
 
 class TestEvalDyadic:
@@ -413,6 +507,23 @@ class TestBoundaryValues:
         bv = BoundaryValues(1, "3/4", Sub(1, 2))
         assert bv.as_tuple() == (Fraction(1), Fraction(3, 4), Fraction(1, 2))
         assert all(type(x) is Fraction for x in bv.as_tuple())
+
+    def test_cached_numerators_are_not_state(self):
+        bv = BoundaryValues(Fraction(1, 6), Fraction(-2, 9), 4)
+        fresh = BoundaryValues(Fraction(1, 6), Fraction(-2, 9), 4)
+        before = repr(bv), hash(bv), pickle.dumps(bv)
+        assert to_numerators(bv) == ((3, -4, 72), 18)
+        assert to_numerators(bv) is to_numerators(bv)  # computed once
+        assert (repr(bv), hash(bv), pickle.dumps(bv)) == before
+        assert repr(bv) == ("BoundaryValues(alpha=Fraction(1, 6), beta=Fraction(-2, 9), "
+                            "gamma=Fraction(4, 1))")
+        assert bv == fresh and hash(bv) == hash(fresh)
+        assert [f.name for f in dataclasses.fields(bv)] == ["alpha", "beta", "gamma"]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.dumps(bv, protocol) == pickle.dumps(fresh, protocol)
+            copy = pickle.loads(pickle.dumps(bv, protocol))
+            assert copy == bv and vars(copy) == vars(fresh)
+            assert to_numerators(copy) == to_numerators(bv)
 
 
 class TestOnEdge:

@@ -3,6 +3,7 @@ unit triples, and their random sample checks that the code is linear."""
 
 import ast
 import dataclasses
+import functools
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -134,6 +135,9 @@ def test_oracle_independent_of_the_kernel():
     assert [name for module, name in imported
             if "gasket" in (module or "") or "gasket" in name] == ["BoundaryValues"]
     assert "to_numerators" not in source
+    cached = [name for name, attr in vars(BoundaryValues).items()
+              if isinstance(attr, functools.cached_property)]
+    assert cached and not any(name in source for name in cached)
     assert not re.search(r"5\s*\*\*", source)
 
 
