@@ -13,10 +13,13 @@ import enum
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from functools import lru_cache
+from math import gcd
 
 from .exactarith import QuadExt, format_rational
 from .gasket import (
+    _EDGE_DIGITS,
+    _EDGE_PERMUTATION,
     BoundaryValues,
     CellAddress,
     bottom_cells,
@@ -143,10 +146,15 @@ def junction_derivative(
     """
     x = Fraction(position)
     k, m, place = decode_edge_point(x)
-    t = on_edge(bv, edge)
-    if t.is_constant():  # the child maps are invertible and keep constants
+    try:
+        digits = _EDGE_DIGITS[edge]
+    except KeyError:
+        raise ValueError(f"unknown edge {edge!r}") from None
+    if bv.is_constant():  # the child maps are invertible and keep constants
         raise ArithmeticError("derivative classes are undefined for constant functions")
-    (a, b, g), _ = cell_numerators(t, cell_word(k, m))  # over a positive denominator
+    # the cell of on_edge(bv, edge), read from bv as eval_dyadic reads it
+    t, _ = cell_numerators(bv, cell_word(k, m).translate(digits))  # over a positive denominator
+    a, b, g = (t[i] for i in _EDGE_PERMUTATION[edge])
     form = 2 * g - a - b if place else a + g - 2 * b
     cls = (DerivClass.ZERO if form == 0 else
            DerivClass.PLUS_INFINITY if form > 0 else DerivClass.MINUS_INFINITY)
@@ -235,9 +243,14 @@ def triangle_sequence(bv: BoundaryValues, m: int) -> TriangleSequence:
     if m < 0:
         raise ValueError("m must be >= 0")
     t, den = cell_numerators(bv, "12" * m)
+    return TriangleSequence(m, *(Fraction(x, den) for x in t), *_third_point_positions(m))
+
+
+@lru_cache(maxsize=256)
+def _third_point_positions(m: int) -> tuple[Fraction, Fraction]:
+    """(p1_m, p2_m) of triangle_sequence: 1/3 - (1/3)(1/4)^m and 1/3 + (2/3)(1/4)^m."""
     q = 4 ** m
-    return TriangleSequence(m, *(Fraction(x, den) for x in t),
-                            Fraction(q - 1, 3 * q), Fraction(q + 2, 3 * q))
+    return Fraction(q - 1, 3 * q), Fraction(q + 2, 3 * q)
 
 
 #: (100s + 4h)/24 = 91/150 + (2/25)sqrt13 ~ 0.8951, with s, h = (7 +- sqrt13)/50
@@ -278,11 +291,19 @@ def _slow_pairs(bv: BoundaryValues) -> tuple[int, int, tuple[int, int], tuple[in
     return c, den, (65 * xg, -5 * (10 * xb + xg)), (65 * xb, 5 * xb - 6 * xg)
 
 
+def _slow_coefficient(bv: BoundaryValues, side: str) -> QuadExt:
+    """B ("right", the slow coefficient of gamma_m) or C ("left", of beta_m)
+    of third_point_context, from its integer pair over 3510L."""
+    _, den, slow_b, slow_c = _slow_pairs(bv)
+    u, v = slow_b if side == "right" else slow_c
+    # a QuadExt, not the pair: bench/layertrace.py stops when QuadExt is never called
+    return QuadExt(Fraction(u, 3510 * den), Fraction(v, 3510 * den))
+
+
 def third_point_context(bv: BoundaryValues) -> ThirdPointContext:
     """Closed-form coefficients from one 2x2 step and its s-projector."""
-    c, den, (u_b, v_b), (u_c, v_c) = _slow_pairs(bv)
-    B = QuadExt(Fraction(u_b, 3510 * den), Fraction(v_b, 3510 * den))
-    C = QuadExt(Fraction(u_c, 3510 * den), Fraction(v_c, 3510 * den))
+    c, den, _, _ = _slow_pairs(bv)
+    B, C = _slow_coefficient(bv, "right"), _slow_coefficient(bv, "left")
     return ThirdPointContext(Fraction(c, den), B.conjugate(), B, C, C.conjugate())
 
 
@@ -326,6 +347,7 @@ def third_point_onset(bv: BoundaryValues, side: str) -> int:
     return m
 
 
+@lru_cache(maxsize=256)
 def _root13_power(m: int) -> tuple[int, int]:
     """Integers (X, Y) with (7 + sqrt13)^m = X + Y sqrt13, by binary powering."""
     x, y, bx, by = 1, 0, 7, 1
@@ -337,32 +359,34 @@ def _root13_power(m: int) -> tuple[int, int]:
     return x, y
 
 
-def _closed_form(slow: QuadExt, c: Fraction, m: int) -> Fraction:
+def _closed_form(slow: QuadExt, c: int, den: int, m: int) -> Fraction:
     """conj(slow) h^m + slow s^m + c/27 = 2 (slow s^m).rational_part + c/27,
-    with 50^m s^m = X + Y sqrt13 from _root13_power, as one Fraction over
-    27 * 50^m * (the lcm of the denominators of c and of slow's two parts)."""
+    with c the conserved combination's numerator over den = L and slow's
+    parts u/3510L and v/3510L (_slow_pairs).  As 50^m s^m = X + Y sqrt13
+    (_root13_power) and 3510 = 27 * 130, it is the one Fraction
+    (130 c 50^m + 2(u X + 13 v Y)) / (3510 L 50^m)."""
     if m < 0:
         raise ValueError("m must be >= 0")
     x, y = _root13_power(m)
-    r, s = slow.rational_part, slow.root13_part
-    den = lcm(c.denominator, r.denominator, s.denominator)
-    form = (r.numerator * (den // r.denominator) * x
-            + 13 * s.numerator * (den // s.denominator) * y)
+    r, s, q = slow.rational_part, slow.root13_part, 3510 * den
+    u, v = r.numerator * (q // r.denominator), s.numerator * (q // s.denominator)
     p50 = 50 ** m
-    return Fraction(c.numerator * (den // c.denominator) * p50 + 54 * form, 27 * den * p50)
+    return Fraction(130 * c * p50 + 2 * (u * x + 13 * v * y), q * p50)
 
 
 def gamma_closed_form(bv: BoundaryValues, m: int) -> Fraction:
     """gamma_m = A*h^m + B*s^m + c/27 with A the conjugate of B, evaluated
-    from integers; the result matches the integer recursion."""
-    ctx = third_point_context(bv)
-    return _closed_form(ctx.B, ctx.c, m)
+    from integers; the result matches the integer recursion.  Of the
+    context it builds B only: two Fractions, and one for the value."""
+    c, den, _, _ = _slow_pairs(bv)
+    return _closed_form(_slow_coefficient(bv, "right"), c, den, m)
 
 
 def beta_closed_form(bv: BoundaryValues, m: int) -> Fraction:
-    """beta_m = C*s^m + D*h^m + c/27, evaluated as gamma_closed_form is."""
-    ctx = third_point_context(bv)
-    return _closed_form(ctx.C, ctx.c, m)
+    """beta_m = C*s^m + D*h^m + c/27, evaluated as gamma_closed_form is,
+    from C only."""
+    c, den, _, _ = _slow_pairs(bv)
+    return _closed_form(_slow_coefficient(bv, "left"), c, den, m)
 
 
 def third_point_quotients(bv: BoundaryValues, m: int, side: str) -> Fraction:

@@ -14,6 +14,7 @@ from test_gasket import (  # the kernel test's corner strategies and gcd counter
     constant_triples,
     corners,
     fraction_gcd_calls,
+    sign_class,
     triples,
 )
 
@@ -23,6 +24,8 @@ from sgharmonic.gasket import (
     EDGES,
     BoundaryValues,
     EdgePoint,
+    cell_values,
+    cell_word,
     edge_profile,
     eval_dyadic,
     on_edge,
@@ -230,6 +233,38 @@ class TestJunctionDerivative:
             want = DerivClass.PLUS_INFINITY if cls is INC else DerivClass.MINUS_INFINITY
             assert junction_derivative(bv, "bottom", Fraction(1, 2)) == (want, want)
 
+    def test_classes_without_the_permuted_triple(self, monkeypatch):
+        # the cell is read from bv through the edge's digit map: on_edge is
+        # never called, and the classes are those of on_edge's cells
+        rng = random.Random(16)
+        bvs = [rand_nonconstant(rng) for _ in range(20)]
+        bvs += [BoundaryValues(0, 0, 1), BoundaryValues(-2, 0, 2), BoundaryValues(1, 0, 2)]
+        want = {}
+        for bv in bvs:
+            for edge in EDGES:
+                t = on_edge(bv, edge)
+                for m in range(4):
+                    n = 2 ** m
+                    cells = [cell_values(t, cell_word(k, m)) for k in range(n)]
+                    for k in range(n + 1):
+                        left = right = None
+                        if k > 0:
+                            c = cells[k - 1]
+                            left = sign_class(2 * c.gamma - c.alpha - c.beta)
+                        if k < n:
+                            c = cells[k]
+                            right = sign_class(c.alpha + c.gamma - 2 * c.beta)
+                        want[bv, edge, Fraction(k, n)] = (left, right)
+
+        def no_on_edge(*args):
+            raise AssertionError("junction_derivative called on_edge")
+        monkeypatch.setattr(restrictions, "on_edge", no_on_edge)
+        assert {key: junction_derivative(*key) for key in want} == want
+        with pytest.raises(ValueError, match="^unknown edge 'top'$"):
+            junction_derivative(bvs[0], "top", Fraction(1, 2))
+        with pytest.raises(ArithmeticError, match="^derivative classes are undefined"):
+            junction_derivative(BoundaryValues(2, 2, 2), "left", Fraction(1, 2))
+
     def test_class_depth_invariance(self):
         # evaluating the same junction as k/2^m or 2k/2^(m+1) must agree
         rng = random.Random(15)
@@ -376,19 +411,24 @@ class TestThirdPoint:
         rng = random.Random(19)
         for _ in range(15):
             bv = rand_triple(rng)
-            for m in range(12):
+            # 255, 256 and 300 reach past the maxsize of _root13_power's cache
+            for m in [*range(12), 255, 256, 300]:
                 seq = triangle_sequence(bv, m)
                 assert gamma_closed_form(bv, m) == seq.gamma_m
                 assert beta_closed_form(bv, m) == seq.beta_m
 
     def test_root13_power_matches_stepwise_product(self):
-        # binary powering against m single steps (x, y) -> (7x + 13y, x + 7y)
+        # binary powering against m single steps (x, y) -> (7x + 13y, x + 7y),
+        # from a cold cache filled past its bound
         from sgharmonic.restrictions import _root13_power
+        _root13_power.cache_clear()
+        maxsize = _root13_power.cache_info().maxsize
         x, y = 1, 0
-        for m in range(65):
+        for m in range(maxsize + 65):
             got = _root13_power(m)
             assert got == (x, y) and all(type(v) is int for v in got)
             x, y = 7 * x + 13 * y, x + 7 * y
+        assert _root13_power.cache_info().currsize <= maxsize
 
     def test_closed_forms_reject_negative_m(self):
         for form in (gamma_closed_form, beta_closed_form, triangle_sequence):
@@ -587,7 +627,7 @@ class TestClosedFormDifferential:
 class TestGcdCounts:
     # exact counts of Fraction gcd calls (see test_gasket.TestGcdCounts)
     def test_triangle_sequence_one_fraction_per_value(self):
-        # three corners and two positions
+        # three corners, and the two positions the first time an m is seen
         for bv in GCD_TRIPLES:
             for m in (0, 1, 5, 30):
                 with fraction_gcd_calls() as calls:
@@ -607,14 +647,17 @@ class TestGcdCounts:
                     third_point_onset(bv, side)
                 assert calls[0] == 0
 
-    def test_closed_forms_build_context_and_value_only(self):
-        # five for the context (c and the two parts of B and C), one for the value
+    def test_third_point_closed_forms_make_three_fractions(self):
+        # two for the parts of the one slow coefficient (B or C), one for the value
         for bv in GCD_TRIPLES:
-            for m in (0, 1, 5, 30):
+            ctx = third_point_context(bv)
+            assert ctx.B == restrictions._slow_coefficient(bv, "right")
+            assert ctx.C == restrictions._slow_coefficient(bv, "left")
+            for m in (0, 1, 5, 7, 30, 60):
                 for form in (gamma_closed_form, beta_closed_form):
                     with fraction_gcd_calls() as calls:
                         form(bv, m)
-                    assert calls[0] <= 6
+                    assert calls[0] == 3
 
     def test_corner_relations_count_independent_of_bound(self):
         # one solve, whatever the bound: no candidate coefficients are tried
