@@ -221,13 +221,25 @@ def cell_values(bv: BoundaryValues, addr: CellAddress) -> BoundaryValues:
     return BoundaryValues(*(Fraction(x, den) for x in t))
 
 
+def edge_cell(bv: BoundaryValues, edge: str,
+              x: Fraction) -> tuple[Numerators, int, int | Fraction]:
+    """((a, b, g), den, place): the integer corner numerators, in the frame of
+    on_edge(bv, edge), over one positive denominator, of the cell
+    decode_edge_point(x) names, and x's place along its bottom edge."""
+    k, m, place = decode_edge_point(x)
+    try:
+        digits, perm = _EDGE_DIGITS[edge], _EDGE_PERMUTATION[edge]
+    except KeyError:
+        raise ValueError(f"unknown edge {edge!r}") from None
+    t, den = cell_numerators(bv, cell_word(k, m).translate(digits))
+    return (t[perm[0]], t[perm[1]], t[perm[2]]), den, place
+
+
 def eval_dyadic(bv: BoundaryValues, pt: EdgePoint) -> Fraction:
     """Exact value of the harmonic function at a dyadic edge point: the beta
-    (place 0) or gamma (place 1) corner of the cell decode_edge_point names,
-    in the frame of on_edge(bv, pt.edge)."""
-    k, m, place = decode_edge_point(pt.position)
-    t, den = cell_numerators(bv, cell_word(k, m).translate(_EDGE_DIGITS[pt.edge]))
-    return Fraction(t[_EDGE_PERMUTATION[pt.edge][2 if place else 1]], den)
+    (place 0) or gamma (place 1) corner of its edge_cell."""
+    t, den, place = edge_cell(bv, pt.edge, pt.position)
+    return Fraction(t[2 if place else 1], den)
 
 
 def edge_profile(bv: BoundaryValues, depth: int,

@@ -10,7 +10,6 @@ integers standing for elements of Z[sqrt13].
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -18,15 +17,12 @@ from math import gcd
 
 from .exactarith import QuadExt, format_rational
 from .gasket import (
-    _EDGE_DIGITS,
-    _EDGE_PERMUTATION,
     BoundaryValues,
     CellAddress,
     bottom_cells,
     cell_numerators,
-    cell_word,
     child_numerators,
-    decode_edge_point,
+    edge_cell,
     extend_once,
     on_edge,
     to_numerators,
@@ -145,16 +141,9 @@ def junction_derivative(
     starts at the point, or the whole edge at x = 1.
     """
     x = Fraction(position)
-    k, m, place = decode_edge_point(x)
-    try:
-        digits = _EDGE_DIGITS[edge]
-    except KeyError:
-        raise ValueError(f"unknown edge {edge!r}") from None
+    (a, b, g), _, place = edge_cell(bv, edge, x)  # over a positive denominator
     if bv.is_constant():  # the child maps are invertible and keep constants
         raise ArithmeticError("derivative classes are undefined for constant functions")
-    # the cell of on_edge(bv, edge), read from bv as eval_dyadic reads it
-    t, _ = cell_numerators(bv, cell_word(k, m).translate(digits))  # over a positive denominator
-    a, b, g = (t[i] for i in _EDGE_PERMUTATION[edge])
     form = 2 * g - a - b if place else a + g - 2 * b
     cls = (DerivClass.ZERO if form == 0 else
            DerivClass.PLUS_INFINITY if form > 0 else DerivClass.MINUS_INFINITY)
@@ -291,19 +280,18 @@ def _slow_pairs(bv: BoundaryValues) -> tuple[int, int, tuple[int, int], tuple[in
     return c, den, (65 * xg, -5 * (10 * xb + xg)), (65 * xb, 5 * xb - 6 * xg)
 
 
-def _slow_coefficient(bv: BoundaryValues, side: str) -> QuadExt:
-    """B ("right", the slow coefficient of gamma_m) or C ("left", of beta_m)
-    of third_point_context, from its integer pair over 3510L."""
-    _, den, slow_b, slow_c = _slow_pairs(bv)
-    u, v = slow_b if side == "right" else slow_c
+def _slow_coefficient(den: int, pair: tuple[int, int]) -> QuadExt:
+    """B or C of third_point_context from its integer pair (u, v) of
+    _slow_pairs over 3510L, with den = L."""
+    u, v = pair
     # a QuadExt, not the pair: bench/layertrace.py stops when QuadExt is never called
     return QuadExt(Fraction(u, 3510 * den), Fraction(v, 3510 * den))
 
 
 def third_point_context(bv: BoundaryValues) -> ThirdPointContext:
     """Closed-form coefficients from one 2x2 step and its s-projector."""
-    c, den, _, _ = _slow_pairs(bv)
-    B, C = _slow_coefficient(bv, "right"), _slow_coefficient(bv, "left")
+    c, den, slow_b, slow_c = _slow_pairs(bv)
+    B, C = _slow_coefficient(den, slow_b), _slow_coefficient(den, slow_c)
     return ThirdPointContext(Fraction(c, den), B.conjugate(), B, C, C.conjugate())
 
 
@@ -359,14 +347,16 @@ def _root13_power(m: int) -> tuple[int, int]:
     return x, y
 
 
-def _closed_form(slow: QuadExt, c: int, den: int, m: int) -> Fraction:
+def _closed_form(bv: BoundaryValues, m: int, side: str) -> Fraction:
     """conj(slow) h^m + slow s^m + c/27 = 2 (slow s^m).rational_part + c/27,
-    with c the conserved combination's numerator over den = L and slow's
-    parts u/3510L and v/3510L (_slow_pairs).  As 50^m s^m = X + Y sqrt13
-    (_root13_power) and 3510 = 27 * 130, it is the one Fraction
-    (130 c 50^m + 2(u X + 13 v Y)) / (3510 L 50^m)."""
+    with slow = B ("right", gamma_m) or C ("left", beta_m), from one call of
+    _slow_pairs: c over L and slow's parts u/3510L and v/3510L.  As
+    50^m s^m = X + Y sqrt13 (_root13_power) and 3510 = 27 * 130, it is the
+    one Fraction (130 c 50^m + 2(u X + 13 v Y)) / (3510 L 50^m)."""
     if m < 0:
         raise ValueError("m must be >= 0")
+    c, den, slow_b, slow_c = _slow_pairs(bv)
+    slow = _slow_coefficient(den, slow_b if side == "right" else slow_c)
     x, y = _root13_power(m)
     r, s, q = slow.rational_part, slow.root13_part, 3510 * den
     u, v = r.numerator * (q // r.denominator), s.numerator * (q // s.denominator)
@@ -378,47 +368,32 @@ def gamma_closed_form(bv: BoundaryValues, m: int) -> Fraction:
     """gamma_m = A*h^m + B*s^m + c/27 with A the conjugate of B, evaluated
     from integers; the result matches the integer recursion.  Of the
     context it builds B only: two Fractions, and one for the value."""
-    c, den, _, _ = _slow_pairs(bv)
-    return _closed_form(_slow_coefficient(bv, "right"), c, den, m)
+    return _closed_form(bv, m, "right")
 
 
 def beta_closed_form(bv: BoundaryValues, m: int) -> Fraction:
     """beta_m = C*s^m + D*h^m + c/27, evaluated as gamma_closed_form is,
     from C only."""
-    c, den, _, _ = _slow_pairs(bv)
-    return _closed_form(_slow_coefficient(bv, "left"), c, den, m)
+    return _closed_form(bv, m, "left")
 
 
 def third_point_quotients(bv: BoundaryValues, m: int, side: str) -> Fraction:
-    """Difference quotient toward x = 1/3 along the nested triangle corners."""
+    """Difference quotient toward x = 1/3 along the nested triangle corners:
+    (gamma_m - f(1/3))/(p2_m - 1/3) on the right, (beta_m - f(1/3))/(p1_m - 1/3)
+    on the left.
+
+    With (a_m, b_m, g_m) over L 25^m the numerators of the m-th triangle and
+    c = 5a + 15b + 7g over L, so f(1/3) = c/27L, these are the one Fraction
+    (27 g_m - 25^m c) 4^m / (18 L 25^m) or (25^m c - 27 b_m) 4^m / (9 L 25^m)."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if side not in ("left", "right"):  # before the walk
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    seq = triangle_sequence(bv, m)
-    f_third = third_point_value(bv)
-    third = Fraction(1, 3)
+    (_, b, g), den = cell_numerators(bv, "12" * m)  # den = L 25^m
+    c = _slow_pairs(bv)[0] * 25 ** m
     if side == "right":
-        return (seq.gamma_m - f_third) / (seq.p2_m - third)
-    return (seq.beta_m - f_third) / (seq.p1_m - third)
-
-
-def _third_point_sweep(bv: BoundaryValues) -> Iterator[dict[str, Fraction]]:
-    """{"left": q, "right": q} of third_point_quotients at m = 1, 2, ..., from
-    one walk of the nested triangles on integer numerators: one "12" step and
-    one Fraction per quotient.
-
-    With c = 5a + 15b + 7g on the corner numerators over L, the m-th triangle
-    (a_m, b_m, g_m) and c_m = 25^m c over L 25^m, and f(1/3) = c/27L:
-    q_right = (27g_m - c_m) 4^m / (18 L 25^m) and
-    q_left = -(27b_m - c_m) 4^m / (9 L 25^m)."""
-    t, den = to_numerators(bv)
-    c, four = 5 * t[0] + 15 * t[1] + 7 * t[2], 1
-    while True:
-        t = child_numerators(child_numerators(t, "1"), "2")
-        den, c, four = 25 * den, 25 * c, 4 * four
-        yield {"left": Fraction((c - 27 * t[1]) * four, 9 * den),
-               "right": Fraction((27 * t[2] - c) * four, 18 * den)}
+        return Fraction((27 * g - c) * 4 ** m, 18 * den)
+    return Fraction((c - 27 * b) * 4 ** m, 9 * den)
 
 
 def third_point_of_subedge(

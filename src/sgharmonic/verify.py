@@ -9,7 +9,6 @@ import inspect
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
 from time import perf_counter
 
 from . import gasket, oracle, restrictions
@@ -230,14 +229,12 @@ def suite_theorem6(trials: int = 100, m_max: int = 25, seed: int = 0) -> SuiteRe
     table = []
     for t in range(trials):
         bv = random_nonconstant_triple(rng)
-        # quotients[m - 1] holds q(m) of both sides, from one walk
-        quotients = list(islice(restrictions._third_point_sweep(bv), max(m_max, 3)))
         for side in ("left", "right"):
             m0 = restrictions.third_point_onset(bv, side)
             worst_m0 = max(worst_m0, m0)
-            prev = abs(quotients[2][side])
+            prev = abs(restrictions.third_point_quotients(bv, 3, side))
             for m in range(3, m_max):
-                q = abs(quotients[m][side])
+                q = abs(restrictions.third_point_quotients(bv, m + 1, side))
                 if m < m0:
                     passed_over += 1
                 elif q > ratio * prev:

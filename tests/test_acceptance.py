@@ -6,7 +6,6 @@ no floating tolerances anywhere.
 
 import random
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 
@@ -245,14 +244,12 @@ def test_criterion_12_quotient_decay():
     violations = []
     for _ in range(100):
         bv = rand_nonconstant(rng)
-        # q(1), ..., q(25) of both sides from one walk of the nested triangles
-        quotients = list(islice(restrictions._third_point_sweep(bv), 25))
         for side in ("left", "right"):
             m0 = restrictions.third_point_onset(bv, side)
             assert m0 <= 21  # at least the steps from m = 21 on are checked
-            prev = abs(quotients[2][side])
+            prev = abs(restrictions.third_point_quotients(bv, 3, side))
             for m in range(3, 25):
-                cur = abs(quotients[m][side])
+                cur = abs(restrictions.third_point_quotients(bv, m + 1, side))
                 step = (",".join(map(str, bv.as_tuple())), side, m, m0,
                         str(cur / prev) if prev else "inf")
                 if m < m0:

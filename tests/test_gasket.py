@@ -28,6 +28,7 @@ from sgharmonic.gasket import (
     child_numerators,
     closed_form_lemma2,
     decode_edge_point,
+    edge_cell,
     edge_profile,
     eval_dyadic,
     extend_once,
@@ -314,6 +315,23 @@ class TestEvalDyadic:
     def test_non_dyadic_rejected(self):
         with pytest.raises(ValueError, match="1/3 is not dyadic"):
             eval_dyadic(BoundaryValues(0, 0, 1), EdgePoint("bottom", Fraction(1, 3)))
+
+    def test_edge_cell_reads_the_edge_frame(self):
+        rng = random.Random(18)
+        for _ in range(20):
+            bv = rand_triple(rng)
+            for edge in EDGES:
+                for x in (Fraction(0), Fraction(5, 8), Fraction(1, 2 ** 9), Fraction(1)):
+                    k, m, place = decode_edge_point(x)
+                    t, den, got_place = edge_cell(bv, edge, x)
+                    assert den > 0 and got_place == place
+                    assert BoundaryValues(*(Fraction(v, den) for v in t)) == (
+                        cell_values(on_edge(bv, edge), cell_word(k, m)))
+        # the point is decoded before the edge is read
+        with pytest.raises(ValueError, match="1/3 is not dyadic"):
+            edge_cell(bv, "top", Fraction(1, 3))
+        with pytest.raises(ValueError, match="^unknown edge 'top'$"):
+            edge_cell(bv, "top", Fraction(1, 2))
 
     def test_shared_vertex_well_defined(self):
         # 1/2 is the gamma corner of cell "1" and the beta corner of cell "2"

@@ -1,7 +1,7 @@
 import random
 import re
 from fractions import Fraction
-from itertools import count, islice, product
+from itertools import count, product
 from math import gcd, lcm
 
 import mpmath
@@ -577,11 +577,15 @@ class TestClosedFormDifferential:
 
     @settings(deadline=None, max_examples=12)
     @given(third_point_triples)
-    def test_sweep_matches_quotients(self, bv):
-        # one walk of the nested triangles against a walk from the root per m
-        for m, q in enumerate(islice(restrictions._third_point_sweep(bv), 40), 1):
-            assert q == {side: third_point_quotients(bv, m, side)
-                         for side in ("left", "right")}
+    def test_quotients_match_fraction_derivation(self, bv):
+        # the integer form against the quotients' definition on Fractions
+        f_third, third = third_point_value(bv), Fraction(1, 3)
+        for m in range(1, 41):
+            seq = triangle_sequence(bv, m)
+            assert third_point_quotients(bv, m, "right") == (
+                (seq.gamma_m - f_third) / (seq.p2_m - third))
+            assert third_point_quotients(bv, m, "left") == (
+                (seq.beta_m - f_third) / (seq.p1_m - third))
 
     @settings(deadline=None, max_examples=60)
     @given(third_point_triples)
@@ -634,11 +638,13 @@ class TestGcdCounts:
                     triangle_sequence(bv, m)
                 assert calls[0] <= 5
 
-    def test_third_point_sweep_one_fraction_per_quotient(self):
+    def test_third_point_quotients_one_fraction(self):
         for bv in GCD_TRIPLES:
-            with fraction_gcd_calls() as calls:
-                list(islice(restrictions._third_point_sweep(bv), 30))
-            assert calls[0] == 2 * 30
+            for m in (1, 5, 30):
+                for side in ("left", "right"):
+                    with fraction_gcd_calls() as calls:
+                        third_point_quotients(bv, m, side)
+                    assert calls[0] == 1
 
     def test_onset_makes_no_fraction(self):
         for bv in GCD_TRIPLES:
@@ -651,13 +657,31 @@ class TestGcdCounts:
         # two for the parts of the one slow coefficient (B or C), one for the value
         for bv in GCD_TRIPLES:
             ctx = third_point_context(bv)
-            assert ctx.B == restrictions._slow_coefficient(bv, "right")
-            assert ctx.C == restrictions._slow_coefficient(bv, "left")
+            _, den, slow_b, slow_c = restrictions._slow_pairs(bv)
+            assert ctx.B == restrictions._slow_coefficient(den, slow_b)
+            assert ctx.C == restrictions._slow_coefficient(den, slow_c)
             for m in (0, 1, 5, 7, 30, 60):
                 for form in (gamma_closed_form, beta_closed_form):
                     with fraction_gcd_calls() as calls:
                         form(bv, m)
                     assert calls[0] == 3
+
+    def test_each_closed_form_and_quotient_reads_slow_pairs_once(self, monkeypatch):
+        calls = [0]
+        real = restrictions._slow_pairs
+
+        def counted(bv):
+            calls[0] += 1
+            return real(bv)
+        monkeypatch.setattr(restrictions, "_slow_pairs", counted)
+        for bv in GCD_TRIPLES:
+            for m in (0, 1, 5, 30):
+                for form in (gamma_closed_form, beta_closed_form,
+                             lambda bv, m: third_point_quotients(bv, m + 1, "left"),
+                             lambda bv, m: third_point_quotients(bv, m + 1, "right")):
+                    calls[0] = 0
+                    form(bv, m)
+                    assert calls[0] == 1
 
     def test_corner_relations_count_independent_of_bound(self):
         # one solve, whatever the bound: no candidate coefficients are tried
