@@ -22,6 +22,7 @@ from .gasket import (
     EdgePoint,
     cell_word,
     decode_edge_point,
+    edge_cell,
     edge_profile,
     eval_dyadic,
     on_edge,
@@ -159,11 +160,10 @@ def cmd_classify(alpha, beta, gamma, depth, fmt):
                 "at_junction": format_rational(res.lo) if res.lo == res.hi else None,
             }
         per_edge[edge] = entry
-    lengths = {
-        "left": abs(bv.alpha - bv.beta),
-        "right": abs(bv.alpha - bv.gamma),
-        "bottom": abs(bv.beta - bv.gamma),
-    }
+    lengths = {}
+    for edge in ("left", "right", "bottom"):  # the JSON key order
+        (_, b, g), den, _ = edge_cell(bv, edge, 1)
+        lengths[edge] = Fraction(abs(g - b), den)
     ordering = sorted(lengths, key=lambda e: (lengths[e], e), reverse=True)
     results = {
         "edges": per_edge,

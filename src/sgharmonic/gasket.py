@@ -166,17 +166,16 @@ def decode_edge_point(x: Fraction, thirds=False) -> tuple[int, int, int | Fracti
     raise ValueError(f"point {x} is {what}")
 
 
-def _bottom_walk(bv: BoundaryValues, depth: int) -> Iterator[Numerators]:
-    """Numerators, over to_numerators(bv)[1] * 5^depth, of the 2^depth cells
-    tiling the bottom edge, left to right; depth-first, so only one path from
-    the root is held.
+def _bottom_walk(t: Numerators, depth: int) -> Iterator[Numerators]:
+    """Numerators, over 5^depth times the denominator of the corner numerators
+    t, of the 2^depth cells tiling the bottom edge of t's frame, left to right;
+    depth-first, so only one path from the root is held.
 
     Each step makes both bottom children of a cell, the rows "1" and "2" of
     :func:`child_numerators`, from their shared corner p12 = a + 2b + 2g; the
     last level is yielded as it is made."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    t = to_numerators(bv)[0]
     if not depth:
         yield t
         return
@@ -225,7 +224,8 @@ def edge_cell(bv: BoundaryValues, edge: str,
               x: Fraction) -> tuple[Numerators, int, int | Fraction]:
     """((a, b, g), den, place): the integer corner numerators, in the frame of
     on_edge(bv, edge), over one positive denominator, of the cell
-    decode_edge_point(x) names, and x's place along its bottom edge."""
+    decode_edge_point(x) names, and x's place along its bottom edge.  At
+    x = 1 the cell is the whole edge, over L = to_numerators(bv)[1]."""
     k, m, place = decode_edge_point(x)
     try:
         digits, perm = _EDGE_DIGITS[edge], _EDGE_PERMUTATION[edge]
@@ -246,26 +246,27 @@ def edge_profile(bv: BoundaryValues, depth: int,
                  edge: str = "bottom") -> tuple[list[int], int]:
     """Values at all points k/2^depth, k = 0..2^depth, along an edge: their
     2^depth + 1 integer numerators over one positive denominator, and that
-    denominator L * 5^depth (L = to_numerators(on_edge(bv, edge))[1]).
+    denominator L * 5^depth (L = to_numerators(bv)[1]).
 
-    Each cell (a, b, g) of the walk to depth - 1 gives the values at its left
-    corner and at its midpoint p12, 5b and a + 2b + 2g over L * 5^depth; the
-    right end of the edge comes last."""
-    t = on_edge(bv, edge)
-    (_, beta, gamma), den = to_numerators(t)
+    The walk starts from the whole edge, edge_cell(bv, edge, 1).  Each cell
+    (a, b, g) of the walk to depth - 1 gives the values at its left corner
+    and at its midpoint p12, 5b and a + 2b + 2g over L * 5^depth; the right
+    end of the edge comes last."""
+    t, den, _ = edge_cell(bv, edge, 1)
     if not depth:
-        return [beta, gamma], den
+        return [t[1], t[2]], den
     values = []
     for a, b, g in _bottom_walk(t, depth - 1):
         values += (5 * b, a + 2 * b + 2 * g)
-    values.append(5 ** depth * gamma)
+    values.append(5 ** depth * t[2])
     return values, den * 5 ** depth
 
 
-def bottom_cells(bv: BoundaryValues, depth: int) -> list[Numerators]:
-    """Integer corner numerators of the 2^depth cells tiling the bottom edge,
-    left to right, all over the one denominator to_numerators(bv)[1] * 5^depth."""
-    return list(_bottom_walk(bv, depth))
+def bottom_cells(bv: BoundaryValues, depth: int, edge: str = "bottom") -> list[Numerators]:
+    """Integer corner numerators, in the edge's frame, of the 2^depth cells
+    tiling an edge, left to right, all over the one denominator
+    to_numerators(bv)[1] * 5^depth; the walk starts from edge_cell(bv, edge, 1)."""
+    return list(_bottom_walk(edge_cell(bv, edge, 1)[0], depth))
 
 
 LEMMA2_POINTS = ("half_power", "one_minus_half_power", "l_m", "r_m")

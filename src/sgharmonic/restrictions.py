@@ -1,9 +1,9 @@
 """Monotonicity, extrema and one-sided derivatives of edge restrictions.
 
 Everything here works on the restriction of a harmonic function to an edge
-of the outer triangle, mapped onto [0, 1] via the edge permutations of
-:mod:`sgharmonic.gasket`.  The classifications are decided by exact
-rational or integer comparisons only; the third-point onset compares
+of the outer triangle, mapped onto [0, 1] and read in the edge's frame from
+:func:`sgharmonic.gasket.edge_cell`.  The classifications are decided by
+exact rational or integer comparisons only; the third-point onset compares
 integers standing for elements of Z[sqrt13].
 """
 
@@ -23,8 +23,6 @@ from .gasket import (
     cell_numerators,
     child_numerators,
     edge_cell,
-    extend_once,
-    on_edge,
     to_numerators,
 )
 
@@ -56,20 +54,20 @@ def _classify_triple(a, b, g) -> MonotonicityClass:
 def classify_edge(bv: BoundaryValues, edge: str = "bottom") -> MonotonicityClass:
     """Monotonicity of the restriction to an edge: the increasing case is
     exactly beta < gamma together with 2*beta - gamma <= alpha <= 2*gamma - beta
-    (closed inequalities), after mapping the edge onto [0, 1]."""
-    return _classify_triple(*on_edge(bv, edge).as_tuple())
+    (closed inequalities), on the numerators of the edge's frame."""
+    return _classify_triple(*edge_cell(bv, edge, 1)[0])
 
 
 def dsv_check(bv: BoundaryValues, edge: str = "bottom") -> bool:
     """The midpoint-ratio sufficient conditions for a strictly increasing
     restriction: beta < f(mid) < gamma and (gamma - f(mid))/(f(mid) - beta)
-    in [1/4, 4].  Equivalent to the closed-form test in classify_edge."""
-    t = on_edge(bv, edge)
-    mid = extend_once(t)[0]
-    if not (t.beta < mid < t.gamma):
-        return False
-    ratio = (t.gamma - mid) / (mid - t.beta)
-    return Fraction(1, 4) <= ratio <= 4
+    in [1/4, 4].  Equivalent to the closed-form test in classify_edge.
+
+    On the frame numerators (a, b, g) over L, beta, f(mid) and gamma are
+    lo = 5b, mid = a + 2b + 2g and hi = 5g over 5L."""
+    (a, b, g), _, _ = edge_cell(bv, edge, 1)
+    lo, mid, hi = 5 * b, a + 2 * b + 2 * g, 5 * g
+    return lo < mid < hi and mid - lo <= 4 * (hi - mid) and hi - mid <= 4 * (mid - lo)
 
 
 def simultaneous_monotone(bv: BoundaryValues) -> bool:
@@ -98,7 +96,7 @@ def locate_extremum(bv: BoundaryValues, edge: str, depth: int) -> ExtremumResult
     """Bisect a non-monotone edge restriction down to its unique extremum."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    t, _ = to_numerators(on_edge(bv, edge))
+    t = edge_cell(bv, edge, 1)[0]
     if _classify_triple(*t) is not MonotonicityClass.NON_MONOTONE:
         raise ValueError("restriction is monotone; no extremum to locate")
     a, b, g = t
@@ -171,11 +169,12 @@ def count_zero_junctions(
     if bv.is_constant():
         raise ValueError("derivative classes are undefined for constant functions")
     # at a vertex of value x the Zero condition 2x = (sum of the others) is 3x = delta
-    zeros: list[ZeroJunction] = [("vertex", v) for v, x in zip(VERTICES, bv.as_tuple())
-                                 if 3 * x == bv.delta]
+    t = to_numerators(bv)[0]
+    zeros: list[ZeroJunction] = [("vertex", v) for v, x in zip(VERTICES, t)
+                                 if 3 * x == sum(t)]
     n = 2 ** depth
     for edge in ("bottom", "left", "right"):
-        cells = bottom_cells(on_edge(bv, edge), depth)  # integer numerators
+        cells = bottom_cells(bv, depth, edge)  # integer numerators
         # junction k/n starts cell k: Zero iff a + g = 2b there (junction_derivative)
         zeros += [(edge, Fraction(k, n)) for k, (a, b, g) in enumerate(cells)
                   if k and a + g == 2 * b]

@@ -1,7 +1,7 @@
 import random
 import re
 from fractions import Fraction
-from itertools import count, product
+from itertools import count, permutations, product
 from math import gcd, lcm
 
 import mpmath
@@ -18,20 +18,23 @@ from test_gasket import (  # the kernel test's corner strategies and gcd counter
     triples,
 )
 
-from sgharmonic import restrictions
+from sgharmonic import gasket, restrictions
 from sgharmonic.exactarith import QuadExt
 from sgharmonic.gasket import (
     EDGES,
     BoundaryValues,
     EdgePoint,
+    bottom_cells,
     cell_values,
     cell_word,
     edge_profile,
     eval_dyadic,
+    extend_once,
     on_edge,
 )
 from sgharmonic.restrictions import (
     THIRD_POINT_STEP_BOUND,
+    VERTICES,
     DerivClass,
     MonotonicityClass,
     beta_closed_form,
@@ -68,6 +71,30 @@ def rand_nonconstant(rng, bound=100):
         bv = rand_triple(rng, bound)
         if not bv.is_constant():
             return bv
+
+
+def in_frame(edge, a, b, g):
+    """The triple that on_edge maps onto (a, b, g) for this edge."""
+    return next(bv for p in permutations((a, b, g))
+                if on_edge(bv := BoundaryValues(*p), edge).as_tuple() == (a, b, g))
+
+
+def fraction_dsv(bv, edge):
+    """The midpoint-ratio test on Fractions: on_edge, then extend_once."""
+    t = on_edge(bv, edge)
+    mid = extend_once(t)[0]
+    if not (t.beta < mid < t.gamma):
+        return False
+    return Fraction(1, 4) <= (t.gamma - mid) / (mid - t.beta) <= 4
+
+
+def refuse_on_edge(monkeypatch):
+    """Make the package's on_edge raise from here on, in gasket and in any
+    module that would import it by name; this module keeps its own binding."""
+    def refuse(*args):
+        raise AssertionError("on_edge called")
+    monkeypatch.setattr(gasket, "on_edge", refuse)
+    monkeypatch.setattr(restrictions, "on_edge", refuse, raising=False)
 
 
 class TestClassifyEdge:
@@ -113,6 +140,28 @@ class TestDsvCheck:
             bv = rand_triple(rng)
             a, b, g = bv.as_tuple()
             assert dsv_check(bv) == (b < g and 2 * b - g <= a <= 2 * g - b)
+
+    @settings(deadline=None)
+    @given(triples(), st.sampled_from(EDGES))
+    def test_matches_the_fraction_form(self, frame, edge):
+        # triples() reaches the two boundary lines; in_frame puts them on each edge
+        bv = in_frame(edge, *frame.as_tuple())
+        assert dsv_check(bv, edge) is fraction_dsv(bv, edge)
+
+    @pytest.mark.parametrize("edge", EDGES)
+    def test_ratio_endpoints(self, edge):
+        # alpha = 2 gamma - beta puts the ratio at 1/4, alpha = 2 beta - gamma at 4
+        for b, g in ((Fraction(0), Fraction(1)), (Fraction(-3, 7), Fraction(2, 9)),
+                     (Fraction(-(2 ** 70), 3), Fraction(5, 2 ** 61 - 1))):
+            for a, ratio in ((2 * g - b, Fraction(1, 4)), (2 * b - g, 4)):
+                mid = extend_once(BoundaryValues(a, b, g))[0]
+                assert (g - mid) / (mid - b) == ratio
+                assert dsv_check(in_frame(edge, a, b, g), edge) is True
+                # the same lines with beta > gamma: decreasing, so not this test
+                assert dsv_check(in_frame(edge, 2 * b - g, g, b), edge) is False
+                assert dsv_check(in_frame(edge, 2 * g - b, g, b), edge) is False
+            for a in (b, g, b - 1, g + 1, 2 * g - b):
+                assert dsv_check(in_frame(edge, a, g, g), edge) is False
 
 
 class TestSimultaneousMonotone:
@@ -256,9 +305,7 @@ class TestJunctionDerivative:
                             right = sign_class(c.alpha + c.gamma - 2 * c.beta)
                         want[bv, edge, Fraction(k, n)] = (left, right)
 
-        def no_on_edge(*args):
-            raise AssertionError("junction_derivative called on_edge")
-        monkeypatch.setattr(restrictions, "on_edge", no_on_edge)
+        refuse_on_edge(monkeypatch)
         assert {key: junction_derivative(*key) for key in want} == want
         with pytest.raises(ValueError, match="^unknown edge 'top'$"):
             junction_derivative(bvs[0], "top", Fraction(1, 2))
@@ -308,6 +355,83 @@ class TestCountZeroJunctions:
         for _ in range(200):
             count, _ = count_zero_junctions(rand_nonconstant(rng), 5)
             assert count <= 1
+
+
+def zero_line_triple(edge, k, m, corners):
+    """A triple on the Zero line of the right class at junction k/2^m of an
+    edge, built as bench/workloads.py builds one: the form's coefficients from
+    the unit triples, then the last corner with a nonzero one solved for."""
+    units = [BoundaryValues(*(int(i == j) for i in range(3))) for j in range(3)]
+    form = [c.alpha + c.gamma - 2 * c.beta
+            for c in (cell_values(on_edge(u, edge), cell_word(k, m)) for u in units)]
+    solve = max(j for j in range(3) if form[j])
+    t = list(corners)
+    t[solve] = -sum(form[j] * t[j] for j in range(3) if j != solve) / form[solve]
+    return BoundaryValues(*t)
+
+
+ZERO_LINE_TRIPLE = zero_line_triple("right", 3, 3, GCD_TRIPLES[0].as_tuple())
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def reference_zeros(bv, depth):
+    """count_zero_junctions on the permuted triples and Fraction vertex tests."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if bv.is_constant():
+        raise ValueError("derivative classes are undefined for constant functions")
+    zeros = [("vertex", v) for v, x in zip(VERTICES, bv.as_tuple()) if 3 * x == bv.delta]
+    for edge in EDGES:
+        cells = bottom_cells(on_edge(bv, edge), depth)
+        zeros += [(edge, Fraction(k, 2 ** depth)) for k, (a, b, g) in enumerate(cells)
+                  if k and a + g == 2 * b]
+    return len(zeros), zeros
+
+
+def reference_extremum(bv, edge, depth):
+    if depth < 1:  # before the edge is read
+        raise ValueError("depth must be >= 1")
+    return locate_extremum(on_edge(bv, edge), "bottom", depth)
+
+
+class TestEdgeFrame:
+    # every edge analysis reads its numerators from gasket.edge_cell: each
+    # equals the bottom-edge analysis of on_edge's permuted triple, with the
+    # same errors in the same order, and none calls on_edge
+    def test_no_permuted_triple(self, monkeypatch):
+        rng = random.Random(19)
+        bvs = [rand_triple(rng) for _ in range(20)]
+        b, g = Fraction(-3, 7), Fraction(2, 9)
+        bvs += [in_frame(edge, a, *bg) for edge in EDGES for bg in ((b, g), (g, b))
+                for a in (2 * b - g, 2 * g - b)]
+        bvs += [ZERO_LINE_TRIPLE, BoundaryValues(0, 0, 1), BoundaryValues(-2, 0, 2),
+                BoundaryValues(Fraction(7, 3), Fraction(7, 3), Fraction(7, 3))]
+        calls = []
+        for bv in bvs:
+            for edge in (*EDGES, "top"):
+                calls += [(classify_edge, (bv, edge), lambda bv, e: classify_edge(
+                              on_edge(bv, e), "bottom")),
+                          (dsv_check, (bv, edge), fraction_dsv)]
+                calls += [(locate_extremum, (bv, edge, d), reference_extremum)
+                          for d in (0, 1, 6, 40)]
+                calls += [(edge_profile, (bv, d, edge), lambda bv, d, e: edge_profile(
+                              on_edge(bv, e), d)) for d in (-1, 0, 1, 3, 7)]
+                calls += [(bottom_cells, (bv, d, edge), lambda bv, d, e: bottom_cells(
+                              on_edge(bv, e), d)) for d in (-1, 0, 5)]
+            calls += [(count_zero_junctions, (bv, d), reference_zeros) for d in (0, 1, 4, 8)]
+        want = [outcome(ref, *args) for _, args, ref in calls]
+        assert (ValueError, "unknown edge 'top'") in want
+        assert ((1, [("right", Fraction(3, 8))])
+                == outcome(count_zero_junctions, ZERO_LINE_TRIPLE, 4))
+        refuse_on_edge(monkeypatch)
+        assert [outcome(f, *args) for f, args, _ in calls] == want
 
 
 @st.composite
@@ -692,6 +816,25 @@ class TestGcdCounts:
                     corner_relations(bv, bound)
                 counts.append(calls[0])
             assert counts[0] == counts[1]
+
+    def test_edge_classes_divide_nothing(self):
+        for bv in GCD_TRIPLES:
+            for edge in EDGES:
+                for check in (classify_edge, dsv_check):
+                    with fraction_gcd_calls() as calls:
+                        check(bv, edge)
+                    assert calls[0] == 0
+
+    def test_zero_scan_one_fraction_per_edge_zero(self):
+        # the vertex tests compare integers; each edge zero is one Fraction
+        seen = set()
+        for bv in [*GCD_TRIPLES[:-1], ZERO_LINE_TRIPLE]:  # the last one is constant
+            for depth in (1, 5):
+                with fraction_gcd_calls() as calls:
+                    _, zeros = count_zero_junctions(bv, depth)
+                assert calls[0] == sum(z[0] != "vertex" for z in zeros)
+                seen.update(z[0] == "vertex" for z in zeros)
+        assert seen == {False, True}
 
     def test_junction_derivative_divides_nothing(self):
         for bv in GCD_TRIPLES[:-1]:  # the last one is constant
