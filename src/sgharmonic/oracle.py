@@ -1,15 +1,16 @@
 """Independent verification path: the level-m graph and its exact linear solve.
 
 Vertices carry exact rational coordinates (u, v) in the affine frame
-p1 = (0,0), p2 = (1,0), p0 = (0,1).  A function is harmonic on the level-m
-graph iff every interior vertex equals the mean of its four neighbors, a
-system solved by exact sparse elimination, finest vertices first, that never
-uses the extension rule.  The elimination is cached per level as integer
-rows over one denominator, so a warm solve is one integer dot product, and
-one Fraction, per vertex.  Two checkers test an assignment on integer
-numerators over one denominator: the mean-value equation at every interior
-vertex, and the five-point relation per minimal triangle, kept apart from
-the solve so the two formulations cross-validate each other.
+p1 = (0,0), p2 = (1,0), p0 = (0,1), built as integers in units of 2^-m.  A
+function is harmonic on the level-m graph iff every interior vertex equals
+the mean of its four neighbors, a system solved by fraction-free sparse
+elimination on integer rows, finest vertices first, that never uses the
+extension rule.  The elimination is cached per level as integer rows over
+one denominator, so a warm solve is one integer dot product, and one
+Fraction, per vertex.  Two checkers test an assignment on integer numerators
+over one denominator: the mean-value equation at every interior vertex, and
+the five-point relation per minimal triangle, kept apart from the solve so
+the two formulations cross-validate each other.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .gasket import BoundaryValues
 
@@ -39,41 +40,36 @@ class GasketGraph:
     neighbors: tuple[tuple[int, ...], ...]
 
 
-def _midpoint(p: Point, q: Point) -> Point:
-    return ((p[0] + q[0]) / 2, (p[1] + q[1]) / 2)
-
-
 @lru_cache(maxsize=None)
 def build_graph(m: int) -> GasketGraph:
-    """Exact level-m graph with per-level triangle incidence."""
+    """Exact level-m graph with per-level triangle incidence.  Points are built
+    as integers in units of 2^-m, exact as every level-m vertex lies on that
+    grid, and made Fraction pairs once per vertex at the end."""
     if m < 0:
         raise ValueError("level must be >= 0")
     if m > MAX_LEVEL:
         raise ValueError(f"level {m} exceeds guard {MAX_LEVEL}")
-    p0: Point = (Fraction(0), Fraction(1))
-    p1: Point = (Fraction(0), Fraction(0))
-    p2: Point = (Fraction(1), Fraction(0))
-    tris_by_level: dict[int, list[tuple[str, tuple[Point, Point, Point]]]] = {
-        0: [("", (p0, p1, p2))]
-    }
+    unit = 1 << m
+    p0, p1, p2 = (0, unit), (0, 0), (unit, 0)
+    tris_by_level = {0: [("", (p0, p1, p2))]}
     for lvl in range(1, m + 1):
         nxt = []
         for addr, (a, b, c) in tris_by_level[lvl - 1]:
-            mab, mac, mbc = _midpoint(a, b), _midpoint(a, c), _midpoint(b, c)
+            (ax, ay), (bx, by), (cx, cy) = a, b, c
+            mab = ((ax + bx) >> 1, (ay + by) >> 1)
+            mac = ((ax + cx) >> 1, (ay + cy) >> 1)
+            mbc = ((bx + cx) >> 1, (by + cy) >> 1)
             nxt.append((addr + "0", (a, mab, mac)))
             nxt.append((addr + "1", (mab, b, mbc)))
             nxt.append((addr + "2", (mac, mbc, c)))
         tris_by_level[lvl] = nxt
 
-    index: dict[Point, int] = {}
-    vertices: list[Point] = []
+    index: dict[tuple[int, int], int] = {}
 
-    def idx(p: Point) -> int:
+    def idx(p: tuple[int, int]) -> int:
         i = index.get(p)
         if i is None:
-            i = len(vertices)
-            index[p] = i
-            vertices.append(p)
+            i = index[p] = len(index)
         return i
 
     for corner in (p0, p1, p2):
@@ -85,10 +81,10 @@ def build_graph(m: int) -> GasketGraph:
         )
 
     expected = 3 * (3 ** m + 1) // 2
-    if len(vertices) != expected:
-        raise AssertionError(f"vertex count {len(vertices)} != {expected}")
+    if len(index) != expected:
+        raise AssertionError(f"vertex count {len(index)} != {expected}")
 
-    nbr: list[set[int]] = [set() for _ in vertices]
+    nbr: list[set[int]] = [set() for _ in index]
     for _, (i, j, k) in triangles[m]:
         nbr[i].update((j, k))
         nbr[j].update((i, k))
@@ -99,10 +95,12 @@ def build_graph(m: int) -> GasketGraph:
         if m >= 1 and len(ns) != want:
             raise AssertionError(f"vertex {i} has {len(ns)} neighbors, expected {want}")
 
+    coord = [Fraction(k, unit) for k in range(unit + 1)]
+    vertices = tuple((coord[x], coord[y]) for x, y in index)
     return GasketGraph(
         level=m,
-        vertices=tuple(vertices),
-        index=index,
+        vertices=vertices,
+        index={p: i for i, p in enumerate(vertices)},
         triangles=triangles,
         boundary=boundary,
         neighbors=tuple(tuple(sorted(ns)) for ns in nbr),
@@ -114,38 +112,54 @@ def _basis_solutions(m: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
     """Per-vertex coefficients of the solution on the three unit boundary
     triples, as integer rows over one denominator D: (D, rows).
 
-    Row v reads x_v = sum of c * x_u over its items (u, c), at first the mean
-    of the four neighbors.  Eliminating interior vertices finest first (reverse
-    build_graph index, an order from the graph alone) is a Kron reduction whose
-    fill stays inside a cell, as a cell meets the rest only at its corners;
-    back-substitution then runs coarsest first onto the boundary columns.  The
-    exact coefficients are then put over D, the lcm of their denominators."""
+    Row v is an integer weight s and coefficients n_u with s*x_v = sum of
+    n_u*x_u, at first 4*x_v = the sum of the four neighbors.  Eliminating
+    interior vertices finest first (reverse build_graph index, an order from
+    the graph alone) is a Kron reduction whose fill stays inside a cell, as a
+    cell meets the rest only at its corners.  It is fraction-free: eliminating
+    w takes the pivot p = s_w - n_ww and turns each row v that meets w into
+    p*row_v + f*row_w, f row v's coefficient of w, divided by the gcd of its
+    weight and coefficients.  Back-substitution then runs coarsest first onto
+    the boundary columns, one gcd-reduced (denominator, numerators) pair per
+    vertex, and the pairs are put over D, the lcm of their denominators."""
     g = build_graph(m)
-    quarter = Fraction(1, 4)
     interior = [v for v in range(len(g.vertices)) if v not in g.boundary]
-    rows = {v: dict.fromkeys(g.neighbors[v], quarter) for v in interior}
+    rows = {v: (4, dict.fromkeys(g.neighbors[v], 1)) for v in interior}
     for w in reversed(interior):
-        row = rows[w]
-        pivot = 1 - row.pop(w, 0)
+        s, row = rows[w]
+        pivot = s - row.pop(w, 0)
         if pivot == 0:
             raise ArithmeticError("singular harmonicity system")
-        for u in row:
-            row[u] /= pivot
+        rows[w] = pivot, row
         for v in row:
             if v in rows:  # an interior vertex not yet eliminated
-                vrow = rows[v]
+                vs, vrow = rows[v]
                 f = vrow.pop(w)
+                vrow = {u: pivot * c for u, c in vrow.items()}
                 for u, c in row.items():
                     vrow[u] = vrow.get(u, 0) + f * c
-    coeffs: list[tuple[Fraction, Fraction, Fraction]] = [None] * len(g.vertices)
+                vs *= pivot
+                if (d := gcd(vs, *vrow.values())) > 1:
+                    vs //= d
+                    for u in vrow:
+                        vrow[u] //= d
+                rows[v] = vs, vrow
+    coeffs: list[tuple[int, tuple[int, int, int]]] = [None] * len(g.vertices)
     for j, b in enumerate(g.boundary):
-        coeffs[b] = tuple(Fraction(int(i == j)) for i in range(3))
+        coeffs[b] = 1, tuple(int(i == j) for i in range(3))
     for v in interior:
-        coeffs[v] = tuple(sum(c * coeffs[u][i] for u, c in rows[v].items())
-                          for i in range(3))
-    den = lcm(*(c.denominator for row in coeffs for c in row))
-    return den, tuple(tuple(c.numerator * (den // c.denominator) for c in row)
-                      for row in coeffs)
+        pivot, row = rows[v]
+        den = lcm(*(coeffs[u][0] for u in row))
+        n0 = n1 = n2 = 0
+        for u, c in row.items():
+            d, (a0, a1, a2) = coeffs[u]
+            k = c * (den // d)
+            n0, n1, n2 = n0 + k * a0, n1 + k * a1, n2 + k * a2
+        den *= pivot
+        d = gcd(den, n0, n1, n2)
+        coeffs[v] = den // d, (n0 // d, n1 // d, n2 // d)
+    den = lcm(*(d for d, _ in coeffs))
+    return den, tuple(tuple(x * (den // d) for x in nums) for d, nums in coeffs)
 
 
 def solve_harmonic(m: int, boundary: BoundaryValues) -> dict[int, Fraction]:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -12,11 +13,14 @@ from test_gasket import (  # the kernel test's corner strategy and gcd counter
 
 from sgharmonic.gasket import BoundaryValues, cell_values
 from sgharmonic.oracle import (
+    MAX_LEVEL,
+    _basis_solutions,
     build_graph,
     check_five_point,
     check_mean_value,
     solve_harmonic,
 )
+from sgharmonic.verify import UNIT_TRIPLES
 
 
 def rand_triple(rng, bound=100):
@@ -170,6 +174,14 @@ class TestIntegerPath:
                 assert check_mean_value(g, values)
             assert calls[0] == 0
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_elimination_makes_no_fraction(self, m):
+        build_graph(m)
+        _basis_solutions.cache_clear()
+        with fraction_gcd_calls() as calls:
+            _basis_solutions(m)
+        assert calls[0] == 0
+
     def test_checks_accept_int_values(self):
         # (0, 0, 25) has integer values at level 2, whose basis is over 25
         g = build_graph(2)
@@ -185,6 +197,70 @@ class TestIntegerPath:
         assert len({x.denominator for x in values.values()}) > 1
         values[0] = 4  # corner p0 as an int among Fractions
         assert check_five_point(g, values) and check_mean_value(g, values)
+
+
+# sha256 of each level's graph fields and (D, rows) as computed in Fraction
+# arithmetic: the integer graph and elimination change no coordinate, vertex
+# number or coefficient
+GOLDEN_LEVELS = {
+    0: "778e18c5c1b2483a39e4192c45c26997902e78d10c3210315ebf4c148db9fe30",
+    1: "e1c993df6111a7b76251decb370ab00b911ce76efbe509100462b841160cc065",
+    2: "35bbc4342a68ca30c578907ad1a1989d3af78884c5c405507637fd55db89a353",
+    3: "038cdde58e6bdc518d5b327815e0482a0033d9910fbd81c966c92c20dcaad64c",
+    4: "7c0672ac16eb40ab4d4531f1983a6c10d10c47bf34f4b3d4f21afc4d914e6629",
+    5: "dc67139c42f2872dc110a694b9606a65324ee1968466e240fe82d2e895712f47",
+    6: "cb513839312a6aafc8305cf4713eb3b5ca2a2094483465a66a95b6357e35df01",
+}
+
+
+def dense_solve(graph):
+    """The level's harmonic values on the unit triples, by Gauss-Jordan on the
+    whole mean-value system in Fractions, in vertex order: one row per
+    vertex, boundary vertices pinned, three right-hand sides."""
+    n = len(graph.vertices)
+    system = []
+    for v in range(n):
+        row = [Fraction(0)] * (n + 3)
+        if v in graph.boundary:
+            row[v] = row[n + graph.boundary.index(v)] = Fraction(1)
+        else:
+            row[v] = Fraction(4)
+            for u in graph.neighbors[v]:
+                row[u] -= 1
+        system.append(row)
+    for col in range(n):
+        piv = next(r for r in range(col, n) if system[r][col] != 0)
+        system[col], system[piv] = system[piv], system[col]
+        lead = system[col][col]
+        system[col] = [x / lead for x in system[col]]
+        for r in range(n):
+            if r != col and system[r][col] != 0:
+                f = system[r][col]
+                system[r] = [x - f * y for x, y in zip(system[r], system[col])]
+    return [tuple(row[n:]) for row in system]
+
+
+class TestBasisSolutions:
+    @pytest.mark.parametrize("m", sorted(GOLDEN_LEVELS))
+    def test_golden_graph_and_rows(self, m):
+        g = build_graph(m)
+        digest = hashlib.sha256()
+        digest.update(repr((g.vertices, g.triangles, g.boundary, g.neighbors)).encode())
+        digest.update(repr(_basis_solutions(m)).encode())
+        assert digest.hexdigest() == GOLDEN_LEVELS[m]
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_matches_dense_gauss_jordan(self, m):
+        den, rows = _basis_solutions(m)
+        assert [tuple(Fraction(c, den) for c in row) for row in rows] == \
+            dense_solve(build_graph(m))
+
+    @pytest.mark.parametrize("m", range(1, MAX_LEVEL + 1))
+    def test_unit_triples_pass_both_checks(self, m):
+        g = build_graph(m)
+        for bv in UNIT_TRIPLES:
+            values = solve_harmonic(m, bv)
+            assert check_mean_value(g, values) and check_five_point(g, values)
 
 
 class TestCheckMeanValue:
