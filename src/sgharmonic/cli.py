@@ -242,7 +242,7 @@ def cmd_scan(alpha, beta, gamma, edge, depth, output):
 @click.option("--suite", "suites", type=click.Choice(sorted(verify.SUITES)),
               multiple=True, help="suite to run (repeatable; default: all)")
 @click.option("--trials", type=click.IntRange(1, 1_000_000), default=None)
-@click.option("--depth", type=click.IntRange(1, 20), default=None)
+@click.option("--depth", type=click.IntRange(min=1), default=None)
 @click.option("--m-max", type=click.IntRange(1, 60), default=None)
 @click.option("--seed", type=int, default=0, show_default=True)
 @_format_option

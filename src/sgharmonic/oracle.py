@@ -31,7 +31,6 @@ MAX_LEVEL = 8  # 9843 vertices; guard against accidental blowup
 class GasketGraph:
     level: int
     vertices: tuple[Point, ...]
-    index: dict
     # level -> tuple of (cell address, (apex, left, right) vertex indices).
     # Triangle p = (i, j, k) of a level has children 3p, 3p+1, 3p+2 on the
     # next: (i, m_ij, m_ik), (m_ij, j, m_jk), (m_ik, m_jk, k), m the midpoints.
@@ -100,7 +99,6 @@ def build_graph(m: int) -> GasketGraph:
     return GasketGraph(
         level=m,
         vertices=vertices,
-        index={p: i for i, p in enumerate(vertices)},
         triangles=triangles,
         boundary=boundary,
         neighbors=tuple(tuple(sorted(ns)) for ns in nbr),

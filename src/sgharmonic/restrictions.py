@@ -294,12 +294,13 @@ def third_point_context(bv: BoundaryValues) -> ThirdPointContext:
     return ThirdPointContext(Fraction(c, den), B.conjugate(), B, C, C.conjugate())
 
 
-def third_point_onset(bv: BoundaryValues, side: str) -> int:
-    """Least m >= 0 from which the quotients toward 1/3 provably decay per step.
+def third_point_onset(bv: BoundaryValues) -> tuple[int, int]:
+    """(left, right): on each side, the least m >= 0 from which the quotients
+    toward 1/3 provably decay per step.
 
-    The quotients are (3/2)(A(4h)^m + B(4s)^m) on the right and
-    -3(C(4s)^m + D(4h)^m) on the left: a slow term (B or C, rate
-    4s ~ 0.8485) and a fast one (A or D, rate 4h ~ 0.3515).  The onset m0
+    The quotients are -3(C(4s)^m + D(4h)^m) on the left and
+    (3/2)(A(4h)^m + B(4s)^m) on the right: a slow term (C or B, rate
+    4s ~ 0.8485) and a fast one (D or A, rate 4h ~ 0.3515).  The onset m0
     is the least m with |fast| h^m <= (1/25)|slow| s^m; fast and slow are
     conjugates, so both vanish together (beta = gamma = c/27, m0 = 0).  As
     h < s this stays true for every m >= m0, and with
@@ -321,17 +322,17 @@ def third_point_onset(bv: BoundaryValues, side: str) -> int:
     again (624(u^2 + 13v^2))^2 <= 1252^2 * 13 u^2 v^2: an equivalence on
     integers, with no rounding.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     _, _, slow_b, slow_c = _slow_pairs(bv)
-    u, v = slow_b if side == "right" else slow_c
-    m = 0
-    while u or v:
-        uv = u * v
-        if uv > 0 and (624 * (u * u + 13 * v * v)) ** 2 <= 1252 ** 2 * 13 * uv * uv:
-            break
-        u, v, m = 7 * u + 13 * v, u + 7 * v, m + 1
-    return m
+    onsets = []
+    for u, v in (slow_c, slow_b):
+        m = 0
+        while u or v:
+            uv = u * v
+            if uv > 0 and (624 * (u * u + 13 * v * v)) ** 2 <= 1252 ** 2 * 13 * uv * uv:
+                break
+            u, v, m = 7 * u + 13 * v, u + 7 * v, m + 1
+        onsets.append(m)
+    return tuple(onsets)
 
 
 @lru_cache(maxsize=256)
@@ -376,23 +377,20 @@ def beta_closed_form(bv: BoundaryValues, m: int) -> Fraction:
     return _closed_form(bv, m, "left")
 
 
-def third_point_quotients(bv: BoundaryValues, m: int, side: str) -> Fraction:
-    """Difference quotient toward x = 1/3 along the nested triangle corners:
-    (gamma_m - f(1/3))/(p2_m - 1/3) on the right, (beta_m - f(1/3))/(p1_m - 1/3)
-    on the left.
+def third_point_quotients(bv: BoundaryValues, m: int) -> tuple[Fraction, Fraction]:
+    """Difference quotients (left, right) toward x = 1/3 along the nested
+    triangle corners: (beta_m - f(1/3))/(p1_m - 1/3) and
+    (gamma_m - f(1/3))/(p2_m - 1/3).
 
     With (a_m, b_m, g_m) over L 25^m the numerators of the m-th triangle and
-    c = 5a + 15b + 7g over L, so f(1/3) = c/27L, these are the one Fraction
-    (27 g_m - 25^m c) 4^m / (18 L 25^m) or (25^m c - 27 b_m) 4^m / (9 L 25^m)."""
-    if m < 1:
+    c = 5a + 15b + 7g over L, so f(1/3) = c/27L, these are the Fractions
+    (25^m c - 27 b_m) 4^m / (9 L 25^m) and (27 g_m - 25^m c) 4^m / (18 L 25^m),
+    from one product with the cached map of "12"*m."""
+    if m < 1:  # before the walk
         raise ValueError("m must be >= 1")
-    if side not in ("left", "right"):  # before the walk
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     (_, b, g), den = cell_numerators(bv, "12" * m)  # den = L 25^m
-    c = _slow_pairs(bv)[0] * 25 ** m
-    if side == "right":
-        return Fraction((27 * g - c) * 4 ** m, 18 * den)
-    return Fraction((c - 27 * b) * 4 ** m, 9 * den)
+    c, p = _slow_pairs(bv)[0] * 25 ** m, 4 ** m
+    return Fraction((c - 27 * b) * p, 9 * den), Fraction((27 * g - c) * p, 18 * den)
 
 
 def third_point_of_subedge(

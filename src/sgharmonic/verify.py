@@ -131,6 +131,8 @@ def suite_theorem3(trials: int = 200, seed: int = 0) -> SuiteResult:
     non = restrictions.MonotonicityClass.NON_MONOTONE
     checked_inc = checked_non = 0
     for _ in range(trials):
+        if checked_inc == checked_non == 40:
+            break
         bv = random_triple(rng, 30)
         cls = restrictions.classify_edge(bv, "bottom")
         if cls is inc and checked_inc < 40:
@@ -229,12 +231,13 @@ def suite_theorem6(trials: int = 100, m_max: int = 25, seed: int = 0) -> SuiteRe
     table = []
     for t in range(trials):
         bv = random_nonconstant_triple(rng)
-        for side in ("left", "right"):
-            m0 = restrictions.third_point_onset(bv, side)
-            worst_m0 = max(worst_m0, m0)
-            prev = abs(restrictions.third_point_quotients(bv, 3, side))
-            for m in range(3, m_max):
-                q = abs(restrictions.third_point_quotients(bv, m + 1, side))
+        onsets = restrictions.third_point_onset(bv)
+        worst_m0 = max(worst_m0, *onsets)
+        # |q(m)| for m = 3..m_max, one row per side
+        rows = zip(*(map(abs, restrictions.third_point_quotients(bv, m))
+                     for m in range(3, m_max + 1)))
+        for side, m0, row in zip(("left", "right"), onsets, rows):
+            for m, prev, q in zip(range(3, m_max), row, row[1:]):
                 if m < m0:
                     passed_over += 1
                 elif q > ratio * prev:
@@ -243,7 +246,6 @@ def suite_theorem6(trials: int = 100, m_max: int = 25, seed: int = 0) -> SuiteRe
                                  ratio=q / prev if prev else "inf")
                 else:
                     checked[side] += 1
-                prev = q
                 if t == 0 and side == "right":
                     table.append(f"m={m + 1}: |q|={float(q):.3e}")
     return _pass("theorem6", f"{trials} triples, both sides, 3 <= m <= {m_max}: "

@@ -219,17 +219,18 @@ def test_criterion_11_quadratic_closed_forms():
 
 
 def test_criterion_12_quotient_decay():
-    # The quotients toward 1/3 are (3/2)(A(4h)^m + B(4s)^m) on the right and
-    # -3(C(4s)^m + D(4h)^m) on the left.  While the fast term (A or D) is of
-    # opposite sign to the slow one (B or C) and not yet small, the two can
+    # The quotients toward 1/3 are -3(C(4s)^m + D(4h)^m) on the left and
+    # (3/2)(A(4h)^m + B(4s)^m) on the right.  While the fast term (D or A) is
+    # of opposite sign to the slow one (C or B) and not yet small, the two can
     # nearly cancel, and the step ratio just past that point exceeds any
     # bound below 1, so no per-step margin holds from a fixed m.  From the
     # exact onset m0 of third_point_onset the step ratio is at most
     # (100s + 4h)/24 < 9/10; the 9/10 margin is asserted on every step that
     # starts at m >= m0, and the steps before it are printed.
     bv = BoundaryValues(0, 0, 1)
-    assert restrictions.third_point_quotients(bv, 1, "right") == Fraction(38, 45)
-    assert restrictions.third_point_quotients(bv, 2, "right") == Fraction(776, 1125)
+    assert restrictions.third_point_quotients(bv, 1) == (Fraction(32, 45), Fraction(38, 45))
+    assert restrictions.third_point_quotients(bv, 2) == (Fraction(3472, 5625),
+                                                         Fraction(776, 1125))
     # (100s + 4h)/24 with s, h = (7 +- sqrt13)/50, by parts: (728 + 96 sqrt13)/1200
     rational, root13 = Fraction(100 * 7 + 4 * 7, 50 * 24), Fraction(100 - 4, 50 * 24)
     assert (rational, root13) == (Fraction(728, 1200), Fraction(96, 1200))
@@ -244,12 +245,12 @@ def test_criterion_12_quotient_decay():
     violations = []
     for _ in range(100):
         bv = rand_nonconstant(rng)
-        for side in ("left", "right"):
-            m0 = restrictions.third_point_onset(bv, side)
+        quotients = {m: restrictions.third_point_quotients(bv, m) for m in range(3, 26)}
+        for at, (side, m0) in enumerate(zip(("left", "right"),
+                                            restrictions.third_point_onset(bv))):
             assert m0 <= 21  # at least the steps from m = 21 on are checked
-            prev = abs(restrictions.third_point_quotients(bv, 3, side))
             for m in range(3, 25):
-                cur = abs(restrictions.third_point_quotients(bv, m + 1, side))
+                prev, cur = abs(quotients[m][at]), abs(quotients[m + 1][at])
                 step = (",".join(map(str, bv.as_tuple())), side, m, m0,
                         str(cur / prev) if prev else "inf")
                 if m < m0:
@@ -258,7 +259,6 @@ def test_criterion_12_quotient_decay():
                     checked += 1
                     if 10 * cur > 9 * prev:  # |q(m+1)| <= (9/10)|q(m)| violated
                         violations.append(step)
-                prev = cur
     for bv_text, side, m, m0, ratio in passed_over:
         print(f"  before onset: ({bv_text}) {side} step {m}->{m + 1} "
               f"(m0={m0}): ratio {ratio}")

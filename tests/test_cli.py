@@ -357,6 +357,13 @@ class TestVerify:
         assert res.exit_code == 2
         assert f"suite {suite} takes --depth up to {bound}, got {bound + 1}" in res.output
 
+    @pytest.mark.parametrize("depth", ["21", "1000000"])
+    def test_depth_has_one_bound(self, depth):
+        # run_suites' per-suite bound is the only one: no range error comes first
+        res = run("verify", "--suite", "oracle", "--depth", depth)
+        assert res.exit_code == 2
+        assert f"suite oracle takes --depth up to 8, got {depth}" in res.output
+
     # trials * base^depth at the bound, and one trial past it; the suite is
     # replaced by a stub that keeps its signature, so the accepted side is instant
     @pytest.mark.parametrize("suite,base,depth,trials", [

@@ -68,7 +68,7 @@ class TestSolveHarmonic:
     def test_level_two_quarter_point(self):
         g = build_graph(2)
         sol = solve_harmonic(2, BoundaryValues(0, 0, 1))
-        quarter = g.index[(Fraction(1, 4), Fraction(0))]
+        quarter = g.vertices.index((Fraction(1, 4), Fraction(0)))
         assert sol[quarter] == Fraction(1, 5)
 
     def test_constant(self):

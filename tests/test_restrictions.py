@@ -569,9 +569,9 @@ class TestThirdPoint:
 
     def test_quotient_examples(self):
         bv = BoundaryValues(0, 0, 1)
-        assert third_point_quotients(bv, 1, "right") == Fraction(38, 45)
-        assert third_point_quotients(bv, 2, "right") == Fraction(776, 1125)
-        assert third_point_quotients(BoundaryValues(1, 1, 1), 4, "left") == 0
+        assert third_point_quotients(bv, 1) == (Fraction(32, 45), Fraction(38, 45))
+        assert third_point_quotients(bv, 2) == (Fraction(3472, 5625), Fraction(776, 1125))
+        assert third_point_quotients(BoundaryValues(1, 1, 1), 4) == (0, 0)
 
     def test_quotient_geometric_envelope(self):
         # sound form of the decay: |q_right(m)| <= (3/2)(|A|+|B|)(4s)^m and
@@ -592,11 +592,10 @@ class TestThirdPoint:
             ctx = third_point_context(bv)
             x, y = 7, 1  # (7 + sqrt13)^m
             for m in range(1, 16):
-                for side, coef, factor in (("right", ctx.B, Fraction(3, 2)),
-                                           ("left", ctx.C, 3)):
+                quotients = third_point_quotients(bv, m)
+                for q, coef, factor in zip(quotients, (ctx.C, ctx.B), (3, Fraction(3, 2))):
                     env_r, env_s = envelope(coef, factor, m, x, y)
-                    q = abs(third_point_quotients(bv, m, side))
-                    assert sign13(env_r - q, env_s) >= 0
+                    assert sign13(env_r - abs(q), env_s) >= 0
                 x, y = 7 * x + 13 * y, x + 7 * y
 
     def test_onset_bounds_every_later_step(self):
@@ -605,33 +604,27 @@ class TestThirdPoint:
         # exact bound (100s + 4h)/24
         bound = THIRD_POINT_STEP_BOUND
         bv = BoundaryValues(Fraction(19, 27), Fraction(-17, 13), Fraction(-79, 41))
-        assert third_point_onset(bv, "left") == 7
-        assert third_point_onset(bv, "right") == 8
-        assert (third_point_quotients(bv, 5, "left")
-                / third_point_quotients(bv, 4, "left")) == Fraction(7187284, 2582575)
-        for side in ("left", "right"):
-            m0 = third_point_onset(bv, side)
+        assert third_point_onset(bv) == (7, 8)
+        assert (third_point_quotients(bv, 5)[0]
+                / third_point_quotients(bv, 4)[0]) == Fraction(7187284, 2582575)
+        quotients = {m: third_point_quotients(bv, m) for m in range(1, 31)}
+        for side, m0 in enumerate(third_point_onset(bv)):
             for m in range(max(m0, 1), 30):
-                ratio = (third_point_quotients(bv, m + 1, side)
-                         / third_point_quotients(bv, m, side))
+                ratio = quotients[m + 1][side] / quotients[m][side]
                 assert sign13(bound.rational_part - abs(ratio), bound.root13_part) >= 0
 
     def test_onset_edge_cases(self):
-        assert third_point_onset(BoundaryValues(1, 1, 1), "left") == 0
-        assert third_point_onset(BoundaryValues(1, 1, 1), "right") == 0
-        with pytest.raises(ValueError):
-            third_point_onset(BoundaryValues(0, 0, 1), "middle")
+        assert third_point_onset(BoundaryValues(1, 1, 1)) == (0, 0)
 
     def test_quotient_arguments_checked_before_the_walk(self, monkeypatch):
-        def walk(bv, m):
-            raise AssertionError("triangle_sequence walked before the arguments were checked")
+        def walk(*args):
+            raise AssertionError("walked before the arguments were checked")
 
-        monkeypatch.setattr(restrictions, "triangle_sequence", walk)
-        bv = BoundaryValues(0, 0, 1)
-        with pytest.raises(ValueError, match="side must be 'left' or 'right', got 'middle'"):
-            third_point_quotients(bv, 10 ** 6, "middle")
-        with pytest.raises(ValueError, match="m must be >= 1"):
-            third_point_quotients(bv, 0, "left")
+        for name in ("cell_numerators", "_slow_pairs"):
+            monkeypatch.setattr(restrictions, name, walk)
+        for m in (0, -10 ** 6):
+            with pytest.raises(ValueError, match=f"^{re.escape('m must be >= 1')}$"):
+                third_point_quotients(BoundaryValues(0, 0, 1), m)
 
     def test_subedge_examples(self):
         bv = BoundaryValues(0, 0, 1)
@@ -706,10 +699,9 @@ class TestClosedFormDifferential:
         f_third, third = third_point_value(bv), Fraction(1, 3)
         for m in range(1, 41):
             seq = triangle_sequence(bv, m)
-            assert third_point_quotients(bv, m, "right") == (
+            assert third_point_quotients(bv, m) == (
+                (seq.beta_m - f_third) / (seq.p1_m - third),
                 (seq.gamma_m - f_third) / (seq.p2_m - third))
-            assert third_point_quotients(bv, m, "left") == (
-                (seq.beta_m - f_third) / (seq.p1_m - third))
 
     @settings(deadline=None, max_examples=60)
     @given(third_point_triples)
@@ -730,8 +722,7 @@ class TestClosedFormDifferential:
     @example(BoundaryValues(-3, 1, 0))   # x_g = 0: B = -1350 sqrt13/3510, right m0 = 3
     def test_onset_is_least_m_of_the_margin(self, bv):
         ctx = third_point_context(bv)
-        assert third_point_onset(bv, "right") == onset_by_mpmath(ctx.B)
-        assert third_point_onset(bv, "left") == onset_by_mpmath(ctx.C)
+        assert third_point_onset(bv) == (onset_by_mpmath(ctx.C), onset_by_mpmath(ctx.B))
 
     @pytest.mark.parametrize("k, left_m0, right_m0", [
         (1, 15, 16), (2, 28, 28), (3, 41, 41), (4, 53, 54),
@@ -748,8 +739,22 @@ class TestClosedFormDifferential:
                             Fraction(xg, 27))
         assert conserved_combination(bv) == 0
         ctx = third_point_context(bv)
-        assert third_point_onset(bv, "right") == onset_by_mpmath(ctx.B) == right_m0
-        assert third_point_onset(bv, "left") == onset_by_mpmath(ctx.C) == left_m0
+        assert third_point_onset(bv) == (left_m0, right_m0)
+        assert (onset_by_mpmath(ctx.C), onset_by_mpmath(ctx.B)) == (left_m0, right_m0)
+
+
+def counted_calls(monkeypatch, *names):
+    """Wrap each named function of restrictions to record its name per call."""
+    calls = []
+
+    def counted(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
+    for name in names:
+        monkeypatch.setattr(restrictions, name, counted(name, getattr(restrictions, name)))
+    return calls
 
 
 class TestGcdCounts:
@@ -763,19 +768,18 @@ class TestGcdCounts:
                 assert calls[0] <= 5
 
     def test_third_point_quotients_one_fraction(self):
+        # one Fraction per side
         for bv in GCD_TRIPLES:
             for m in (1, 5, 30):
-                for side in ("left", "right"):
-                    with fraction_gcd_calls() as calls:
-                        third_point_quotients(bv, m, side)
-                    assert calls[0] == 1
+                with fraction_gcd_calls() as calls:
+                    third_point_quotients(bv, m)
+                assert calls[0] == 2
 
     def test_onset_makes_no_fraction(self):
         for bv in GCD_TRIPLES:
-            for side in ("left", "right"):
-                with fraction_gcd_calls() as calls:
-                    third_point_onset(bv, side)
-                assert calls[0] == 0
+            with fraction_gcd_calls() as calls:
+                third_point_onset(bv)
+            assert calls[0] == 0
 
     def test_third_point_closed_forms_make_three_fractions(self):
         # two for the parts of the one slow coefficient (B or C), one for the value
@@ -791,21 +795,24 @@ class TestGcdCounts:
                     assert calls[0] == 3
 
     def test_each_closed_form_and_quotient_reads_slow_pairs_once(self, monkeypatch):
-        calls = [0]
-        real = restrictions._slow_pairs
-
-        def counted(bv):
-            calls[0] += 1
-            return real(bv)
-        monkeypatch.setattr(restrictions, "_slow_pairs", counted)
+        calls = counted_calls(monkeypatch, "_slow_pairs")
         for bv in GCD_TRIPLES:
             for m in (0, 1, 5, 30):
                 for form in (gamma_closed_form, beta_closed_form,
-                             lambda bv, m: third_point_quotients(bv, m + 1, "left"),
-                             lambda bv, m: third_point_quotients(bv, m + 1, "right")):
-                    calls[0] = 0
+                             lambda bv, m: third_point_quotients(bv, m + 1),
+                             lambda bv, m: third_point_onset(bv)):
+                    calls.clear()
                     form(bv, m)
-                    assert calls[0] == 1
+                    assert calls == ["_slow_pairs"]
+
+    def test_quotient_pair_maps_the_word_once(self, monkeypatch):
+        # both sides from one product with the map of "12"*m and one _slow_pairs
+        calls = counted_calls(monkeypatch, "cell_numerators", "_slow_pairs")
+        for bv in GCD_TRIPLES:
+            for m in (1, 5, 30):
+                calls.clear()
+                third_point_quotients(bv, m)
+                assert sorted(calls) == ["_slow_pairs", "cell_numerators"]
 
     def test_corner_relations_count_independent_of_bound(self):
         # one solve, whatever the bound: no candidate coefficients are tried

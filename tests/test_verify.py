@@ -160,3 +160,34 @@ def test_theorem6_walks_nested_triangles_once_per_triple(monkeypatch):
         assert verify.suite_theorem6(trials=trials, m_max=25).status == "PASS"
         counts.append(steps[0])
     assert counts[0] == counts[1] > 0
+
+
+def test_theorem6_maps_each_word_once_per_triple(monkeypatch):
+    # both sides of each quotient come from one product with the map of "12"*m
+    calls = [0]
+    real = restrictions.cell_numerators
+
+    def counted(bv, word):
+        calls[0] += 1
+        return real(bv, word)
+    monkeypatch.setattr(restrictions, "cell_numerators", counted)
+    assert verify.suite_theorem6(trials=7, m_max=12).status == "PASS"
+    assert calls[0] == 7 * (12 - 2)  # one per triple and m = 3..12
+
+
+def test_theorem3_stops_drawing_once_both_quotas_are_met(monkeypatch):
+    # the draw that fills the last quota is the last classified one
+    calls = [0]
+    real = restrictions.classify_edge
+
+    def counted(bv, edge="bottom"):
+        calls[0] += 1
+        return real(bv, edge)
+    monkeypatch.setattr(restrictions, "classify_edge", counted)
+    full = "40 increasing and 40 non-monotone triples sampled"
+    assert verify.suite_theorem3(trials=5000).details == full
+    drawn, calls[0] = calls[0], 0
+    assert drawn < 5000
+    assert verify.suite_theorem3(trials=drawn).details == full
+    assert verify.suite_theorem3(trials=drawn - 1).details != full
+    assert calls[0] == 2 * drawn - 1
