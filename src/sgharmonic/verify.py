@@ -9,6 +9,8 @@ import inspect
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 from time import perf_counter
 
 from . import gasket, oracle, restrictions
@@ -72,27 +74,31 @@ def _linear(name: str, msg: str, sides, ms, scope: str, trials: int, seed: int) 
     """Check sides(bv, m) -> (lhs values, rhs values), two maps linear in the
     triple, for each m in ms: on UNIT_TRIPLES, which proves the identity for
     every rational triple, then on `trials` random triples, which checks that
-    the code computes those linear maps, mixed denominators included: each
-    sampled value (a boolean flag aside) must also equal alpha*u0 + beta*u1 +
-    gamma*u2 of its unit-triple values u, in plain Fraction arithmetic, so a
-    fault shared by both sides off the unit triples is seen too."""
+    the code computes those linear maps: each sampled value (a flag aside) must
+    also equal alpha*u0 + beta*u1 + gamma*u2 of its unit-triple values u, in
+    integers apart from the kernel, so a fault both sides share is seen too."""
     rng = random.Random(seed)
-    units = {m: [] for m in ms}  # m -> the lhs values on each unit triple, in order
-    for bv in (*UNIT_TRIPLES, *(random_triple(rng) for _ in range(trials))):
+    units = {m: [] for m in ms}  # m -> the unit triples' lhs values, then (d, numerators over d)
+    for i, bv in enumerate((*UNIT_TRIPLES, *(random_triple(rng) for _ in range(trials)))):
+        den = lcm(*(x.denominator for x in bv.as_tuple()))  # the triple over den
+        a, b, g = (x.numerator * (den // x.denominator) for x in bv.as_tuple())
         for m in ms:
             lhs, rhs = sides(bv, m)
             for at, (x, y) in enumerate(zip(lhs, rhs)):
                 if x != y:
                     return _fail(name, msg, bv=bv, m=m, at=at, lhs=x, rhs=y)
-            if len(units[m]) < 3:
+            if i < 3:
                 units[m].append(lhs)
                 continue
-            for at, (x, u0, u1, u2) in enumerate(zip(lhs, *units[m])):
-                combined = x if isinstance(x, bool) else (
-                    bv.alpha * u0 + bv.beta * u1 + bv.gamma * u2)
-                if x != combined:
+            if i == 3:  # the unit-triple values over the lcm d of their denominators
+                d = lcm(*(u.denominator for us in units[m] for u in us))
+                units[m] = d, [[u.numerator * d // u.denominator for u in us] for us in units[m]]
+            d, us = units[m]
+            for at, (x, u0, u1, u2) in enumerate(zip(lhs, *us)):
+                n = a * u0 + b * u1 + g * u2  # x must be n / (den * d)
+                if not isinstance(x, bool) and x.numerator * den * d != n * x.denominator:
                     return _fail(name, "sample is not the combination of its unit-triple "
-                                 "values", bv=bv, m=m, at=at, lhs=x, rhs=combined)
+                                 "values", bv=bv, m=m, at=at, lhs=x, rhs=Fraction(n, den * d))
     return _pass(name, f"proven on the unit triples for every rational triple, {scope}; "
                  f"{trials} random triples agree")
 
@@ -100,18 +106,16 @@ def _linear(name: str, msg: str, sides, ms, scope: str, trials: int, seed: int) 
 def suite_lemma1(trials: int = 10_000, seed: int = 0) -> SuiteResult:
     """Midpoint-ratio conditions agree with the closed inequality form."""
     rng = random.Random(seed)
-    triples = [random_triple(rng) for _ in range(trials)]
-    # saturate both boundary hyperplanes explicitly
-    for _ in range(max(trials // 100, 10)):
-        b, g = random_rational(rng), random_rational(rng)
-        triples.append(BoundaryValues(2 * g - b, b, g))
-        triples.append(BoundaryValues(2 * b - g, b, g))
-    for bv in triples:
+    pairs = max(trials // 100, 10)  # then pairs (b, g) saturating both boundary hyperplanes
+    for bv in chain((random_triple(rng) for _ in range(trials)),  # each drawn when checked
+                    (BoundaryValues(a, b, g) for _ in range(pairs)
+                     for b, g in [(random_rational(rng), random_rational(rng))]
+                     for a in (2 * g - b, 2 * b - g))):
         a, b, g = bv.as_tuple()
         expected = b < g and 2 * b - g <= a <= 2 * g - b
         if restrictions.dsv_check(bv) != expected:
             return _fail("lemma1", "ratio form disagrees with inequality form", bv=bv)
-    return _pass("lemma1", f"{len(triples)} triples, exact agreement")
+    return _pass("lemma1", f"{trials + 2 * pairs} triples, exact agreement")
 
 
 def suite_lemma2(trials: int = 100, m_max: int = 20, seed: int = 0) -> SuiteResult:
@@ -257,14 +261,19 @@ def suite_theorem6(trials: int = 100, m_max: int = 25, seed: int = 0) -> SuiteRe
 def suite_oracle(depth: int = 3, trials: int = 25, seed: int = 0) -> SuiteResult:
     """Graph solve agrees with cell addressing at every corner of every level-m
     cell, and the five-point and mean-value checkers accept the solve."""
+    cells, den = [], 1  # one kernel pass per triple, in graph.triangles' order
+
     def sides(bv, m):
+        nonlocal cells, den
+        if m == 1:  # _linear asks for m = 1, 2, ... in turn
+            *cells, den = gasket.to_numerators(bv)  # the root cell, over L
+        cells = [gasket.child_numerators(t, d) for t in cells for d in "012"]
         graph = oracle.build_graph(m)
         solved = oracle.solve_harmonic(m, bv)
         return ([solved[v] for _, tri in graph.triangles[m] for v in tri]
                 + [oracle.check_five_point(graph, solved),
                    oracle.check_mean_value(graph, solved)],
-                [x for addr, _ in graph.triangles[m]
-                 for x in gasket.cell_values(bv, addr).as_tuple()] + [True, True])
+                [Fraction(x, den * 5 ** m) for t in cells for x in t] + [True, True])
     return _linear("oracle", "solver disagrees with cell addressing, five-point relation "
                    "or mean-value equations",
                    sides, range(1, depth + 1), f"levels m <= {depth}", trials, seed)

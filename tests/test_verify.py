@@ -4,12 +4,15 @@ unit triples, and their random sample checks that the code is linear."""
 import ast
 import dataclasses
 import functools
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
 
 from sgharmonic import gasket, oracle, restrictions, verify
 from sgharmonic.gasket import BoundaryValues, EdgePoint
+
+from test_gasket import fraction_gcd_calls  # the kernel test's gcd counter
 
 UNITS = ("1,0,0", "0,1,0", "0,0,1")
 EXACT = re.compile(r"-?\d+(/\d+)?")
@@ -107,6 +110,70 @@ def test_sample_catches_fault_vanishing_on_unit_triples(monkeypatch):
     assert result.status == "FAIL"
     assert result.counterexample["bv"] not in UNITS
     assert (result.counterexample["m"], result.counterexample["at"]) == ("0", "0")
+
+
+def test_sample_certificate_is_the_exact_unit_combination():
+    # alpha*beta vanishes on every unit triple and both sides share it, so only
+    # the combination check sees it; its rhs is alpha*u0 + beta*u1 + gamma*u2
+    coefficients = (Fraction(1, 7), Fraction(-2, 9), Fraction(5, 3))
+
+    def sides(bv, m):
+        value = sum(c * x for c, x in zip(coefficients, bv.as_tuple())) / m
+        lhs = [True, value + (bv.alpha * bv.beta if m == 2 else 0)]
+        return lhs, list(lhs)
+    result = verify._linear("t", "sides differ", sides, range(1, 4), "m <= 3", 5, 0)
+    assert result.status == "FAIL"
+    assert result.details == "sample is not the combination of its unit-triple values"
+    ce = result.counterexample
+    assert ce["bv"] not in UNITS and (ce["m"], ce["at"]) == ("2", "1")
+    bv = BoundaryValues(*map(Fraction, ce["bv"].split(",")))
+    combined = sum(c * x for c, x in zip(coefficients, bv.as_tuple())) / 2
+    assert EXACT.fullmatch(ce["rhs"]) and Fraction(ce["rhs"]) == combined
+    assert Fraction(ce["lhs"]) == combined + bv.alpha * bv.beta
+
+
+def test_passing_sample_check_builds_no_fraction(monkeypatch):
+    # sides from prebuilt Fraction lists, mixed denominators and a flag among
+    # them, and prebuilt draws: a passing run then makes no Fraction at all
+    rng = random.Random(3)
+    drawn = [verify.random_triple(rng) for _ in range(20)]
+    rows = [(Fraction(1, 3), Fraction(-5, 4), Fraction(2, 7)), (7, Fraction(1, 10), 0)]
+    table = {(bv, m): [sum(c * x for c, x in zip(row, bv.as_tuple())) * m for row in rows]
+             + [bv.alpha < 0] for bv in (*verify.UNIT_TRIPLES, *drawn) for m in range(1, 4)}
+    prebuilt = iter(drawn)
+    monkeypatch.setattr(verify, "random_triple", lambda rng: next(prebuilt))
+    with fraction_gcd_calls() as calls:
+        result = verify._linear("t", "sides differ", lambda bv, m: (table[bv, m], table[bv, m]),
+                                range(1, 4), "m <= 3", len(drawn), 0)
+    assert result.status == "PASS"
+    assert calls[0] == 0
+
+
+def test_oracle_reads_cells_from_one_kernel_pass(monkeypatch):
+    def refused(*args):
+        raise AssertionError("the oracle suite re-derives a cell")
+    monkeypatch.setattr(gasket, "cell_values", refused)
+    monkeypatch.setattr(gasket, "_word_map", refused)
+    assert verify.suite_oracle(depth=6, trials=2).status == "PASS"
+
+
+def test_lemma1_draws_each_triple_when_it_checks_it(monkeypatch):
+    draws, at_first_check = [0], []
+    real_draw, real_check = verify.random_triple, restrictions.dsv_check
+
+    def draw(rng):
+        draws[0] += 1
+        return real_draw(rng)
+
+    def check(bv):
+        if not at_first_check:
+            at_first_check.append(draws[0])
+        return real_check(bv)
+    monkeypatch.setattr(verify, "random_triple", draw)
+    monkeypatch.setattr(restrictions, "dsv_check", check)
+    result = verify.suite_lemma1(trials=500, seed=4)
+    assert result.details == "520 triples, exact agreement"  # and 10 saturating pairs
+    assert at_first_check == [1] and draws[0] == 500
 
 
 def test_unit_triples_are_the_basis():
