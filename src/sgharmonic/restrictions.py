@@ -21,7 +21,6 @@ from .gasket import (
     CellAddress,
     bottom_cells,
     cell_numerators,
-    child_numerators,
     edge_cell,
     to_numerators,
 )
@@ -40,22 +39,26 @@ class DerivClass(enum.Enum):
     ZERO = "Zero"
 
 
-def _classify_triple(a, b, g) -> MonotonicityClass:
-    """Bottom-edge class of corners (a, b, g), unchanged by positive scaling."""
-    if a == b == g:
-        return MonotonicityClass.CONSTANT
-    if b < g and 2 * b - g <= a <= 2 * g - b:
-        return MonotonicityClass.STRICTLY_INCREASING
-    if b > g and 2 * g - b <= a <= 2 * b - g:
-        return MonotonicityClass.STRICTLY_DECREASING
-    return MonotonicityClass.NON_MONOTONE
+def _ends(t) -> tuple[int, int]:
+    """(x, y) = (a + g - 2b, 2g - a - b) on corners t = (a, b, g): up to a positive
+    factor, the normal derivatives at the ends of the bottom edge, the left one
+    negated.  Children 1 and 2 have ends (3x, x + y) and (x + y, 3y), over 5
+    times the denominator."""
+    a, b, g = t
+    return a + g - 2 * b, 2 * g - a - b
 
 
 def classify_edge(bv: BoundaryValues, edge: str = "bottom") -> MonotonicityClass:
     """Monotonicity of the restriction to an edge: the increasing case is
     exactly beta < gamma together with 2*beta - gamma <= alpha <= 2*gamma - beta
-    (closed inequalities), on the numerators of the edge's frame."""
-    return _classify_triple(*edge_cell(bv, edge, 1)[0])
+    (closed inequalities), on the numerators of the edge's frame.  On the
+    _ends (x, y) these read x >= 0, y >= 0 and x + y = 3(gamma - beta) > 0."""
+    x, y = _ends(edge_cell(bv, edge, 1)[0])
+    if x * y < 0:
+        return MonotonicityClass.NON_MONOTONE
+    if x + y > 0:
+        return MonotonicityClass.STRICTLY_INCREASING
+    return MonotonicityClass.STRICTLY_DECREASING if x + y else MonotonicityClass.CONSTANT
 
 
 def dsv_check(bv: BoundaryValues, edge: str = "bottom") -> bool:
@@ -64,7 +67,9 @@ def dsv_check(bv: BoundaryValues, edge: str = "bottom") -> bool:
     in [1/4, 4].  Equivalent to the closed-form test in classify_edge.
 
     On the frame numerators (a, b, g) over L, beta, f(mid) and gamma are
-    lo = 5b, mid = a + 2b + 2g and hi = 5g over 5L."""
+    lo = 5b, mid = a + 2b + 2g and hi = 5g over 5L.  As 3(mid - lo) = 4x + y
+    and 3(hi - mid) = x + 4y on the _ends (x, y), the ratio conditions read
+    y >= 0 and x >= 0, and lo < mid < hi then asks (x, y) != (0, 0)."""
     (a, b, g), _, _ = edge_cell(bv, edge, 1)
     lo, mid, hi = 5 * b, a + 2 * b + 2 * g, 5 * g
     return lo < mid < hi and mid - lo <= 4 * (hi - mid) and hi - mid <= 4 * (mid - lo)
@@ -72,11 +77,12 @@ def dsv_check(bv: BoundaryValues, edge: str = "bottom") -> bool:
 
 def simultaneous_monotone(bv: BoundaryValues) -> bool:
     """True iff the restrictions to all three edges are strictly monotone:
-    one of 2a = b+g, 2b = a+g, 2g = a+b holds."""
+    one of 2a = b+g, 2b = a+g, 2g = a+b holds; on the numerators t, the vertex
+    Zero test 3x = sum(t) of count_zero_junctions."""
     if bv.is_constant():
         raise ValueError("simultaneous monotonicity is defined for nonconstant functions")
-    a, b, g = bv.as_tuple()
-    return 2 * a == b + g or 2 * b == a + g or 2 * g == a + b
+    t = to_numerators(bv)[0]
+    return any(3 * x == sum(t) for x in t)
 
 
 @dataclass(frozen=True)
@@ -93,32 +99,24 @@ class ExtremumResult:
 
 
 def locate_extremum(bv: BoundaryValues, edge: str, depth: int) -> ExtremumResult:
-    """Bisect a non-monotone edge restriction down to its unique extremum."""
+    """Bisect a non-monotone edge restriction down to its unique extremum, on
+    the _ends (x, y) of its cell, x y < 0.  At s = x + y = 0 both halves are
+    monotone, in opposite directions: the extremum is the midpoint junction.
+    Else the half whose ends change sign holds it, (3x, s) if x s < 0, else (s, 3y)."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    t = edge_cell(bv, edge, 1)[0]
-    if _classify_triple(*t) is not MonotonicityClass.NON_MONOTONE:
+    x, y = _ends(edge_cell(bv, edge, 1)[0])
+    if x * y >= 0:
         raise ValueError("restriction is monotone; no extremum to locate")
-    a, b, g = t
-    # alpha is outside the monotone interval, centred at (b + g)/2: a max above it
-    kind = "max" if 2 * a > b + g else "min"
+    # x - y = 2a - b - g: alpha is above the monotone interval's centre (b + g)/2
+    kind = "max" if x > y else "min"
     k = 0  # the cell walked at step i lies over [k/2^i, (k+1)/2^i]
-    inc = MonotonicityClass.STRICTLY_INCREASING
-    dec = MonotonicityClass.STRICTLY_DECREASING
-    non = MonotonicityClass.NON_MONOTONE
     for i in range(depth):
-        left, right = child_numerators(t, "1"), child_numerators(t, "2")
-        cl, cr = _classify_triple(*left), _classify_triple(*right)
-        if cl is non and cr in (inc, dec):
-            t, k = left, 2 * k
-        elif cr is non and cl in (inc, dec):
-            t, k = right, 2 * k + 1
-        elif (cl, cr) in ((inc, dec), (dec, inc)):
+        s = x + y
+        if not s:
             mid = Fraction(2 * k + 1, 2 ** (i + 1))
             return ExtremumResult(kind, mid, mid)
-        else:
-            raise ArithmeticError(f"children {cl.value} and {cr.value} below the cell "
-                                  f"over [{k}/2^{i}, {k + 1}/2^{i}]")
+        x, y, k = (3 * x, s, 2 * k) if x * s < 0 else (s, 3 * y, 2 * k + 1)
     return ExtremumResult(kind, Fraction(k, 2 ** depth), Fraction(k + 1, 2 ** depth))
 
 
@@ -139,10 +137,10 @@ def junction_derivative(
     starts at the point, or the whole edge at x = 1.
     """
     x = Fraction(position)
-    (a, b, g), _, place = edge_cell(bv, edge, x)  # over a positive denominator
+    t, _, place = edge_cell(bv, edge, x)  # over a positive denominator
     if bv.is_constant():  # the child maps are invertible and keep constants
         raise ArithmeticError("derivative classes are undefined for constant functions")
-    form = 2 * g - a - b if place else a + g - 2 * b
+    form = _ends(t)[place]  # x starts the cell (place 0) or ends the whole edge (1)
     cls = (DerivClass.ZERO if form == 0 else
            DerivClass.PLUS_INFINITY if form > 0 else DerivClass.MINUS_INFINITY)
     return (None if x == 0 else cls, None if x == 1 else cls)

@@ -27,15 +27,18 @@ from sgharmonic.gasket import (
     bottom_cells,
     cell_values,
     cell_word,
+    child_numerators,
     edge_profile,
     eval_dyadic,
     extend_once,
     on_edge,
+    to_numerators,
 )
 from sgharmonic.restrictions import (
     THIRD_POINT_STEP_BOUND,
     VERTICES,
     DerivClass,
+    ExtremumResult,
     MonotonicityClass,
     beta_closed_form,
     classify_edge,
@@ -483,6 +486,97 @@ class TestCornerRelations:
             corner_relations(BoundaryValues(value, value, value), 5)
 
 
+def bit_triple(rng, bits):
+    n = 2 ** bits
+    return BoundaryValues(*(Fraction(rng.randint(-n, n), rng.randint(1, n)) for _ in range(3)))
+
+
+def inequality_class(a, b, g):
+    """The class by classify_edge's docstring inequalities on corners (a, b, g)."""
+    if a == b == g:
+        return CONST
+    if b < g and 2 * b - g <= a <= 2 * g - b:
+        return INC
+    if b > g and 2 * g - b <= a <= 2 * b - g:
+        return DEC
+    return NON
+
+
+def reference_descent(bv, edge, depth):
+    """locate_extremum over whole child triples: both children of each cell
+    classified by the inequality form, into the non-monotone one or, when both
+    are monotone, onto the midpoint junction."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    t = to_numerators(on_edge(bv, edge))[0]
+    if inequality_class(*t) is not NON:
+        raise ValueError("restriction is monotone; no extremum to locate")
+    a, b, g = t
+    kind = "max" if 2 * a > b + g else "min"
+    k = 0
+    for i in range(depth):
+        left, right = child_numerators(t, "1"), child_numerators(t, "2")
+        classes = inequality_class(*left), inequality_class(*right)
+        if classes[0] is NON:
+            assert classes[1] in (INC, DEC)
+            t, k = left, 2 * k
+        elif classes[1] is NON:
+            assert classes[0] in (INC, DEC)
+            t, k = right, 2 * k + 1
+        else:
+            assert classes in ((INC, DEC), (DEC, INC))
+            mid = Fraction(2 * k + 1, 2 ** (i + 1))
+            return ExtremumResult(kind, mid, mid)
+    return ExtremumResult(kind, Fraction(k, 2 ** depth), Fraction(k + 1, 2 ** depth))
+
+
+def theorem4_triple(n, m, bits=40):
+    """A relation triple, as relation_triples builds one, on (n, m, -n - m)."""
+    g, t = Fraction(2 ** bits - 3, 7), Fraction(-(2 ** bits) - 1, 3)
+    return BoundaryValues(g + t * m, g - t * n, g)
+
+
+class TestEnds:
+    # the two end forms decide the classes, the extremum descent and the
+    # derivative classes; the child rule is what the descent rests on
+    @given(st.tuples(*[st.integers(-2 ** 200, 2 ** 200)] * 3))
+    def test_child_rule(self, t):
+        x, y = restrictions._ends(t)
+        assert restrictions._ends(child_numerators(t, "1")) == (3 * x, x + y)
+        assert restrictions._ends(child_numerators(t, "2")) == (x + y, 3 * y)
+
+    def test_descent_matches_child_triple_walk(self):
+        rng = random.Random(23)
+        bvs = []
+        for bits in (7, 40, 200):
+            bvs += [bit_triple(rng, bits) for _ in range(40)]
+            bvs += [BoundaryValues(bv.alpha, bv.beta, bv.beta)  # beta = gamma
+                    for bv in (bit_triple(rng, bits) for _ in range(10))]
+            for _ in range(20):  # on the Zero line of a random junction
+                m = rng.randint(1, 8)
+                bvs.append(zero_line_triple(rng.choice(EDGES), rng.randrange(1, 2 ** m), m,
+                                            bit_triple(rng, bits).as_tuple()))
+        at_junction = 0
+        for bv in bvs:
+            for edge in (*EDGES, "top"):
+                for depth in (0, 1, 6, 40, 60):
+                    got = outcome(locate_extremum, bv, edge, depth)
+                    assert got == outcome(reference_descent, bv, edge, depth)
+                    at_junction += isinstance(got, ExtremumResult) and got.lo == got.hi
+        assert at_junction > 100
+
+    def test_no_child_triples_in_restrictions(self):
+        assert not hasattr(restrictions, "child_numerators")
+
+    @given(relation_triples())
+    @example(theorem4_triple(2, -1))
+    @example(theorem4_triple(-1, 2))
+    @example(theorem4_triple(-1, -1))
+    def test_simultaneous_monotone_is_the_relation_form(self, bv):
+        a, b, g = bv.as_tuple()
+        assert simultaneous_monotone(bv) == (2 * a == b + g or 2 * b == a + g or 2 * g == a + b)
+
+
 class TestThirdPoint:
     def test_value_examples(self):
         assert third_point_value(BoundaryValues(0, 0, 1)) == Fraction(7, 27)
@@ -841,6 +935,17 @@ class TestGcdCounts:
                     _, zeros = count_zero_junctions(bv, depth)
                 assert calls[0] == sum(z[0] != "vertex" for z in zeros)
                 seen.update(z[0] == "vertex" for z in zeros)
+        assert seen == {False, True}
+
+    def test_simultaneous_monotone_divides_nothing(self):
+        rng = random.Random(29)
+        bvs = [*GCD_TRIPLES[:-1], *(bit_triple(rng, 40) for _ in range(5)),
+               theorem4_triple(2, -1), theorem4_triple(-1, 2), theorem4_triple(-1, -1)]
+        seen = set()
+        for bv in bvs:
+            with fraction_gcd_calls() as calls:
+                seen.add(simultaneous_monotone(bv))
+            assert calls[0] == 0
         assert seen == {False, True}
 
     def test_junction_derivative_divides_nothing(self):
