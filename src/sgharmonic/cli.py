@@ -20,12 +20,9 @@ from .gasket import (
     EDGES,
     BoundaryValues,
     EdgePoint,
-    cell_word,
-    decode_edge_point,
     edge_cell,
     edge_profile,
     eval_dyadic,
-    on_edge,
 )
 from .restrictions import MonotonicityClass
 
@@ -107,15 +104,6 @@ def cli():
 cli.command_class = ExactCommand
 
 
-def _eval_point(bv: BoundaryValues, edge: str, x: Fraction) -> Fraction:
-    k, m, place = decode_edge_point(x, thirds=True)
-    if place in (0, 1):
-        return eval_dyadic(bv, EdgePoint(edge, x))
-    _, value = restrictions.third_point_of_subedge(
-        on_edge(bv, edge), cell_word(k, m), place)
-    return value
-
-
 @cli.command("eval")
 @triple_options
 @click.option("--edge", type=click.Choice(EDGES), default="bottom", show_default=True)
@@ -126,7 +114,7 @@ def cmd_eval(alpha, beta, gamma, edge, point, fmt):
     """Evaluate the harmonic function at a point of an edge."""
     bv = BoundaryValues(alpha, beta, gamma)
     try:
-        value = _eval_point(bv, edge, point)
+        value = eval_dyadic(bv, EdgePoint(edge, point))
     except ValueError as exc:
         raise click.UsageError(str(exc))
     approx = _display_float(value.numerator, value.denominator)

@@ -91,7 +91,7 @@ class BoundaryValues:
 
 @dataclass(frozen=True)
 class EdgePoint:
-    """A dyadic point k/2^m along an edge of G0 (0 maps to the first-named endpoint)."""
+    """A point (k + j/3)/2^m, j = 0, 1 or 2, along an edge of G0; 0 is its first-named end."""
 
     edge: str
     position: Fraction
@@ -103,7 +103,7 @@ class EdgePoint:
 
 
 def on_edge(bv: BoundaryValues, edge: str) -> BoundaryValues:
-    """Permute the triple so that `edge` becomes the bottom edge [p1', p2']."""
+    """Permute the triple so that `edge` is the bottom edge [p1', p2']: the tests' reference."""
     try:
         perm = _EDGE_PERMUTATION[edge]
     except KeyError:
@@ -113,7 +113,7 @@ def on_edge(bv: BoundaryValues, edge: str) -> BoundaryValues:
 
 
 def extend_once(bv: BoundaryValues) -> tuple[Fraction, Fraction, Fraction]:
-    """Midpoint values (f(p12), f(p02), f(p01)) from the extension rule."""
+    """Midpoint values (f(p12), f(p02), f(p01)) by the extension rule: the tests' reference."""
     a, b, g = bv.alpha, bv.beta, bv.gamma
     return ((a + 2 * b + 2 * g) / 5,
             (2 * a + b + 2 * g) / 5,
@@ -151,19 +151,18 @@ def cell_word(k: int, m: int) -> CellAddress:
     return "".join("2" if (k >> i) & 1 else "1" for i in range(m - 1, -1, -1))
 
 
-def decode_edge_point(x: Fraction, thirds=False) -> tuple[int, int, int | Fraction]:
+def decode_edge_point(x: Fraction) -> tuple[int, int, int | Fraction]:
     """(k, m, place) with x = (k + place)/2^m, at `place` along the bottom edge
-    of cell_word(k, m): 0 for a dyadic x < 1, 1 for x = 1 (the whole edge) and,
-    with `thirds`, 1/3 or 2/3 for a sub-edge third point; else ValueError."""
+    of cell_word(k, m): 0 for a dyadic x < 1, 1 for x = 1 (the whole edge) and
+    1/3 or 2/3 for a sub-edge third point (k + j/3)/2^m; else ValueError."""
     n, d = x.numerator, x.denominator  # d > 0
     if not 0 <= n <= d:
         raise ValueError(f"point {x} outside [0, 1]")
     if d & (d - 1) == 0:  # the coarsest cell starting at x, or the whole edge
         return (0, 0, 1) if n == d else (n, d.bit_length() - 1, 0)
-    if thirds and d % 3 == 0 and (d // 3) & (d // 3 - 1) == 0:
+    if d % 3 == 0 and (d // 3) & (d // 3 - 1) == 0:
         return n // 3, (d // 3).bit_length() - 1, Fraction(n % 3, 3)
-    what = "neither dyadic nor a sub-edge third point" if thirds else "not dyadic"
-    raise ValueError(f"point {x} is {what}")
+    raise ValueError(f"point {x} is neither dyadic nor a sub-edge third point")
 
 
 def _bottom_walk(t: Numerators, depth: int) -> Iterator[Numerators]:
@@ -224,8 +223,8 @@ def edge_cell(bv: BoundaryValues, edge: str,
               x: Fraction) -> tuple[Numerators, int, int | Fraction]:
     """((a, b, g), den, place): the integer corner numerators, in the frame of
     on_edge(bv, edge), over one positive denominator, of the cell
-    decode_edge_point(x) names, and x's place along its bottom edge.  At
-    x = 1 the cell is the whole edge, over L = to_numerators(bv)[1]."""
+    decode_edge_point(x) names, and x's place 0, 1, 1/3 or 2/3 along its
+    bottom edge.  At x = 1 the cell is the whole edge, over L = to_numerators(bv)[1]."""
     k, m, place = decode_edge_point(x)
     try:
         digits, perm = _EDGE_DIGITS[edge], _EDGE_PERMUTATION[edge]
@@ -236,10 +235,14 @@ def edge_cell(bv: BoundaryValues, edge: str,
 
 
 def eval_dyadic(bv: BoundaryValues, pt: EdgePoint) -> Fraction:
-    """Exact value of the harmonic function at a dyadic edge point: the beta
-    (place 0) or gamma (place 1) corner of its edge_cell."""
-    t, den, place = edge_cell(bv, pt.edge, pt.position)
-    return Fraction(t[2 if place else 1], den)
+    """Exact value of the harmonic function at an edge point: on its edge_cell
+    (a, b, g), b at place 0, g at place 1, (5a + 15b + 7g)/27 at 1/3 (eq. 16)
+    and at 2/3 the same with b and g swapped (the 1/3 point of the mirrored cell)."""
+    (a, b, g), den, place = edge_cell(bv, pt.edge, pt.position)
+    if place in (0, 1):
+        return Fraction(g if place else b, den)
+    b, g = (g, b) if place.numerator == 2 else (b, g)
+    return Fraction(5 * a + 15 * b + 7 * g, 27 * den)
 
 
 def edge_profile(bv: BoundaryValues, depth: int,

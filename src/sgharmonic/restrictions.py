@@ -19,9 +19,11 @@ from .exactarith import QuadExt, format_rational
 from .gasket import (
     BoundaryValues,
     CellAddress,
+    EdgePoint,
     bottom_cells,
     cell_numerators,
     edge_cell,
+    eval_dyadic,
     to_numerators,
 )
 
@@ -138,6 +140,8 @@ def junction_derivative(
     """
     x = Fraction(position)
     t, _, place = edge_cell(bv, edge, x)  # over a positive denominator
+    if place not in (0, 1):
+        raise ValueError(f"point {x} is not dyadic")
     if bv.is_constant():  # the child maps are invertible and keep constants
         raise ArithmeticError("derivative classes are undefined for constant functions")
     form = _ends(t)[place]  # x starts the cell (place 0) or ends the whole edge (1)
@@ -394,9 +398,9 @@ def third_point_quotients(bv: BoundaryValues, m: int) -> tuple[Fraction, Fractio
 def third_point_of_subedge(
     bv: BoundaryValues, addr: CellAddress, which: Fraction
 ) -> tuple[Fraction, Fraction]:
-    """Global position and exact value of the 1/3 (or 2/3) point of the
-    bottom sub-edge of a {1,2}-word cell; the restriction's derivative
-    vanishes there at every scale."""
+    """Global position and exact value, by eval_dyadic, of the 1/3 (or 2/3)
+    point of the bottom sub-edge of a {1,2}-word cell; the restriction's
+    derivative vanishes there at every scale."""
     if any(ch not in "12" for ch in addr):
         raise ValueError(f"address must be a word over {{1,2}}, got {addr!r}")
     which = Fraction(which)
@@ -404,7 +408,4 @@ def third_point_of_subedge(
         raise ValueError("which must be 1/3 or 2/3")
     k = int("0" + addr.replace("1", "0").replace("2", "1"), 2)  # inverse of cell_word
     position = (k + which) / 2 ** len(addr)
-    (a, b, g), den = cell_numerators(bv, addr)
-    if which == Fraction(2, 3):  # the 1/3 point of the mirrored sub-edge
-        b, g = g, b
-    return (position, Fraction(5 * a + 15 * b + 7 * g, 27 * den))  # f(1/3) of the cell
+    return position, eval_dyadic(bv, EdgePoint("bottom", position))

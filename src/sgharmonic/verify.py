@@ -299,13 +299,15 @@ MAX_DEPTH = {"oracle": oracle.MAX_LEVEL, "theorem5": 12}
 #: Largest trials * base^depth per suite, as (base, bound): the defaults at the
 #: deepest depth, so every default runs and hours of work are refused.
 MAX_WORK = {"oracle": (3, 25 * 3 ** oracle.MAX_LEVEL), "theorem5": (2, 1000 * 2 ** 12)}
+#: Largest trials * m_max of each suite that takes m_max; about 15 s or less at it.
+_MAX_M_WORK = 300_000
 
 
 def run_suites(names=None, seed: int = 0, **overrides) -> list[SuiteResult]:
     """Run the named suites (all by default), each with the overrides among
     its parameters.  An override that no named suite takes, or a depth or work
-    above a named suite's MAX_DEPTH or MAX_WORK, is a ValueError raised before
-    any suite runs; with no names it also says which suites refuse."""
+    above a named suite's MAX_DEPTH, MAX_WORK or _MAX_M_WORK, is a ValueError
+    raised before any suite runs; with no names it also says which suites refuse."""
     every, names = not names, list(names or SUITES)
     given = {key: value for key, value in overrides.items() if value is not None}
     params = {name: inspect.signature(SUITES[name]).parameters for name in names}
@@ -314,6 +316,11 @@ def run_suites(names=None, seed: int = 0, **overrides) -> list[SuiteResult]:
             raise ValueError(f"no selected suite ({', '.join(names)}) takes "
                              f"--{key.replace('_', '-')}")
     refused = {}
+    for name in (name for name in names if "m_max" in params[name]):
+        trials, m_max = (given.get(k, params[name][k].default) for k in ("trials", "m_max"))
+        if trials * m_max > _MAX_M_WORK:
+            refused[name] = (f"suite {name} takes --trials * --m-max up to {_MAX_M_WORK}, "
+                             f"got {trials} * {m_max}")
     for name in (name for name in names if name in MAX_DEPTH):
         depth, trials = (given.get(k, params[name][k].default) for k in ("depth", "trials"))
         base, bound = MAX_WORK[name]

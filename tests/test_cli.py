@@ -11,9 +11,23 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
+from test_restrictions import refuse_on_edge
+
+import sgharmonic.cli
 from sgharmonic.cli import cli
-from sgharmonic.gasket import BoundaryValues, EdgePoint, edge_profile, eval_dyadic
+from sgharmonic.exactarith import format_rational
+from sgharmonic.gasket import (
+    EDGES,
+    BoundaryValues,
+    EdgePoint,
+    cell_values,
+    cell_word,
+    edge_profile,
+    eval_dyadic,
+    on_edge,
+)
 from sgharmonic.oracle import MAX_LEVEL
+from sgharmonic.restrictions import third_point_value
 
 
 def run(*args):
@@ -41,6 +55,31 @@ class TestEval:
         res = run("eval", "-a", "0", "-b", "0", "-g", "1", "--point", "1/6")
         assert res.exit_code == 0
         assert res.output.startswith("19/135")
+
+    def test_third_points_read_through_eval_dyadic(self, monkeypatch):
+        # the reference is the route through on_edge's permuted triple: the
+        # f(1/3) of its cell over [k/2^m, (k+1)/2^m], mirrored at 2/3; then
+        # on_edge is refused in the package, the CLI included
+        points = {"1/3": (0, 0, 1), "2/3": (0, 0, 2), "5/12": (1, 2, 2)}  # (k, m, j)
+        want = {}
+        for bv in (BoundaryValues(3, -1, 7), BoundaryValues(Fraction(-3, 7), Fraction(2, 9), 4)):
+            for edge in EDGES:
+                for point, (k, m, j) in points.items():
+                    c = cell_values(on_edge(bv, edge), cell_word(k, m))
+                    if j == 2:
+                        c = BoundaryValues(c.alpha, c.gamma, c.beta)
+                    want[bv, edge, point] = third_point_value(c)
+        refuse_on_edge(monkeypatch)
+        for (bv, edge, point), value in want.items():
+            res = run("eval", *(f"--{name}={format_rational(x)}" for name, x in
+                                zip(("alpha", "beta", "gamma"), bv.as_tuple())),
+                      "--edge", edge, "--point", point)
+            assert res.exit_code == 0, res.output
+            assert Fraction(res.stdout.split()[0]) == value
+
+    def test_eval_binds_no_second_route(self):
+        assert [name for name in ("on_edge", "cell_word", "decode_edge_point")
+                if hasattr(sgharmonic.cli, name)] == []
 
     def test_unsupported_point(self):
         res = run("eval", "-a", "0", "-b", "0", "-g", "1", "--point", "5/7")
@@ -395,6 +434,12 @@ class TestVerify:
         res = run("verify", "--suite", suite, "--depth", str(depth), "--trials", "1000000")
         assert res.exit_code == 2
         assert f"suite {suite} takes --trials *" in res.output
+
+    def test_hours_of_m_indexed_work_rejected(self):
+        res = run("verify", "--suite", "lemma2", "--trials", "1000000", "--m-max", "60")
+        assert res.exit_code == 2
+        assert ("suite lemma2 takes --trials * --m-max up to 300000, got 1000000 * 60"
+                in res.output)
 
     def test_whole_run_names_the_suites_that_refuse(self):
         res = run("verify", "--trials", "7000")

@@ -39,7 +39,12 @@ from sgharmonic.gasket import (
     renormalized_vertex_difference,
     to_numerators,
 )
-from sgharmonic.restrictions import DerivClass, junction_derivative, triangle_sequence
+from sgharmonic.restrictions import (
+    DerivClass,
+    junction_derivative,
+    third_point_value,
+    triangle_sequence,
+)
 
 
 def rand_triple(rng, bound=100):
@@ -313,23 +318,51 @@ class TestEvalDyadic:
                            EdgePoint("bottom", Fraction(1, 4))) == Fraction(1, 5)
 
     def test_non_dyadic_rejected(self):
-        with pytest.raises(ValueError, match="1/3 is not dyadic"):
-            eval_dyadic(BoundaryValues(0, 0, 1), EdgePoint("bottom", Fraction(1, 3)))
+        # a sub-edge third point evaluates; any other non-dyadic point is named
+        assert eval_dyadic(BoundaryValues(0, 0, 1),
+                           EdgePoint("bottom", Fraction(1, 3))) == Fraction(7, 27)
+        for x in (Fraction(5, 7), Fraction(1, 9)):
+            with pytest.raises(ValueError, match=f"^point {x} is neither dyadic nor a "
+                               "sub-edge third point$"):
+                eval_dyadic(BoundaryValues(0, 0, 1), EdgePoint("bottom", x))
 
     def test_edge_cell_reads_the_edge_frame(self):
         rng = random.Random(18)
+        places = {Fraction(0): 0, Fraction(5, 8): 0, Fraction(1, 2 ** 9): 0, Fraction(1): 1,
+                  Fraction(1, 3): Fraction(1, 3), Fraction(2, 3): Fraction(2, 3),
+                  Fraction(5, 12): Fraction(2, 3)}
         for _ in range(20):
             bv = rand_triple(rng)
             for edge in EDGES:
-                for x in (Fraction(0), Fraction(5, 8), Fraction(1, 2 ** 9), Fraction(1)):
+                for x, want in places.items():
                     k, m, place = decode_edge_point(x)
                     t, den, got_place = edge_cell(bv, edge, x)
-                    assert den > 0 and got_place == place
+                    assert den > 0 and got_place == place == want
                     assert BoundaryValues(*(Fraction(v, den) for v in t)) == (
                         cell_values(on_edge(bv, edge), cell_word(k, m)))
         # the point is decoded before the edge is read
-        with pytest.raises(ValueError, match="1/3 is not dyadic"):
-            edge_cell(bv, "top", Fraction(1, 3))
+        with pytest.raises(ValueError, match="5/7 is neither dyadic"):
+            edge_cell(bv, "top", Fraction(5, 7))
+
+    def test_every_point_matches_the_permuted_cell(self):
+        # x = 1 and every (k + j/3)/2^m, m <= 6, on every edge: the left corner
+        # of on_edge's cell over [k/2^m, (k+1)/2^m], its f(1/3), or the f(1/3)
+        # of the mirrored cell at 2/3
+        rng = random.Random(24)
+        for bound in (100, 2 ** 40):
+            for _ in range(4):
+                bv = rand_triple(rng, bound)
+                for edge in EDGES:
+                    t = on_edge(bv, edge)
+                    assert eval_dyadic(bv, EdgePoint(edge, Fraction(1))) == t.gamma
+                    for m in range(7):
+                        for k in range(2 ** m):
+                            c = cell_values(t, cell_word(k, m))
+                            want = (c.beta, third_point_value(c),
+                                    third_point_value(BoundaryValues(c.alpha, c.gamma, c.beta)))
+                            for j in range(3):
+                                x = (k + Fraction(j, 3)) / 2 ** m
+                                assert eval_dyadic(bv, EdgePoint(edge, x)) == want[j]
         with pytest.raises(ValueError, match="^unknown edge 'top'$"):
             edge_cell(bv, "top", Fraction(1, 2))
 
@@ -360,7 +393,7 @@ class TestDecodeEdgePoint:
             for k in range(2 ** m):
                 for j in range(3):
                     x = (k + Fraction(j, 3)) / 2 ** m
-                    k2, m2, place = decode_edge_point(x, thirds=True)
+                    k2, m2, place = decode_edge_point(x)
                     assert (k2 + place) / 2 ** m2 == x
                     assert 0 <= k2 < 2 ** m2 and m2 <= m
                     assert place in thirds[1:] if j else place == 0
@@ -370,14 +403,14 @@ class TestDecodeEdgePoint:
         assert decode_edge_point(Fraction(1)) == (0, 0, 1)
 
     def test_twelfth_is_third_point_of_cell_11(self):
-        k, m, place = decode_edge_point(Fraction(1, 12), thirds=True)
+        k, m, place = decode_edge_point(Fraction(1, 12))
         assert (cell_word(k, m), place) == ("11", Fraction(1, 3))
 
     @pytest.mark.parametrize("x", [Fraction(5, 7), Fraction(1, 9), Fraction(3, 2),
                                    Fraction(-1, 2)])
     def test_invalid_points_named(self, x):
         with pytest.raises(ValueError, match=re.escape(f"point {x} ")):
-            decode_edge_point(x, thirds=True)
+            decode_edge_point(x)
 
 
 class TestCellWord:

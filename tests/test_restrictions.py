@@ -18,7 +18,7 @@ from test_gasket import (  # the kernel test's corner strategies and gcd counter
     triples,
 )
 
-from sgharmonic import gasket, restrictions
+from sgharmonic import cli, gasket, restrictions
 from sgharmonic.exactarith import QuadExt
 from sgharmonic.gasket import (
     EDGES,
@@ -97,7 +97,8 @@ def refuse_on_edge(monkeypatch):
     def refuse(*args):
         raise AssertionError("on_edge called")
     monkeypatch.setattr(gasket, "on_edge", refuse)
-    monkeypatch.setattr(restrictions, "on_edge", refuse, raising=False)
+    for module in (restrictions, cli):
+        monkeypatch.setattr(module, "on_edge", refuse, raising=False)
 
 
 class TestClassifyEdge:
@@ -265,8 +266,13 @@ class TestJunctionDerivative:
         assert left is DerivClass.PLUS_INFINITY
 
     def test_non_dyadic_rejected(self):
-        with pytest.raises(ValueError, match="1/3 is not dyadic"):
-            junction_derivative(BoundaryValues(0, 0, 1), "bottom", Fraction(1, 3))
+        # sub-edge third points are decoded, and are not junctions
+        for x in (Fraction(1, 3), Fraction(2, 3), Fraction(5, 12)):
+            with pytest.raises(ValueError, match=f"^point {x} is not dyadic$"):
+                junction_derivative(BoundaryValues(0, 0, 1), "bottom", x)
+        with pytest.raises(ValueError, match="^point 5/7 is neither dyadic nor a sub-edge "
+                           "third point$"):
+            junction_derivative(BoundaryValues(0, 0, 1), "bottom", Fraction(5, 7))
 
     def test_constant_rejected(self):
         for x in (Fraction(0), Fraction(1, 2), Fraction(1)):

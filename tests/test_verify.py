@@ -4,10 +4,13 @@ unit triples, and their random sample checks that the code is linear."""
 import ast
 import dataclasses
 import functools
+import inspect
 import random
 import re
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from sgharmonic import gasket, oracle, restrictions, verify
 from sgharmonic.gasket import BoundaryValues, EdgePoint
@@ -258,3 +261,32 @@ def test_theorem3_stops_drawing_once_both_quotas_are_met(monkeypatch):
     assert verify.suite_theorem3(trials=drawn).details == full
     assert verify.suite_theorem3(trials=drawn - 1).details != full
     assert calls[0] == 2 * drawn - 1
+
+
+M_SUITES = ("lemma2", "lemma4", "eq16", "closedform", "theorem6")
+
+
+def test_m_indexed_suites_bound_trials_times_m_max(monkeypatch):
+    # each suite is replaced by a stub that keeps its signature, so the
+    # admitted runs are instant; a refused run calls no suite, even the
+    # unbounded lemma1 named before it
+    ran = []
+    for name in ("lemma1", *M_SUITES):
+        @functools.wraps(verify.SUITES[name])
+        def stub(name=name, **kwargs):
+            ran.append((name, kwargs))
+            return verify.SuiteResult(name, "PASS")
+        monkeypatch.setitem(verify.SUITES, name, stub)
+    results = verify.run_suites(M_SUITES, trials=5000, m_max=60)
+    assert [r.name for r in results] == list(M_SUITES)
+    assert ran == [(name, {"seed": 0, "trials": 5000, "m_max": 60}) for name in M_SUITES]
+    ran.clear()
+    for name in M_SUITES:
+        with pytest.raises(ValueError, match=re.escape(
+                f"suite {name} takes --trials * --m-max up to 300000, got 5001 * 60")):
+            verify.run_suites(["lemma1", name], trials=5001, m_max=60)
+        # the default m_max counts too
+        m_max = inspect.signature(verify.SUITES[name]).parameters["m_max"].default
+        with pytest.raises(ValueError, match=re.escape(f"got 300000 * {m_max}")):
+            verify.run_suites([name], trials=300_000)
+    assert ran == []
