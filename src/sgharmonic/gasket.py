@@ -20,7 +20,9 @@ numerators over L*5^|w|; :func:`child_numerators` maps a parent's to a
 child's.  So cell w is a fixed integer 3x3 map, over 5^|w|, of the outer
 numerators: :func:`cell_numerators` applies it, built from child_numerators
 once per word and kept in a bounded cache, and each triple computes its
-numerators once.  The closed forms of lemma 2 are integer rows over 2*5^m
+numerators once.  :func:`edge_cell` reads a cell of an edge's frame from a
+second bounded cache, of that map already permuted into the frame, per
+(edge, k, m).  The closed forms of lemma 2 are integer rows over 2*5^m
 or 10*5^m applied to the same numerators.  Every walk and closed form
 divides only for the values it returns: one ``Fraction`` per value.
 :func:`edge_profile` returns its values as integer numerators over one
@@ -142,7 +144,6 @@ def child_numerators(t: Numerators, digit: str) -> Numerators:
     raise ValueError(f"cell digit must be 0, 1 or 2, got {digit!r}")
 
 
-@lru_cache(maxsize=1024)
 def cell_word(k: int, m: int) -> CellAddress:
     """Word of the depth-m cell over [k/2^m, (k+1)/2^m] of the bottom edge:
     the m binary digits of k, most significant first, with 0 -> 1, 1 -> 2."""
@@ -219,19 +220,37 @@ def cell_values(bv: BoundaryValues, addr: CellAddress) -> BoundaryValues:
     return BoundaryValues(*(Fraction(x, den) for x in t))
 
 
+@lru_cache(maxsize=1024)
+def _frame_map(edge: str, k: int,
+               m: int) -> tuple[tuple[Numerators, Numerators, Numerators], int]:
+    """Rows of the integer map, over 5^m, from a triple's corner numerators to
+    those of the cell cell_word(k, m) of the edge's frame, in that frame's
+    corner order, and 5^m: the word map of the cell word with each digit read
+    in bv's labels, its rows permuted.  Built once per (edge, k, m)."""
+    perm = _EDGE_PERMUTATION[edge]
+    rows = _word_map(cell_word(k, m).translate(_EDGE_DIGITS[edge]))
+    return (rows[perm[0]], rows[perm[1]], rows[perm[2]]), 5 ** m
+
+
 def edge_cell(bv: BoundaryValues, edge: str,
               x: Fraction) -> tuple[Numerators, int, int | Fraction]:
     """((a, b, g), den, place): the integer corner numerators, in the frame of
     on_edge(bv, edge), over one positive denominator, of the cell
     decode_edge_point(x) names, and x's place 0, 1, 1/3 or 2/3 along its
-    bottom edge.  At x = 1 the cell is the whole edge, over L = to_numerators(bv)[1]."""
+    bottom edge.  At x = 1 the cell is the whole edge, over L = to_numerators(bv)[1].
+
+    The point is decoded first, then the edge is read: one lookup of the
+    cached _frame_map of (edge, k, m), and its nine integer products with
+    the triple's numerators."""
     k, m, place = decode_edge_point(x)
     try:
-        digits, perm = _EDGE_DIGITS[edge], _EDGE_PERMUTATION[edge]
+        rows, scale = _frame_map(edge, k, m)
     except KeyError:
         raise ValueError(f"unknown edge {edge!r}") from None
-    t, den = cell_numerators(bv, cell_word(k, m).translate(digits))
-    return (t[perm[0]], t[perm[1]], t[perm[2]]), den, place
+    (a, b, g), den = to_numerators(bv)
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = rows
+    return ((x0 * a + y0 * b + z0 * g, x1 * a + y1 * b + z1 * g, x2 * a + y2 * b + z2 * g),
+            den * scale, place)
 
 
 def eval_dyadic(bv: BoundaryValues, pt: EdgePoint) -> Fraction:

@@ -165,7 +165,21 @@ def count_zero_junctions(
     bv: BoundaryValues, depth: int
 ) -> tuple[int, list[ZeroJunction]]:
     """Scan every junction point of the contour up to `depth` for a Zero
-    one-sided derivative class; geometric points are counted once."""
+    one-sided derivative class; geometric points are counted once.
+
+    Only an edge whose _ends (x, y) strictly change sign, x y < 0, is walked;
+    the others hold no interior Zero junction at any depth.  Each interior
+    junction's form a + g - 2b is, up to a positive factor, the midpoint form
+    x + y of the cell above it with that midpoint, and a cell's children
+    have ends (3x, x + y) and (x + y, 3y):
+    - if x y > 0, x + y and both children keep that strict sign;
+    - if x = 0 != y, the children are (0, y) and (y, 3y), so every midpoint
+      form below is a positive multiple of y (and so for y = 0 != x);
+    - x = y = 0 means a = b = g on the edge, a constant triple, rejected above.
+    In the root frame the ends are (-v1, v2) on the bottom edge, (-v0, v1) on
+    the left and (-v0, v2) on the right, with v_i = 3 t_i - sum(t) the vertex
+    forms.  They sum to zero, so at most one pair shares a strict sign: at
+    most one edge is walked, and none when a vertex is Zero."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if bv.is_constant():
@@ -176,6 +190,9 @@ def count_zero_junctions(
                                  if 3 * x == sum(t)]
     n = 2 ** depth
     for edge in ("bottom", "left", "right"):
+        x, y = _ends(edge_cell(bv, edge, 1)[0])
+        if x * y >= 0:  # no interior Zero junction on this edge
+            continue
         cells = bottom_cells(bv, depth, edge)  # integer numerators
         # junction k/n starts cell k: Zero iff a + g = 2b there (junction_derivative)
         zeros += [(edge, Fraction(k, n)) for k, (a, b, g) in enumerate(cells)

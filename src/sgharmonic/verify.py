@@ -189,16 +189,26 @@ def suite_lemma4(trials: int = 100, m_max: int = 15, seed: int = 0) -> SuiteResu
 
 
 def suite_theorem5(trials: int = 1000, depth: int = 6, seed: int = 0) -> SuiteResult:
-    """At most one contour junction point carries a Zero derivative class."""
+    """At most one contour junction point carries a Zero derivative class.
+    Each triple is first checked for the premise of the zero scan, which walks
+    only an edge whose end forms have strictly opposite signs: at most one
+    edge has them."""
     rng = random.Random(seed)
     worst = 0
     for _ in range(trials):
         bv = random_nonconstant_triple(rng)
+        ends = {edge: restrictions._ends(gasket.edge_cell(bv, edge, 1)[0])
+                for edge in gasket.EDGES}
+        if sum(x * y < 0 for x, y in ends.values()) > 1:
+            return _fail("theorem5", "more than one edge with end forms of opposite sign",
+                         bv=bv, **ends)
         count, zeros = restrictions.count_zero_junctions(bv, depth)
         worst = max(worst, count)
         if count > 1:
             return _fail("theorem5", "more than one zero junction", bv=bv, zeros=zeros)
-    return _pass("theorem5", f"{trials} triples, depth {depth}, max zero-count {worst}")
+    return _pass("theorem5", f"{trials} triples, depth {depth}, max zero-count {worst}; "
+                 "premise of the one-edge zero scan checked: at most one edge per triple "
+                 "has end forms of opposite sign")
 
 
 def suite_eq16(trials: int = 100, m_max: int = 30, seed: int = 0) -> SuiteResult:

@@ -20,6 +20,7 @@ from sgharmonic.gasket import (
     LEMMA2_POINTS,
     BoundaryValues,
     EdgePoint,
+    _frame_map,
     _word_map,
     bottom_cells,
     cell_numerators,
@@ -222,6 +223,13 @@ def fold(t, addr):
     return t
 
 
+def frame_cell(bv, edge, k, m):
+    """The cell cell_word(k, m) of the edge's frame, from its cached frame map."""
+    rows, scale = _frame_map(edge, k, m)
+    t, den = to_numerators(bv)
+    return tuple(sum(r * x for r, x in zip(row, t)) for row in rows), den * scale
+
+
 def plain_cell_word(k, m):
     """Reference cell word: the binary digits of 2^m + k after its leading 1."""
     return format(2 ** m + k, "b")[1:].translate(str.maketrans("01", "12"))
@@ -237,8 +245,8 @@ def cells(draw):
 
 
 class TestCaches:
-    # the word maps and cell words are cached; a cached answer must equal the
-    # plain one, cold, warm and after the cache has evicted
+    # the word maps and the edges' frame maps are cached; a cached answer must
+    # equal the plain one, cold, warm and after the cache has evicted
 
     @settings(deadline=None)
     @given(triples(), words)
@@ -267,19 +275,29 @@ class TestCaches:
     def test_cell_word_is_plain(self, cell):
         want = plain_cell_word(*cell)
         assert cell_word(*cell) == want
-        cell_word.cache_clear()
-        assert cell_word(*cell) == want
         assert cell_word(*cell) == want
 
+    @settings(deadline=None)
+    @given(triples(), st.sampled_from(EDGES), cells())
+    def test_frame_map_is_the_permuted_cell(self, bv, edge, cell):
+        want = cell_numerators(on_edge(bv, edge), cell_word(*cell))
+        _frame_map.cache_clear()
+        assert frame_cell(bv, edge, *cell) == want  # built on this call
+        assert frame_cell(bv, edge, *cell) == want  # read from the cache
+        k, m = cell
+        if k % 2:  # k/2^m is in lowest terms: edge_cell reads this very cell
+            assert edge_cell(bv, edge, Fraction(k, 2 ** m))[:2] == want
+
     @settings(deadline=None, max_examples=10)
-    @given(cells())
-    def test_cell_word_bounded(self, cell):
-        maxsize = cell_word.cache_parameters()["maxsize"]
-        for k in range(maxsize + 1):
-            cell_word(k, 12)
-        assert cell_word.cache_info().currsize <= maxsize
-        for k, m in (cell, (0, 12), (maxsize, 12)):  # (0, 12) was evicted
-            assert cell_word(k, m) == plain_cell_word(k, m)
+    @given(triples(), st.sampled_from(EDGES), cells())
+    def test_frame_map_bounded(self, bv, edge, cell):
+        maxsize = _frame_map.cache_parameters()["maxsize"]
+        filler = [(edge, k, 12) for k in range(maxsize + 1)]
+        for key in filler:
+            frame_cell(bv, *key)
+        assert _frame_map.cache_info().currsize <= maxsize
+        for e, k, m in ((edge, *cell), filler[0], filler[-1]):  # filler[0] was evicted
+            assert frame_cell(bv, e, k, m) == cell_numerators(on_edge(bv, e), cell_word(k, m))
 
     def test_seen_words_walk_no_step(self, monkeypatch):
         # a new triple on words already seen is matrix-vector products only
@@ -292,6 +310,7 @@ class TestCaches:
         monkeypatch.setattr(gasket, "child_numerators", counted)
         pt = EdgePoint("left", Fraction(37, 64))
         _word_map.cache_clear()
+        _frame_map.cache_clear()
         triangle_sequence(BoundaryValues(1, -2, 5), 30)
         eval_dyadic(BoundaryValues(1, -2, 5), pt)
         assert steps[0] == 3 * (60 + 6)  # each word built once, on three columns

@@ -6,7 +6,7 @@ from math import gcd, lcm
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_exactarith import sign13  # exact sign of a + b sqrt13, apart from the package
 from test_gasket import (  # the kernel test's corner strategies and gcd counter
@@ -402,6 +402,74 @@ def reference_zeros(bv, depth):
         zeros += [(edge, Fraction(k, 2 ** depth)) for k, (a, b, g) in enumerate(cells)
                   if k and a + g == 2 * b]
     return len(zeros), zeros
+
+
+def frame_ends(bv, edge):
+    """(x, y) = (a + g - 2b, 2g - a - b) of on_edge's permuted Fraction triple."""
+    a, b, g = on_edge(bv, edge).as_tuple()
+    return a + g - 2 * b, 2 * g - a - b
+
+
+@st.composite
+def zero_scan_triples(draw):
+    """Nonconstant triples: free ones, ones on the Zero line of a junction
+    k/2^m, m <= 8, of any edge, and ones on the Zero line 3 t_v = sum(t) of a
+    vertex."""
+    t = [draw(corners) for _ in range(3)]
+    kind = draw(st.sampled_from(("free", "edge", "vertex")))
+    if kind == "edge":
+        m = draw(st.integers(1, 8))
+        bv = zero_line_triple(draw(st.sampled_from(EDGES)), draw(st.integers(1, 2 ** m - 1)),
+                              m, t)
+    else:
+        if kind == "vertex":
+            v = draw(st.integers(0, 2))
+            t[v] = (sum(t) - t[v]) / 2
+        bv = BoundaryValues(*t)
+    assume(not bv.is_constant())
+    return bv
+
+
+class TestOneEdgeZeroScan:
+    # count_zero_junctions walks only an edge whose end forms change sign
+
+    @settings(deadline=None)
+    @given(zero_scan_triples(), st.integers(1, 8))
+    def test_equals_the_three_edge_scan(self, bv, depth):
+        walked = []
+        real = restrictions.bottom_cells
+
+        def walk(bv, depth, edge):
+            walked.append(edge)
+            return real(bv, depth, edge)
+        want = reference_zeros(bv, depth)  # every edge, through bottom_cells
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(restrictions, "bottom_cells", walk)
+            assert count_zero_junctions(bv, depth) == want
+        # at most one edge is walked, and it holds every edge zero there is
+        assert len(walked) <= 1
+        assert {z[0] for z in want[1] if z[0] != "vertex"} <= set(walked)
+
+    def test_walks_exactly_the_edge_whose_ends_change_sign(self, monkeypatch):
+        rng = random.Random(31)
+        corners3 = (Fraction(1, 3), Fraction(-2), Fraction(5, 7))
+        bvs = [rand_nonconstant(rng) for _ in range(200)]
+        bvs += [zero_line_triple(edge, k, 3, corners3) for edge in EDGES for k in range(1, 8)]
+        vertex_zero = [BoundaryValues(*(sum(t) - t[v] if j == v else 2 * t[j]
+                                        for j in range(3)))
+                       for t in ((1, 0, 2), corners3, (4, -5, 9)) for v in range(3)]
+        calls = counted_calls(monkeypatch, "bottom_cells")
+        walks = []
+        for bv in bvs + vertex_zero:
+            changes = [edge for edge in EDGES
+                       if (ends := frame_ends(bv, edge))[0] * ends[1] < 0]
+            assert len(changes) <= 1
+            calls.clear()
+            count_zero_junctions(bv, 6)
+            assert calls == ["bottom_cells"] * len(changes)
+            walks.append(len(calls))
+        # the vertex forms sum to zero: with none of them 0, two share a sign
+        assert walks == [1] * len(bvs) + [0] * len(vertex_zero)
 
 
 def reference_extremum(bv, edge, depth):

@@ -290,3 +290,26 @@ def test_m_indexed_suites_bound_trials_times_m_max(monkeypatch):
         with pytest.raises(ValueError, match=re.escape(f"got 300000 * {m_max}")):
             verify.run_suites([name], trials=300_000)
     assert ran == []
+
+
+def test_theorem5_checks_the_premise_of_the_one_edge_scan(monkeypatch):
+    # the zero scan walks only an edge whose end forms change sign; the suite
+    # fails when more than one edge does, with each edge's (x, y) in integers
+    passed = verify.suite_theorem5(trials=20)
+    assert passed.status == "PASS"
+    assert passed.details.endswith("premise of the one-edge zero scan checked: at most "
+                                   "one edge per triple has end forms of opposite sign")
+    real = restrictions._ends
+
+    def forged(t):
+        x, y = real(t)
+        return -abs(x) - 1, abs(y) + 1  # every edge changes sign
+    monkeypatch.setattr(restrictions, "_ends", forged)
+    result = verify.suite_theorem5(trials=20)
+    assert (result.status, result.details) == (
+        "FAIL", "more than one edge with end forms of opposite sign")
+    ce = result.counterexample
+    bv = BoundaryValues(*map(Fraction, ce["bv"].split(",")))
+    assert ce == {"bv": ce["bv"], **{edge: str(forged(gasket.edge_cell(bv, edge, 1)[0]))
+                                     for edge in gasket.EDGES}}
+    assert all(re.fullmatch(r"\(-\d+, \d+\)", ce[edge]) for edge in gasket.EDGES)
