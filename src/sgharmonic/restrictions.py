@@ -2,9 +2,10 @@
 
 Everything here works on the restriction of a harmonic function to an edge
 of the outer triangle, mapped onto [0, 1] and read in the edge's frame from
-:func:`sgharmonic.gasket.edge_cell`.  The classifications are decided by
-exact rational or integer comparisons only; the third-point onset compares
-integers standing for elements of Z[sqrt13].
+:func:`sgharmonic.gasket.edge_cell`; every whole-edge decision reads the
+three corner normal derivatives, the vertex forms.  The classifications are
+decided by exact rational or integer comparisons only; the third-point onset
+compares integers standing for elements of Z[sqrt13].
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from math import gcd
 
 from .exactarith import QuadExt, format_rational
 from .gasket import (
+    _EDGE_PERMUTATION,
     BoundaryValues,
     CellAddress,
     EdgePoint,
@@ -50,12 +52,40 @@ def _ends(t) -> tuple[int, int]:
     return a + g - 2 * b, 2 * g - a - b
 
 
+def _vertex_forms(bv: BoundaryValues) -> tuple[int, int, int]:
+    """(v0, v1, v2), v_i = 3 t_i - sum(t) on the corner numerators t over
+    L = to_numerators(bv)[1]: the normal derivatives at the corners, over L.
+    They sum to zero."""
+    t = to_numerators(bv)[0]
+    s = sum(t)
+    return 3 * t[0] - s, 3 * t[1] - s, 3 * t[2] - s
+
+
+def _edge_ends(bv: BoundaryValues, edge: str) -> tuple[int, int]:
+    """(-v_i, v_j) for the edge [p_i, p_j]: the _ends of its whole-edge frame
+    cell edge_cell(bv, edge, 1), with no scale factor.  That cell is
+    (t_k, t_i, t_j) over L, k the apex, and its ends are
+    (t_k + t_j - 2t_i, 2t_j - t_k - t_i) = (-v_i, v_j).  So the ends are
+    (-v1, v2) on the bottom edge, (-v0, v1) on the left and (-v0, v2) on the
+    right, and x y = -v_i v_j: the ends strictly change sign iff v_i and v_j
+    share a strict sign.  As the forms sum to zero, exactly one pair does
+    when no form is 0, and none when one is (the other two are then
+    opposite): at most one edge has ends of strictly opposite signs."""
+    try:
+        _, i, j = _EDGE_PERMUTATION[edge]
+    except KeyError:
+        raise ValueError(f"unknown edge {edge!r}") from None
+    v = _vertex_forms(bv)
+    return -v[i], v[j]
+
+
 def classify_edge(bv: BoundaryValues, edge: str = "bottom") -> MonotonicityClass:
     """Monotonicity of the restriction to an edge: the increasing case is
     exactly beta < gamma together with 2*beta - gamma <= alpha <= 2*gamma - beta
     (closed inequalities), on the numerators of the edge's frame.  On the
-    _ends (x, y) these read x >= 0, y >= 0 and x + y = 3(gamma - beta) > 0."""
-    x, y = _ends(edge_cell(bv, edge, 1)[0])
+    _edge_ends (x, y) these read x >= 0, y >= 0 and x + y = 3(gamma - beta) > 0:
+    the edge [p_i, p_j] is NonMonotone iff v_i v_j > 0."""
+    x, y = _edge_ends(bv, edge)
     if x * y < 0:
         return MonotonicityClass.NON_MONOTONE
     if x + y > 0:
@@ -79,12 +109,11 @@ def dsv_check(bv: BoundaryValues, edge: str = "bottom") -> bool:
 
 def simultaneous_monotone(bv: BoundaryValues) -> bool:
     """True iff the restrictions to all three edges are strictly monotone:
-    one of 2a = b+g, 2b = a+g, 2g = a+b holds; on the numerators t, the vertex
-    Zero test 3x = sum(t) of count_zero_junctions."""
+    one of 2a = b+g, 2b = a+g, 2g = a+b holds, that is some vertex form is 0.
+    By _edge_ends no edge is then NonMonotone, and exactly one is otherwise."""
     if bv.is_constant():
         raise ValueError("simultaneous monotonicity is defined for nonconstant functions")
-    t = to_numerators(bv)[0]
-    return any(3 * x == sum(t) for x in t)
+    return 0 in _vertex_forms(bv)
 
 
 @dataclass(frozen=True)
@@ -102,12 +131,13 @@ class ExtremumResult:
 
 def locate_extremum(bv: BoundaryValues, edge: str, depth: int) -> ExtremumResult:
     """Bisect a non-monotone edge restriction down to its unique extremum, on
-    the _ends (x, y) of its cell, x y < 0.  At s = x + y = 0 both halves are
-    monotone, in opposite directions: the extremum is the midpoint junction.
-    Else the half whose ends change sign holds it, (3x, s) if x s < 0, else (s, 3y)."""
+    the _edge_ends (x, y) of the whole edge, x y < 0, then on the _ends of the
+    cell walked.  At s = x + y = 0 both halves are monotone, in opposite
+    directions: the extremum is the midpoint junction.  Else the half whose
+    ends change sign holds it, (3x, s) if x s < 0, else (s, 3y)."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    x, y = _ends(edge_cell(bv, edge, 1)[0])
+    x, y = _edge_ends(bv, edge)
     if x * y >= 0:
         raise ValueError("restriction is monotone; no extremum to locate")
     # x - y = 2a - b - g: alpha is above the monotone interval's centre (b + g)/2
@@ -176,21 +206,17 @@ def count_zero_junctions(
     - if x = 0 != y, the children are (0, y) and (y, 3y), so every midpoint
       form below is a positive multiple of y (and so for y = 0 != x);
     - x = y = 0 means a = b = g on the edge, a constant triple, rejected above.
-    In the root frame the ends are (-v1, v2) on the bottom edge, (-v0, v1) on
-    the left and (-v0, v2) on the right, with v_i = 3 t_i - sum(t) the vertex
-    forms.  They sum to zero, so at most one pair shares a strict sign: at
-    most one edge is walked, and none when a vertex is Zero."""
+    By _edge_ends at most one edge is walked, and none when a vertex is Zero,
+    that is when its vertex form is 0."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if bv.is_constant():
         raise ValueError("derivative classes are undefined for constant functions")
-    # at a vertex of value x the Zero condition 2x = (sum of the others) is 3x = delta
-    t = to_numerators(bv)[0]
-    zeros: list[ZeroJunction] = [("vertex", v) for v, x in zip(VERTICES, t)
-                                 if 3 * x == sum(t)]
+    zeros: list[ZeroJunction] = [("vertex", name) for name, v in
+                                 zip(VERTICES, _vertex_forms(bv)) if not v]
     n = 2 ** depth
     for edge in ("bottom", "left", "right"):
-        x, y = _ends(edge_cell(bv, edge, 1)[0])
+        x, y = _edge_ends(bv, edge)
         if x * y >= 0:  # no interior Zero junction on this edge
             continue
         cells = bottom_cells(bv, depth, edge)  # integer numerators

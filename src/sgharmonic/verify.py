@@ -159,18 +159,41 @@ def suite_theorem3(trials: int = 200, seed: int = 0) -> SuiteResult:
                  "triples sampled", checked_inc, checked_non)
 
 
+def _relation_triple(rng: random.Random, line: int) -> BoundaryValues:
+    """A nonconstant triple on the relation line 2x = y + z, x its corner `line`."""
+    while True:
+        y, z = random_rational(rng), random_rational(rng)
+        if y != z:
+            t = [y, z]
+            t.insert(line, (y + z) / 2)
+            return BoundaryValues(*t)
+
+
 def suite_theorem4(trials: int = 10_000, seed: int = 0) -> SuiteResult:
-    """Vertex relations agree with strict classification on all three edges."""
+    """Vertex relations agree with strict classification on all three edges,
+    and exactly one edge is NonMonotone when no relation holds."""
     rng = random.Random(seed)
-    strict = (restrictions.MonotonicityClass.STRICTLY_INCREASING,
-              restrictions.MonotonicityClass.STRICTLY_DECREASING)
-    for _ in range(trials):
-        bv = random_nonconstant_triple(rng)
-        by_edges = all(
-            restrictions.classify_edge(bv, e) in strict for e in gasket.EDGES)
-        if restrictions.simultaneous_monotone(bv) != by_edges:
+    cls = restrictions.MonotonicityClass
+    strict = (cls.STRICTLY_INCREASING, cls.STRICTLY_DECREASING)
+    per_line = max(trials // 100, 10)  # then triples planted on each relation line
+    related = unrelated = 0
+    for bv in chain((random_nonconstant_triple(rng) for _ in range(trials)),
+                    (_relation_triple(rng, line) for line in range(3)
+                     for _ in range(per_line))):
+        classes = [restrictions.classify_edge(bv, e) for e in gasket.EDGES]
+        if restrictions.simultaneous_monotone(bv) != all(c in strict for c in classes):
             return _fail("theorem4", "vertex relations disagree with edge classes", bv=bv)
-    return _pass("theorem4", f"{trials} nonconstant triples")
+        a, b, g = bv.as_tuple()
+        relation = 2 * a == b + g or 2 * b == a + g or 2 * g == a + b
+        non = classes.count(cls.NON_MONOTONE)
+        if non != (0 if relation else 1):
+            return _fail("theorem4", "wrong count of NonMonotone edges: 0 on a relation "
+                         "line, 1 off it", bv=bv, non_monotone=non)
+        related += relation
+        unrelated += not relation
+    return _pass("theorem4", f"{trials + 3 * per_line} nonconstant triples: {related} on a "
+                 f"relation line with no NonMonotone edge, {unrelated} on none with exactly "
+                 "one", related, unrelated)
 
 
 def suite_lemma4(trials: int = 100, m_max: int = 15, seed: int = 0) -> SuiteResult:
@@ -192,7 +215,8 @@ def suite_theorem5(trials: int = 1000, depth: int = 6, seed: int = 0) -> SuiteRe
     """At most one contour junction point carries a Zero derivative class.
     Each triple is first checked for the premise of the zero scan, which walks
     only an edge whose end forms have strictly opposite signs: at most one
-    edge has them."""
+    edge has them.  Then the end forms the scan reads, restrictions._edge_ends
+    on the vertex forms, must equal those of each whole-edge frame cell."""
     rng = random.Random(seed)
     worst = 0
     for _ in range(trials):
@@ -202,13 +226,19 @@ def suite_theorem5(trials: int = 1000, depth: int = 6, seed: int = 0) -> SuiteRe
         if sum(x * y < 0 for x, y in ends.values()) > 1:
             return _fail("theorem5", "more than one edge with end forms of opposite sign",
                          bv=bv, **ends)
+        for edge, frame in ends.items():  # the ends the zero scan reads
+            forms = restrictions._edge_ends(bv, edge)
+            if forms != frame:
+                return _fail("theorem5", "vertex forms disagree with the whole-edge frame "
+                             "cell", bv=bv, edge=edge, vertex_forms=forms, frame_cell=frame)
         count, zeros = restrictions.count_zero_junctions(bv, depth)
         worst = max(worst, count)
         if count > 1:
             return _fail("theorem5", "more than one zero junction", bv=bv, zeros=zeros)
     return _pass("theorem5", f"{trials} triples, depth {depth}, max zero-count {worst}; "
-                 "premise of the one-edge zero scan checked: at most one edge per triple "
-                 "has end forms of opposite sign")
+                 "vertex-form end pairs equal to the frame cells' on every edge; premise "
+                 "of the one-edge zero scan checked: at most one edge per triple has end "
+                 "forms of opposite sign")
 
 
 def suite_eq16(trials: int = 100, m_max: int = 30, seed: int = 0) -> SuiteResult:

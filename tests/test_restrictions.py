@@ -479,9 +479,11 @@ def reference_extremum(bv, edge, depth):
 
 
 class TestEdgeFrame:
-    # every edge analysis reads its numerators from gasket.edge_cell: each
-    # equals the bottom-edge analysis of on_edge's permuted triple, with the
-    # same errors in the same order, and none calls on_edge
+    # every edge analysis reads the edge's frame, from the vertex forms
+    # (classify_edge, locate_extremum, the zero scan's edge choice) or from
+    # gasket.edge_cell (dsv_check, edge_profile, bottom_cells): each equals the
+    # bottom-edge analysis of on_edge's permuted triple, with the same errors
+    # in the same order, and none calls on_edge
     def test_no_permuted_triple(self, monkeypatch):
         rng = random.Random(19)
         bvs = [rand_triple(rng) for _ in range(20)]
@@ -649,6 +651,32 @@ class TestEnds:
     def test_simultaneous_monotone_is_the_relation_form(self, bv):
         a, b, g = bv.as_tuple()
         assert simultaneous_monotone(bv) == (2 * a == b + g or 2 * b == a + g or 2 * g == a + b)
+
+
+class TestVertexForms:
+    # v_i = 3 t_i - sum(t) over L, the corner normal derivatives: the one
+    # source of every whole-edge decision
+    @given(st.one_of(triples(), relation_triples(), constant_triples))
+    @example(GCD_TRIPLES[2])  # 200-bit corners
+    def test_forms_sum_to_zero_and_are_the_normal_derivatives(self, bv):
+        v, den = restrictions._vertex_forms(bv), to_numerators(bv)[1]
+        assert sum(v) == 0
+        for edge in EDGES:
+            k = gasket._EDGE_PERMUTATION[edge][0]  # the apex of the edge's frame
+            assert Fraction(v[k], den) == gasket.normal_derivative(on_edge(bv, edge))
+
+    @given(st.one_of(triples(), relation_triples(), constant_triples))
+    @example(GCD_TRIPLES[2])
+    def test_edge_ends_are_the_frame_cell_ends(self, bv):
+        for edge in EDGES:
+            assert (restrictions._edge_ends(bv, edge)
+                    == restrictions._ends(gasket.edge_cell(bv, edge, 1)[0]))
+
+    def test_unknown_edge(self):
+        bv = GCD_TRIPLES[0]
+        want = outcome(gasket.edge_cell, bv, "top", 1)
+        assert want == (ValueError, "unknown edge 'top'")
+        assert outcome(restrictions._edge_ends, bv, "top") == want
 
 
 class TestThirdPoint:

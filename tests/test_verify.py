@@ -313,3 +313,59 @@ def test_theorem5_checks_the_premise_of_the_one_edge_scan(monkeypatch):
     assert ce == {"bv": ce["bv"], **{edge: str(forged(gasket.edge_cell(bv, edge, 1)[0]))
                                      for edge in gasket.EDGES}}
     assert all(re.fullmatch(r"\(-\d+, \d+\)", ce[edge]) for edge in gasket.EDGES)
+
+
+def test_theorem4_plants_every_relation_line(monkeypatch):
+    # random triples almost never satisfy a relation; the planted ones make a
+    # simultaneous_monotone that tests one relation only fail
+    passed = verify.suite_theorem4()
+    related, unrelated = map(int, re.findall(r"(\d+) on", passed.details))
+    assert passed.status == "PASS" and related >= 300 and unrelated > 0
+    monkeypatch.setattr(restrictions, "simultaneous_monotone",
+                        lambda bv: 2 * bv.gamma == bv.alpha + bv.beta)
+    result = verify.suite_theorem4()
+    assert (result.status, result.details) == (
+        "FAIL", "vertex relations disagree with edge classes")
+
+
+def test_theorem4_counts_the_non_monotone_edges(monkeypatch):
+    # exactly one NonMonotone edge off the relation lines, none on them
+    real = restrictions.classify_edge
+    non = restrictions.MonotonicityClass.NON_MONOTONE
+    monkeypatch.setattr(restrictions, "classify_edge",
+                        lambda bv, edge: non if edge != "bottom" else real(bv, edge))
+    monkeypatch.setattr(restrictions, "simultaneous_monotone", lambda bv: False)
+    result = verify.suite_theorem4(trials=50)
+    assert (result.status, result.details) == (
+        "FAIL", "wrong count of NonMonotone edges: 0 on a relation line, 1 off it")
+    assert result.counterexample["non_monotone"] in ("2", "3")
+
+
+def test_theorem4_reads_inconclusive_with_an_empty_category(monkeypatch):
+    monkeypatch.setattr(verify, "_relation_triple",
+                        lambda rng, line: verify.random_nonconstant_triple(rng))
+    result = verify.suite_theorem4(trials=200, seed=1)
+    assert result.status == "INCONCLUSIVE"
+    assert result.details.startswith("230 nonconstant triples: 0 on a relation line")
+
+
+def test_theorem5_checks_the_ends_the_scan_reads(monkeypatch):
+    # the zero scan reads _edge_ends on the vertex forms; forged forms that
+    # leave the frame cells' premise intact fail with both pairs in integers
+    real = restrictions._vertex_forms
+
+    def forged(bv):
+        v0, v1, v2 = real(bv)
+        return v0 + 1, v1, v2 - 1
+    monkeypatch.setattr(restrictions, "_vertex_forms", forged)
+    result = verify.suite_theorem5(trials=20)
+    assert (result.status, result.details) == (
+        "FAIL", "vertex forms disagree with the whole-edge frame cell")
+    ce = result.counterexample
+    bv = BoundaryValues(*map(Fraction, ce["bv"].split(",")))
+    edge = ce["edge"]
+    assert ce == {"bv": ce["bv"], "edge": edge,
+                  "vertex_forms": str(restrictions._edge_ends(bv, edge)),
+                  "frame_cell": str(restrictions._ends(gasket.edge_cell(bv, edge, 1)[0]))}
+    assert ce["vertex_forms"] != ce["frame_cell"]
+    assert all(re.fullmatch(r"\(-?\d+, -?\d+\)", ce[k]) for k in ("vertex_forms", "frame_cell"))
