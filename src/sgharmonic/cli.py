@@ -11,6 +11,8 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import repeat
+from operator import floordiv, truediv
 
 import click
 
@@ -69,13 +71,22 @@ def _emit_json(command: str, inputs: dict, results: dict) -> None:
                      indent=2))
 
 
-def _display_float(p: int, q: int) -> float:
-    """The float nearest p/q (q > 0), as float(Fraction(p, q)) gives it, or +-inf
-    past a float's range."""
+def _display_floats(ps: list[int], q: int) -> list[float]:
+    """The float nearest each p/q (q > 0), as float(Fraction(p, q)) gives it, or
+    +-inf past a float's range.  Int true division is correctly rounded, so
+    p/q need not be in lowest terms.  The values are divided one at a time
+    only when some division overflows."""
     try:
-        return p / q
+        return list(map(truediv, ps, repeat(q)))
     except OverflowError:
-        return math.inf if p > 0 else -math.inf
+        pass
+    floats = []
+    for p in ps:
+        try:
+            floats.append(p / q)
+        except OverflowError:
+            floats.append(math.inf if p > 0 else -math.inf)
+    return floats
 
 
 def _triple_inputs(bv: BoundaryValues) -> dict:
@@ -117,7 +128,7 @@ def cmd_eval(alpha, beta, gamma, edge, point, fmt):
         value = eval_dyadic(bv, EdgePoint(edge, point))
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    approx = _display_float(value.numerator, value.denominator)
+    approx, = _display_floats([value.numerator], value.denominator)
     if fmt == "json":
         inputs = {**_triple_inputs(bv), "edge": edge, "point": format_rational(point)}
         # JSON has no infinities: an out-of-range companion is null
@@ -211,16 +222,20 @@ def cmd_scan(alpha, beta, gamma, edge, depth, output):
     try:
         values, den = edge_profile(bv, depth, edge)
         # CSV as csv.writer writes it (no field needs quoting, \r\n ends each
-        # row), written a block of rows at a time; each value in lowest terms
+        # row), written a block of rows at a time; each value in lowest terms.
+        # A block is its columns, each made by C-level maps, interleaved.
         stream.write("x_num,x_den,f_num,f_den,f_float\r\n")
         for start in range(0, len(values), _SCAN_BLOCK_ROWS):
-            block = []
             stop = min(start + _SCAN_BLOCK_ROWS, len(values))
-            for x, v in zip(_x_texts(start, stop, depth), values[start:stop]):
-                c = math.gcd(v, den)
-                p, q = v // c, den // c
-                block.append(f"{x},{p},{q},{_display_float(p, q)!r}\r\n")
-            stream.write("".join(block))
+            block = values[start:stop]
+            gcds = list(map(math.gcd, block, repeat(den)))
+            q_texts = {c: f",{den // c}," for c in set(gcds)}  # a few dozen
+            cells = [None, ",", None, None, None, "\r\n"] * len(block)  # x,p,q,float
+            cells[::6] = _x_texts(start, stop, depth)
+            cells[2::6] = map(str, map(floordiv, block, gcds))
+            cells[3::6] = map(q_texts.__getitem__, gcds)
+            cells[4::6] = map(repr, _display_floats(block, den))
+            stream.write("".join(cells))
     finally:
         if output:
             stream.close()

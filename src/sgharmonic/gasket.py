@@ -27,11 +27,18 @@ or 10*5^m applied to the same numerators.  Every walk and closed form
 divides only for the values it returns: one ``Fraction`` per value.
 :func:`edge_profile` returns its values as integer numerators over one
 denominator and divides for none.
+
+The walk along a whole edge, behind :func:`edge_profile` and
+:func:`bottom_cells`, goes level by level.  A level is its cells' apexes and
+the ends they share, two lists of about 2^depth ints, and each level is made
+from the one above in one loop, so about 3 * 2^depth ints are alive while
+the last level is made.  :func:`edge_profile` walks one sub-edge of at most
+2^11 cells at a time, so beside the 2^depth + 1 values it returns it holds
+about 10^4 ints.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -166,31 +173,30 @@ def decode_edge_point(x: Fraction) -> tuple[int, int, int | Fraction]:
     raise ValueError(f"point {x} is neither dyadic nor a sub-edge third point")
 
 
-def _bottom_walk(t: Numerators, depth: int) -> Iterator[Numerators]:
-    """Numerators, over 5^depth times the denominator of the corner numerators
-    t, of the 2^depth cells tiling the bottom edge of t's frame, left to right;
-    depth-first, so only one path from the root is held.
+def _bottom_level(t: Numerators, depth: int) -> tuple[list[int], list[int]]:
+    """(apexes, ends): the 2^depth cells tiling the bottom edge of the frame of
+    the corner numerators t, left to right, over 5^depth times t's
+    denominator.  Cell k is (apexes[k], ends[k], ends[k + 1]); neighbours
+    share an end, so a level is two lists of about 2^depth ints.
 
-    Each step makes both bottom children of a cell, the rows "1" and "2" of
-    :func:`child_numerators`, from their shared corner p12 = a + 2b + 2g; the
-    last level is yielded as it is made."""
+    The walk goes level by level.  Each cell (x, l, r) makes both bottom
+    children, the rows "1" and "2" of :func:`child_numerators`, from their
+    shared corner p = x + 2(l + r): apexes p + x - r and p + x - l, and
+    ends 5l, p, 5r."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if not depth:
-        yield t
-        return
-    stack = [(t, depth)]
-    while stack:
-        (a, b, g), d = stack.pop()
-        p12 = a + 2 * b + 2 * g
-        left = (p12 + a - g, 5 * b, p12)    # 2a + 2b + g = p12 + a - g
-        right = (p12 + a - b, p12, 5 * g)   # 2a + b + 2g = p12 + a - b
-        if d == 1:
-            yield left
-            yield right
-        else:
-            stack.append((right, d - 1))
-            stack.append((left, d - 1))
+    apexes, ends = [t[0]], [t[1], t[2]]
+    for _ in range(depth):
+        nxt, new_ends = [], [5 * ends[0]]
+        apex, end = nxt.append, new_ends.append
+        for x, l, r in zip(apexes, ends, ends[1:]):
+            p = x + 2 * (l + r)
+            apex(p + x - r)
+            apex(p + x - l)
+            end(p)
+            end(5 * r)
+        apexes, ends = nxt, new_ends
+    return apexes, ends
 
 
 @lru_cache(maxsize=1024)
@@ -264,23 +270,35 @@ def eval_dyadic(bv: BoundaryValues, pt: EdgePoint) -> Fraction:
     return Fraction(5 * a + 15 * b + 7 * g, 27 * den)
 
 
+# edge_profile walks one sub-edge of at most 2^_SUBEDGE_LEVELS cells at a
+# time, so that its lists stay small beside the values it returns
+_SUBEDGE_LEVELS = 11
+
+
 def edge_profile(bv: BoundaryValues, depth: int,
                  edge: str = "bottom") -> tuple[list[int], int]:
     """Values at all points k/2^depth, k = 0..2^depth, along an edge: their
     2^depth + 1 integer numerators over one positive denominator, and that
     denominator L * 5^depth (L = to_numerators(bv)[1]).
 
-    The walk starts from the whole edge, edge_cell(bv, edge, 1).  Each cell
-    (a, b, g) of the walk to depth - 1 gives the values at its left corner
-    and at its midpoint p12, 5b and a + 2b + 2g over L * 5^depth; the right
-    end of the edge comes last."""
+    The walk starts from the whole edge, edge_cell(bv, edge, 1), and goes to
+    depth - 1, one sub-edge of at most 2^11 cells at a time.  Its ends, times
+    5, are the values at the even k; the midpoint p12 = a + 2b + 2g of each
+    of its cells (a, b, g) is the value at the odd k between them, over
+    L * 5^depth."""
     t, den, _ = edge_cell(bv, edge, 1)
     if not depth:
         return [t[1], t[2]], den
+    top = max(depth - 1 - _SUBEDGE_LEVELS, 0)
+    xs, tops = _bottom_level(t, top)
     values = []
-    for a, b, g in _bottom_walk(t, depth - 1):
-        values += (5 * b, a + 2 * b + 2 * g)
-    values.append(5 ** depth * t[2])
+    for cell in zip(xs, tops, tops[1:]):
+        apexes, ends = _bottom_level(cell, depth - 1 - top)
+        part = [0] * (2 * len(apexes))
+        part[::2] = [5 * e for e in ends[:-1]]
+        part[1::2] = [a + 2 * (b + g) for a, b, g in zip(apexes, ends, ends[1:])]
+        values += part
+    values.append(5 * ends[-1])
     return values, den * 5 ** depth
 
 
@@ -288,7 +306,8 @@ def bottom_cells(bv: BoundaryValues, depth: int, edge: str = "bottom") -> list[N
     """Integer corner numerators, in the edge's frame, of the 2^depth cells
     tiling an edge, left to right, all over the one denominator
     to_numerators(bv)[1] * 5^depth; the walk starts from edge_cell(bv, edge, 1)."""
-    return list(_bottom_walk(edge_cell(bv, edge, 1)[0], depth))
+    apexes, ends = _bottom_level(edge_cell(bv, edge, 1)[0], depth)
+    return list(zip(apexes, ends, ends[1:]))
 
 
 LEMMA2_POINTS = ("half_power", "one_minus_half_power", "l_m", "r_m")

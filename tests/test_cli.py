@@ -243,6 +243,38 @@ class TestFloatOverflow:
             f"0,1,{10 ** 400},1,inf", "1,2,0,1,0.0", f"1,1,{-10 ** 400},1,-inf"]
 
 
+class TestScanFloatColumn:
+    # the fifth column is the float nearest the row's exact value, as
+    # float(Fraction(p, q)) gives it, or inf/-inf past a float's range: on
+    # subnormal values, on values overflowing both ways, on a triple whose
+    # common denominator 5^3 makes the walk's numerators far from lowest
+    # terms, and on the 70-bit deep triple, whose numerators pass 2^53 (a
+    # quotient of the two ints rounded to floats first is off on about half
+    # of its rows)
+    TRIPLES = [("1e-310", "-3e-320", "0"), ("1e400", "-1e400", "7/2"),
+               ("1/25", "2/125", "3/5"), TestScan.DEEP_TRIPLES[2]]
+
+    @staticmethod
+    def companion(p, q):
+        try:
+            return repr(float(Fraction(p, q)))
+        except OverflowError:
+            return "inf" if p > 0 else "-inf"
+
+    @pytest.mark.parametrize("triple", TRIPLES)
+    def test_companion_is_the_nearest_float(self, triple):
+        for edge in EDGES:
+            a, b, g = triple
+            res = run("scan", f"--alpha={a}", f"--beta={b}", f"--gamma={g}",
+                      "--edge", edge, "--depth", "8")
+            assert res.exit_code == 0
+            rows = res.stdout.splitlines()[1:]
+            assert len(rows) == 2 ** 8 + 1
+            for row in rows:
+                _, _, p, q, approx = row.split(",")
+                assert approx == self.companion(int(p), int(q))
+
+
 @contextlib.contextmanager
 def unlimited_digits():
     limit = sys.get_int_max_str_digits()

@@ -174,7 +174,6 @@ class TestKernelDifferential:
     @settings(deadline=None)
     @given(triples(), st.sampled_from(EDGES), st.integers(0, 6))
     def test_walkers_agree_with_cell_values(self, bv, edge, m):
-        # m up to 6: the walk yields its last level unpushed, below pushed levels
         t = on_edge(bv, edge)
         n = 2 ** m
         cells = [cell_values(t, cell_word(k, m)) for k in range(n)]
@@ -475,6 +474,50 @@ class TestEdgeProfile:
         for k, cell in enumerate(cells):
             assert Fraction(cell[1], den) == Fraction(prof[k], pden)
             assert Fraction(cell[2], den) == Fraction(prof[k + 1], pden)
+
+
+class TestBottomLevel:
+    # the level walk behind bottom_cells and edge_profile, against the word
+    # maps: cell k at depth d of an edge is cell_word(k, d) with each digit
+    # read in bv's labels, its corners permuted into the edge's frame
+    TRIPLES = [
+        BoundaryValues(Fraction(-93, 71), Fraction(115, 67), Fraction(-88, 101)),
+        BoundaryValues(Fraction(2 ** 40 - 87, 211), Fraction(-(2 ** 39) - 5, 179),
+                       Fraction(3 ** 25, 2 ** 40 + 15)),
+    ]
+
+    @pytest.mark.parametrize("edge", EDGES)
+    @pytest.mark.parametrize("subedge_levels", [gasket._SUBEDGE_LEVELS, 2])
+    def test_cells_are_the_word_map_cells(self, edge, subedge_levels, monkeypatch):
+        # at 2 levels, edge_profile walks depth 8 as 32 sub-edges of 4 cells
+        monkeypatch.setattr(gasket, "_SUBEDGE_LEVELS", subedge_levels)
+        perm = gasket._EDGE_PERMUTATION[edge]
+        for bv in self.TRIPLES:
+            for d in range(9):
+                want = []
+                for k in range(2 ** d):
+                    t, den = cell_numerators(
+                        bv, cell_word(k, d).translate(gasket._EDGE_DIGITS[edge]))
+                    want.append((t[perm[0]], t[perm[1]], t[perm[2]]))
+                assert bottom_cells(bv, d, edge) == want
+                assert edge_profile(bv, d, edge) == (
+                    [b for _, b, _ in want] + [want[-1][2]], den)
+
+    def test_depth_zero_is_the_whole_edge(self):
+        bv = BoundaryValues(2, Fraction(-3, 2), 7)  # numerators (4, -3, 14) over 2
+        assert bottom_cells(bv, 0) == [(4, -3, 14)]
+        assert bottom_cells(bv, 0, "left") == [(14, 4, -3)]
+        assert bottom_cells(bv, 0, "right") == [(-3, 4, 14)]
+        assert edge_profile(bv, 0) == ([-3, 14], 2)
+        assert edge_profile(bv, 0, "left") == ([4, -3], 2)
+        assert edge_profile(bv, 0, "right") == ([4, 14], 2)
+
+    @pytest.mark.parametrize("depth", [-1, -2, -20])
+    def test_negative_depth_raises_at_the_call(self, depth):
+        for edge in EDGES:
+            for walk in (bottom_cells, edge_profile):
+                with pytest.raises(ValueError, match=r"^depth must be >= 0$"):
+                    walk(self.TRIPLES[0], depth, edge)
 
 
 class TestLemma2:
