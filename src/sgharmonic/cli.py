@@ -20,6 +20,7 @@ from . import restrictions, verify
 from .exactarith import format_rational, parse_rational
 from .gasket import (
     EDGES,
+    MAX_EDGE_DEPTH,
     BoundaryValues,
     EdgePoint,
     edge_cell,
@@ -209,7 +210,7 @@ def _x_texts(start: int, stop: int, depth: int) -> list[str]:
 @cli.command("scan")
 @triple_options
 @click.option("--edge", type=click.Choice(EDGES), default="bottom", show_default=True)
-@click.option("--depth", type=click.IntRange(0, 20), default=8, show_default=True)
+@click.option("--depth", type=click.IntRange(0, MAX_EDGE_DEPTH), default=8, show_default=True)
 @click.option("--output", type=click.Path(dir_okay=False, writable=True), default=None,
               help="CSV path (stdout when omitted)")
 def cmd_scan(alpha, beta, gamma, edge, depth, output):
@@ -279,7 +280,7 @@ def cmd_verify(suites, trials, depth, m_max, seed, fmt):
 
 @cli.command("zero-search")
 @triple_options
-@click.option("--depth", type=click.IntRange(1, verify.MAX_DEPTH["theorem5"]), default=4,
+@click.option("--depth", type=click.IntRange(1, restrictions.MAX_ZERO_DEPTH), default=4,
               show_default=True)
 @click.option("--coeff-bound", type=click.IntRange(1, 50), default=5, show_default=True,
               help="bound on |n|, |m|, |k| in the rational-relation search")

@@ -273,6 +273,7 @@ def eval_dyadic(bv: BoundaryValues, pt: EdgePoint) -> Fraction:
 # edge_profile walks one sub-edge of at most 2^_SUBEDGE_LEVELS cells at a
 # time, so that its lists stay small beside the values it returns
 _SUBEDGE_LEVELS = 11
+MAX_EDGE_DEPTH = 20  # 2^20 + 1 values; guard of edge_profile and bottom_cells
 
 
 def edge_profile(bv: BoundaryValues, depth: int,
@@ -286,6 +287,8 @@ def edge_profile(bv: BoundaryValues, depth: int,
     5, are the values at the even k; the midpoint p12 = a + 2b + 2g of each
     of its cells (a, b, g) is the value at the odd k between them, over
     L * 5^depth."""
+    if depth > MAX_EDGE_DEPTH:
+        raise ValueError(f"depth {depth} exceeds guard {MAX_EDGE_DEPTH}")
     t, den, _ = edge_cell(bv, edge, 1)
     if not depth:
         return [t[1], t[2]], den
@@ -306,6 +309,8 @@ def bottom_cells(bv: BoundaryValues, depth: int, edge: str = "bottom") -> list[N
     """Integer corner numerators, in the edge's frame, of the 2^depth cells
     tiling an edge, left to right, all over the one denominator
     to_numerators(bv)[1] * 5^depth; the walk starts from edge_cell(bv, edge, 1)."""
+    if depth > MAX_EDGE_DEPTH:
+        raise ValueError(f"depth {depth} exceeds guard {MAX_EDGE_DEPTH}")
     apexes, ends = _bottom_level(edge_cell(bv, edge, 1)[0], depth)
     return list(zip(apexes, ends, ends[1:]))
 

@@ -1,7 +1,12 @@
 """Independent verification path: the level-m graph and its exact linear solve.
 
 Vertices carry exact rational coordinates (u, v) in the affine frame
-p1 = (0,0), p2 = (1,0), p0 = (0,1), built as integers in units of 2^-m.  A
+p1 = (0,0), p2 = (1,0), p0 = (0,1), built as integers in units of 2^-m.  The
+graph is built in one pass, level by level: each triangle (i, j, k) of a
+level, in level order, numbers its midpoints ij, ik, jk the first time each
+point is seen and makes its three children as vertex-index triples.  Two
+triangles of a level share no edge, so every midpoint is new; a point seen
+twice would keep its first index and fail the vertex-count self-check.  A
 function is harmonic on the level-m graph iff every interior vertex equals
 the mean of its four neighbors, a system solved by fraction-free sparse
 elimination on integer rows, finest vertices first, that never uses the
@@ -41,68 +46,49 @@ class GasketGraph:
 
 @lru_cache(maxsize=None)
 def build_graph(m: int) -> GasketGraph:
-    """Exact level-m graph with per-level triangle incidence.  Points are built
-    as integers in units of 2^-m, exact as every level-m vertex lies on that
-    grid, and made Fraction pairs once per vertex at the end."""
+    """Exact level-m graph with per-level triangle incidence, in one pass: each
+    level's vertex-index triangles are made from the level above's, and a
+    midpoint takes the next index when its point, integers in units of 2^-m,
+    is first seen.  Points become Fraction pairs once per vertex at the end."""
     if m < 0:
         raise ValueError("level must be >= 0")
     if m > MAX_LEVEL:
         raise ValueError(f"level {m} exceeds guard {MAX_LEVEL}")
     unit = 1 << m
-    p0, p1, p2 = (0, unit), (0, 0), (unit, 0)
-    tris_by_level = {0: [("", (p0, p1, p2))]}
+    points = [(0, unit), (0, 0), (unit, 0)]  # p0, p1, p2, the boundary
+    index = {p: i for i, p in enumerate(points)}
+
+    def mid(i: int, j: int) -> int:
+        (ax, ay), (bx, by) = points[i], points[j]
+        p = ((ax + bx) >> 1, (ay + by) >> 1)
+        if p not in index:
+            index[p] = len(points)
+            points.append(p)
+        return index[p]
+
+    triangles = {0: (("", (0, 1, 2)),)}
     for lvl in range(1, m + 1):
         nxt = []
-        for addr, (a, b, c) in tris_by_level[lvl - 1]:
-            (ax, ay), (bx, by), (cx, cy) = a, b, c
-            mab = ((ax + bx) >> 1, (ay + by) >> 1)
-            mac = ((ax + cx) >> 1, (ay + cy) >> 1)
-            mbc = ((bx + cx) >> 1, (by + cy) >> 1)
-            nxt.append((addr + "0", (a, mab, mac)))
-            nxt.append((addr + "1", (mab, b, mbc)))
-            nxt.append((addr + "2", (mac, mbc, c)))
-        tris_by_level[lvl] = nxt
-
-    index: dict[tuple[int, int], int] = {}
-
-    def idx(p: tuple[int, int]) -> int:
-        i = index.get(p)
-        if i is None:
-            i = index[p] = len(index)
-        return i
-
-    for corner in (p0, p1, p2):
-        idx(corner)
-    triangles = {}
-    for lvl, tris in tris_by_level.items():
-        triangles[lvl] = tuple(
-            (addr, (idx(a), idx(b), idx(c))) for addr, (a, b, c) in tris
-        )
-
-    expected = 3 * (3 ** m + 1) // 2
-    if len(index) != expected:
-        raise AssertionError(f"vertex count {len(index)} != {expected}")
-
-    nbr: list[set[int]] = [set() for _ in index]
+        for addr, (i, j, k) in triangles[lvl - 1]:
+            ij, ik, jk = mid(i, j), mid(i, k), mid(j, k)
+            nxt += ((addr + "0", (i, ij, ik)), (addr + "1", (ij, j, jk)),
+                    (addr + "2", (ik, jk, k)))
+        triangles[lvl] = tuple(nxt)
+    if len(points) != (expected := 3 * (3 ** m + 1) // 2):
+        raise AssertionError(f"vertex count {len(points)} != {expected}")
+    nbr: list[set[int]] = [set() for _ in points]
     for _, (i, j, k) in triangles[m]:
         nbr[i].update((j, k))
         nbr[j].update((i, k))
         nbr[k].update((i, j))
-    boundary = (index[p0], index[p1], index[p2])
+    boundary = (0, 1, 2)
     for i, ns in enumerate(nbr):
         want = 2 if i in boundary else 4
         if m >= 1 and len(ns) != want:
             raise AssertionError(f"vertex {i} has {len(ns)} neighbors, expected {want}")
-
     coord = [Fraction(k, unit) for k in range(unit + 1)]
-    vertices = tuple((coord[x], coord[y]) for x, y in index)
-    return GasketGraph(
-        level=m,
-        vertices=vertices,
-        triangles=triangles,
-        boundary=boundary,
-        neighbors=tuple(tuple(sorted(ns)) for ns in nbr),
-    )
+    return GasketGraph(m, tuple((coord[x], coord[y]) for x, y in points), triangles,
+                       boundary, tuple(tuple(sorted(ns)) for ns in nbr))
 
 
 @lru_cache(maxsize=None)

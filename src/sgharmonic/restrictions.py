@@ -185,6 +185,8 @@ VERTICES = ("p0", "p1", "p2")
 
 ZeroJunction = tuple  # ("vertex", "p0") or (edge_name, Fraction position)
 
+MAX_ZERO_DEPTH = 12  # 2^12 cells on the one edge walked; guard of count_zero_junctions
+
 
 def format_zero(z: ZeroJunction) -> str:
     """Exact text of a zero junction: "p0" for a vertex, "left:1/2" otherwise."""
@@ -210,6 +212,8 @@ def count_zero_junctions(
     that is when its vertex form is 0."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if depth > MAX_ZERO_DEPTH:
+        raise ValueError(f"depth {depth} exceeds guard {MAX_ZERO_DEPTH}")
     if bv.is_constant():
         raise ValueError("derivative classes are undefined for constant functions")
     zeros: list[ZeroJunction] = [("vertex", name) for name, v in

@@ -333,12 +333,12 @@ SUITES = {
 }
 
 
-#: Largest --depth per suite: the oracle's level guard, and for theorem5 the
-#: junction depth zero-search accepts (3*2^12 cells per triple).
-MAX_DEPTH = {"oracle": oracle.MAX_LEVEL, "theorem5": 12}
+#: Largest --depth per suite: the guards of the oracle's level and of the zero scan.
+MAX_DEPTH = {"oracle": oracle.MAX_LEVEL, "theorem5": restrictions.MAX_ZERO_DEPTH}
 #: Largest trials * base^depth per suite, as (base, bound): the defaults at the
 #: deepest depth, so every default runs and hours of work are refused.
-MAX_WORK = {"oracle": (3, 25 * 3 ** oracle.MAX_LEVEL), "theorem5": (2, 1000 * 2 ** 12)}
+MAX_WORK = {"oracle": (3, 25 * 3 ** MAX_DEPTH["oracle"]),
+            "theorem5": (2, 1000 * 2 ** MAX_DEPTH["theorem5"])}
 #: Largest trials * m_max of each suite that takes m_max; about 15 s or less at it.
 _MAX_M_WORK = 300_000
 

@@ -519,6 +519,20 @@ class TestBottomLevel:
                 with pytest.raises(ValueError, match=r"^depth must be >= 0$"):
                     walk(self.TRIPLES[0], depth, edge)
 
+    def test_depth_past_the_guard_refused_before_any_walk(self, monkeypatch):
+        def walk(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(gasket, "_bottom_level", walk)
+        assert gasket.MAX_EDGE_DEPTH == 20
+        for edge in EDGES:
+            for fn in (bottom_cells, edge_profile):
+                with pytest.raises(AssertionError, match="^walked$"):  # the guard's own depth
+                    fn(self.TRIPLES[0], gasket.MAX_EDGE_DEPTH, edge)
+                for depth in (21, 30, 10 ** 6):
+                    with pytest.raises(ValueError, match=f"^depth {depth} exceeds guard 20$"):
+                        fn(self.TRIPLES[0], depth, edge)
+
 
 class TestLemma2:
     def test_half_power_m2(self):

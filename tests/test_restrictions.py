@@ -340,6 +340,20 @@ class TestCountZeroJunctions:
     def test_no_zeros(self):
         assert count_zero_junctions(BoundaryValues(5, 0, 1), 6) == (0, [])
 
+    def test_depth_past_the_guard_refused_before_any_walk(self, monkeypatch):
+        def walk(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(gasket, "_bottom_level", walk)
+        assert restrictions.MAX_ZERO_DEPTH == 12
+        bv = BoundaryValues(0, 0, 1)  # its left edge is walked at every depth
+        with pytest.raises(AssertionError, match="^walked$"):  # the guard's own depth
+            count_zero_junctions(bv, restrictions.MAX_ZERO_DEPTH)
+        for depth in (13, 30, 10 ** 6):
+            for t in (bv, BoundaryValues(1, 1, 1)):  # the depth is checked first
+                with pytest.raises(ValueError, match=f"^depth {depth} exceeds guard 12$"):
+                    count_zero_junctions(t, depth)
+
     def test_symmetric_triple_zero_at_edge_midpoint(self):
         # alpha == beta makes the restriction to [p0, p1] symmetric about its
         # midpoint; the extremum sits there and both one-sided classes vanish
