@@ -101,33 +101,37 @@ def _basis_solutions(m: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
     interior vertices finest first (reverse build_graph index, an order from
     the graph alone) is a Kron reduction whose fill stays inside a cell, as a
     cell meets the rest only at its corners.  It is fraction-free: eliminating
-    w takes the pivot p = s_w - n_ww and turns each row v that meets w into
-    p*row_v + f*row_w, f row v's coefficient of w, divided by the gcd of its
-    weight and coefficients.  Back-substitution then runs coarsest first onto
-    the boundary columns, one gcd-reduced (denominator, numerators) pair per
-    vertex, and the pairs are put over D, the lcm of their denominators."""
+    w takes the pivot p = s_w - n_ww, divides row w by the gcd of p and its
+    coefficients, once, when it becomes the pivot, and updates each row v
+    that meets w in place to p*row_v + f*row_w, f row v's coefficient of w.
+    Back-substitution then runs coarsest first onto the boundary columns, one
+    gcd-reduced (denominator, numerators) pair per vertex, and the pairs are
+    put over D, the lcm of their denominators."""
     g = build_graph(m)
     interior = [v for v in range(len(g.vertices)) if v not in g.boundary]
-    rows = {v: (4, dict.fromkeys(g.neighbors[v], 1)) for v in interior}
+    rows = {v: [4, dict.fromkeys(g.neighbors[v], 1)] for v in interior}
     for w in reversed(interior):
-        s, row = rows[w]
+        s, row = entry = rows[w]
         pivot = s - row.pop(w, 0)
         if pivot == 0:
             raise ArithmeticError("singular harmonicity system")
-        rows[w] = pivot, row
+        if (d := gcd(pivot, *row.values())) > 1:
+            pivot //= d
+            for u in row:
+                row[u] //= d
+        entry[0] = pivot
         for v in row:
-            if v in rows:  # an interior vertex not yet eliminated
-                vs, vrow = rows[v]
+            # rows keeps eliminated rows too, but the pattern is symmetric, so
+            # a pivot row holds only vertices not yet eliminated
+            if (ventry := rows.get(v)) is not None:
+                vrow = ventry[1]
                 f = vrow.pop(w)
-                vrow = {u: pivot * c for u, c in vrow.items()}
+                if pivot != 1:
+                    ventry[0] *= pivot
+                    for u in vrow:
+                        vrow[u] *= pivot
                 for u, c in row.items():
                     vrow[u] = vrow.get(u, 0) + f * c
-                vs *= pivot
-                if (d := gcd(vs, *vrow.values())) > 1:
-                    vs //= d
-                    for u in vrow:
-                        vrow[u] //= d
-                rows[v] = vs, vrow
     coeffs: list[tuple[int, tuple[int, int, int]]] = [None] * len(g.vertices)
     for j, b in enumerate(g.boundary):
         coeffs[b] = 1, tuple(int(i == j) for i in range(3))
@@ -143,7 +147,7 @@ def _basis_solutions(m: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
         d = gcd(den, n0, n1, n2)
         coeffs[v] = den // d, (n0 // d, n1 // d, n2 // d)
     den = lcm(*(d for d, _ in coeffs))
-    return den, tuple(tuple(x * (den // d) for x in nums) for d, nums in coeffs)
+    return den, tuple([(a0 * (k := den // d), a1 * k, a2 * k) for d, (a0, a1, a2) in coeffs])
 
 
 def solve_harmonic(m: int, boundary: BoundaryValues) -> dict[int, Fraction]:

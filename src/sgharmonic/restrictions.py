@@ -129,6 +129,9 @@ class ExtremumResult:
     hi: Fraction
 
 
+MAX_EXTREMUM_DEPTH = 4096  # x and y triple in size each step; guard of locate_extremum
+
+
 def locate_extremum(bv: BoundaryValues, edge: str, depth: int) -> ExtremumResult:
     """Bisect a non-monotone edge restriction down to its unique extremum, on
     the _edge_ends (x, y) of the whole edge, x y < 0, then on the _ends of the
@@ -137,6 +140,8 @@ def locate_extremum(bv: BoundaryValues, edge: str, depth: int) -> ExtremumResult
     ends change sign holds it, (3x, s) if x s < 0, else (s, 3y)."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if depth > MAX_EXTREMUM_DEPTH:
+        raise ValueError(f"depth {depth} exceeds guard {MAX_EXTREMUM_DEPTH}")
     x, y = _edge_ends(bv, edge)
     if x * y >= 0:
         raise ValueError("restriction is monotone; no extremum to locate")

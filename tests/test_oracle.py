@@ -11,9 +11,11 @@ from test_gasket import (  # the kernel test's corner strategy and gcd counter
     triples,
 )
 
+from sgharmonic import oracle
 from sgharmonic.gasket import BoundaryValues, cell_values
 from sgharmonic.oracle import (
     MAX_LEVEL,
+    GasketGraph,
     _basis_solutions,
     build_graph,
     check_five_point,
@@ -264,6 +266,16 @@ class TestBasisSolutions:
         for bv in UNIT_TRIPLES:
             values = solve_harmonic(m, bv)
             assert check_mean_value(g, values) and check_five_point(g, values)
+
+    def test_singular_system_raises(self, monkeypatch):
+        # no gasket graph is singular, so a fake one: three boundary vertices
+        # with no edges and five interior ones forming K5, whose system
+        # 4*x_v = the sum of the other four is 5I - J, singular
+        k5 = tuple(tuple(u for u in range(3, 8) if u != v) for v in range(3, 8))
+        fake = GasketGraph(1, (None,) * 8, {}, (0, 1, 2), ((),) * 3 + k5)
+        monkeypatch.setattr(oracle, "build_graph", lambda m: fake)
+        with pytest.raises(ArithmeticError, match="^singular harmonicity system$"):
+            _basis_solutions.__wrapped__(1)  # uncached: the level's real rows stay
 
 
 class TestCheckMeanValue:

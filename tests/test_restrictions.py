@@ -243,6 +243,26 @@ class TestLocateExtremum:
         assert res.lo == res.hi == Fraction(1, 2)
         assert res.kind == "max"
 
+    def test_depth_past_the_guard_refused_before_any_walk(self, monkeypatch):
+        assert restrictions.MAX_EXTREMUM_DEPTH == 4096
+        bv = BoundaryValues(5, 0, 1)
+        res = locate_extremum(bv, "bottom", restrictions.MAX_EXTREMUM_DEPTH)
+        assert res.hi - res.lo == Fraction(1, 2 ** 4096)
+
+        def ends(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(restrictions, "_edge_ends", ends)
+        with pytest.raises(AssertionError, match="^walked$"):  # the guard's own depth
+            locate_extremum(bv, "bottom", restrictions.MAX_EXTREMUM_DEPTH)
+        for depth in (4097, 10 ** 6):
+            # the depth is checked before the edge name and the monotone test
+            for t, edge in ((bv, "bottom"), (bv, "top"), (BoundaryValues(1, 0, 2), "bottom")):
+                with pytest.raises(ValueError, match=f"^depth {depth} exceeds guard 4096$"):
+                    locate_extremum(t, edge, depth)
+        with pytest.raises(ValueError, match="^depth must be >= 1$"):
+            locate_extremum(bv, "bottom", 0)
+
 
 class TestJunctionDerivative:
     def test_interior_monotone_increasing(self):
