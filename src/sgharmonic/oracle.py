@@ -11,15 +11,18 @@ function is harmonic on the level-m graph iff every interior vertex equals
 the mean of its four neighbors, a system solved by fraction-free sparse
 elimination on integer rows, finest vertices first, that never uses the
 extension rule.  The elimination is cached per level as integer rows over
-one denominator, so a warm solve is one integer dot product, and one
-Fraction, per vertex.  Two checkers test an assignment on integer numerators
-over one denominator: the mean-value equation at every interior vertex, and
-the five-point relation per minimal triangle, kept apart from the solve so
-the two formulations cross-validate each other.
+one denominator, so a warm solve is one integer dot product per vertex, kept
+as a read-only mapping of integer numerators over one denominator that builds
+a Fraction only when a value is read.  Two checkers test an assignment on
+integer numerators over one denominator, read straight from a solve of the
+graph's level: the mean-value equation at every interior vertex, and the
+five-point relation per minimal triangle, kept apart from the solve so the
+two formulations cross-validate each other.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -150,23 +153,58 @@ def _basis_solutions(m: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
     return den, tuple([(a0 * (k := den // d), a1 * k, a2 * k) for d, (a0, a1, a2) in coeffs])
 
 
-def solve_harmonic(m: int, boundary: BoundaryValues) -> dict[int, Fraction]:
+class _Solution(Mapping):
+    """A level's solved values: vertex v maps to numerators[v] / den.  Read
+    only; reading values[v] builds that one Fraction, and the checkers read
+    the numerators as they are."""
+
+    __slots__ = ("numerators", "den", "_keys")
+
+    def __init__(self, numerators: tuple[int, ...], den: int):
+        self.numerators, self.den = numerators, den
+        self._keys = range(len(numerators))
+
+    def __getitem__(self, v) -> Fraction:
+        # a range tests membership as a dict does (by ==), and -1 or len is not
+        # in it, so no index wraps around or raises IndexError
+        if v not in self._keys:
+            raise KeyError(v)
+        return Fraction(self.numerators[int(v)], self.den)
+
+    def __contains__(self, v) -> bool:
+        return v in self._keys
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self.numerators)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
+def solve_harmonic(m: int, boundary: BoundaryValues) -> Mapping[int, Fraction]:
     """Unique exact solution of the discrete harmonicity constraints on the
     level-m graph with the three corner values fixed: one integer dot product
-    of the cached basis rows with the corner numerators per vertex."""
+    of the cached basis rows with the corner numerators per vertex, returned
+    as a read-only mapping from vertex index to value that keeps those
+    numerators over their one denominator and builds a Fraction per read."""
     if m < 1:
         raise ValueError("m must be >= 1")
     den, rows = _basis_solutions(m)
     corners = boundary.as_tuple()
     scale = lcm(*(x.denominator for x in corners))
     a, b, g = (x.numerator * (scale // x.denominator) for x in corners)
-    den *= scale
-    return {i: Fraction(c0 * a + c1 * b + c2 * g, den) for i, (c0, c1, c2) in enumerate(rows)}
+    return _Solution(tuple([c0 * a + c1 * b + c2 * g for c0, c1, c2 in rows]), den * scale)
 
 
-def _numerators(graph: GasketGraph, values: dict) -> list[int]:
-    """Integer numerators of values[v] for every vertex v of graph, over the
-    lcm of their denominators (ints are accepted)."""
+def _numerators(graph: GasketGraph, values: Mapping) -> Sequence[int]:
+    """Integer numerators of values[v] for every vertex v of graph, over one
+    denominator: a solve of graph's level as it is held, any other mapping
+    (ints are accepted) over the lcm of its values' denominators."""
+    if isinstance(values, _Solution) and len(values) == len(graph.vertices):
+        return values.numerators
     missing = [i for i in range(len(graph.vertices)) if i not in values]
     if missing:
         raise ValueError(f"values missing for vertices {missing[:5]}")
@@ -175,7 +213,7 @@ def _numerators(graph: GasketGraph, values: dict) -> list[int]:
     return [x.numerator * (den // x.denominator) for x in vals]
 
 
-def check_five_point(graph: GasketGraph, values: dict[int, Fraction]) -> bool:
+def check_five_point(graph: GasketGraph, values: Mapping) -> bool:
     """True iff the five-point relation holds exactly for every minimal
     triangle of every level below graph.level."""
     n = _numerators(graph, values)
@@ -191,7 +229,7 @@ def check_five_point(graph: GasketGraph, values: dict[int, Fraction]) -> bool:
     return True
 
 
-def check_mean_value(graph: GasketGraph, values: dict[int, Fraction]) -> bool:
+def check_mean_value(graph: GasketGraph, values: Mapping) -> bool:
     """True iff every interior vertex of the level-m graph equals the mean of
     its four neighbors exactly: the residual of every equation the solve
     eliminates is zero."""

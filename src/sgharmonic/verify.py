@@ -310,7 +310,8 @@ def suite_oracle(depth: int = 3, trials: int = 25, seed: int = 0) -> SuiteResult
         cells = [gasket.child_numerators(t, d) for t in cells for d in "012"]
         graph = oracle.build_graph(m)
         solved = oracle.solve_harmonic(m, bv)
-        return ([solved[v] for _, tri in graph.triangles[m] for v in tri]
+        values = [solved[v] for v in range(len(graph.vertices))]  # a Fraction per read
+        return ([values[v] for _, tri in graph.triangles[m] for v in tri]
                 + [oracle.check_five_point(graph, solved),
                    oracle.check_mean_value(graph, solved)],
                 [Fraction(x, den * 5 ** m) for t in cells for x in t] + [True, True])

@@ -140,7 +140,7 @@ class TestCheckFivePoint:
 
     def test_rejects_perturbation(self):
         g = build_graph(2)
-        values = solve_harmonic(2, BoundaryValues(0, 0, 1))
+        values = dict(solve_harmonic(2, BoundaryValues(0, 0, 1)))
         victim = next(i for i in values if i not in g.boundary)
         values[victim] += 1
         assert not check_five_point(g, values)
@@ -150,13 +150,13 @@ class TestCheckFivePoint:
         # build_graph numbers vertices by the level that created them: 3..5
         # are the level-1 midpoints, 15..41 those of level 3
         g = build_graph(3)
-        values = solve_harmonic(3, BoundaryValues(2, -1, 4))
+        values = dict(solve_harmonic(3, BoundaryValues(2, -1, 4)))
         values[victim] += Fraction(1, 7)
         assert not check_five_point(g, values)
 
     def test_missing_vertex_rejected(self):
         g = build_graph(2)
-        values = solve_harmonic(2, BoundaryValues(0, 0, 1))
+        values = dict(solve_harmonic(2, BoundaryValues(0, 0, 1)))
         values.pop(next(iter(values)))
         with pytest.raises(ValueError):
             check_five_point(g, values)
@@ -168,13 +168,19 @@ class TestIntegerPath:
         g = build_graph(m)
         solve_harmonic(m, GCD_TRIPLES[0])  # warm the level's cached basis
         for bv in GCD_TRIPLES:
+            # the solve and both checks stay in integers; each read makes one Fraction
             with fraction_gcd_calls() as calls:
                 values = solve_harmonic(m, bv)
-            assert calls[0] == len(g.vertices)
-            with fraction_gcd_calls() as calls:
                 assert check_five_point(g, values)
                 assert check_mean_value(g, values)
             assert calls[0] == 0
+            for v in (0, len(g.vertices) - 1, 3, 3):  # a read is not kept
+                with fraction_gcd_calls() as calls:
+                    assert isinstance(values[v], Fraction)
+                assert calls[0] == 1
+            with fraction_gcd_calls() as calls:
+                list(values.values())
+            assert calls[0] == len(g.vertices)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_elimination_makes_no_fraction(self, m):
@@ -195,10 +201,80 @@ class TestIntegerPath:
 
     def test_checks_accept_mixed_denominators(self):
         g = build_graph(3)
-        values = solve_harmonic(3, BoundaryValues(4, Fraction(1, 3), Fraction(-2, 7)))
+        values = dict(solve_harmonic(3, BoundaryValues(4, Fraction(1, 3), Fraction(-2, 7))))
         assert len({x.denominator for x in values.values()}) > 1
         values[0] = 4  # corner p0 as an int among Fractions
         assert check_five_point(g, values) and check_mean_value(g, values)
+
+
+BV = BoundaryValues(Fraction(19, 27), Fraction(-17, 13), Fraction(-79, 41))
+
+
+class TestSolutionMapping:
+    """solve_harmonic returns a read-only mapping equal to the dict of its values."""
+
+    @pytest.mark.parametrize("m", range(1, MAX_LEVEL + 1))
+    def test_equals_the_basis_rows_in_fractions(self, m):
+        den, rows = _basis_solutions(m)
+        ref = {v: sum(c * x for c, x in zip(row, BV.as_tuple())) / den
+               for v, row in enumerate(rows)}
+        values = solve_harmonic(m, BV)
+        assert values == ref and ref == values
+        assert len(values) == len(ref) == len(build_graph(m).vertices)
+        assert list(values) == list(ref)
+        assert repr(values) == repr(ref)
+
+    def test_keys_outside_the_vertices_raise_key_error(self):
+        values = solve_harmonic(2, BV)
+        for key in (-1, len(values), "0"):
+            with pytest.raises(KeyError):
+                values[key]
+        assert -1 not in values
+        ref = dict(values)
+        for key in (-1, 0, 3, len(values) - 1, len(values), "0", None, 1.5, 3.0, True):
+            assert (key in values) == (key in ref)
+            assert values.get(key) == ref.get(key)
+
+    def test_read_only(self):
+        values = solve_harmonic(2, BV)
+        with pytest.raises(TypeError):
+            values[3] = Fraction(0)
+        with pytest.raises(TypeError):
+            del values[3]
+        assert values == solve_harmonic(2, BV)
+
+
+class TestCheckersOnEveryPath:
+    """A solve checked on its own level's graph is read as held; any other
+    input goes through the generic path, and both give one answer."""
+
+    @staticmethod
+    def answers(graph, values):
+        return check_five_point(graph, values), check_mean_value(graph, values)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("graph_level", ["same", "coarser"])
+    def test_solution_and_its_dict_agree(self, m, graph_level):
+        # the first vertices of level m are those of level m - 1, where the
+        # level-m solution is harmonic too
+        graph = build_graph(m if graph_level == "same" else m - 1)
+        solved = solve_harmonic(m, BV)
+        assert self.answers(graph, solved) == self.answers(graph, dict(solved)) == (True, True)
+        for victim in (3, len(graph.vertices) - 1):
+            perturbed = dict(solved)
+            perturbed[victim] += Fraction(1, 10 ** 40)
+            assert self.answers(graph, perturbed) == (False, False)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_coarser_solution_misses_the_finest_vertices(self, m):
+        graph = build_graph(m)
+        solved = solve_harmonic(m - 1, BV)
+        first = len(solved)  # the first vertex made at level m
+        for values in (solved, dict(solved)):
+            for check in (check_five_point, check_mean_value):
+                with pytest.raises(ValueError, match=rf"^values missing for vertices "
+                                                     rf"\[{first}, {first + 1}, "):
+                    check(graph, values)
 
 
 # sha256 of each level's graph fields and (D, rows) as computed in Fraction
@@ -291,13 +367,13 @@ class TestCheckMeanValue:
         # the first midpoint and the last vertex, made at level 1 and level m
         g = build_graph(m)
         for victim in (3, len(g.vertices) - 1):
-            values = solve_harmonic(m, BoundaryValues(2, -1, 4))
+            values = dict(solve_harmonic(m, BoundaryValues(2, -1, 4)))
             values[victim] += Fraction(1, 10 ** 40)
             assert not check_mean_value(g, values)
 
     def test_missing_vertex_rejected(self):
         g = build_graph(2)
-        values = solve_harmonic(2, BoundaryValues(0, 0, 1))
+        values = dict(solve_harmonic(2, BoundaryValues(0, 0, 1)))
         values.pop(len(g.vertices) - 1)
         with pytest.raises(ValueError):
             check_mean_value(g, values)

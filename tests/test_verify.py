@@ -85,6 +85,7 @@ class TestOneWrongDirection:
         def shifted(m, bv):
             solved = real(m, bv)
             if m == 2:
+                solved = dict(solved)
                 solved[3] += bv.gamma  # vertex 3 is the first one past the corners
             return solved
         monkeypatch.setattr(oracle, "solve_harmonic", shifted)
