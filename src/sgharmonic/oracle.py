@@ -8,10 +8,15 @@ point is seen and makes its three children as vertex-index triples.  Two
 triangles of a level share no edge, so every midpoint is new; a point seen
 twice would keep its first index and fail the vertex-count self-check.  A
 function is harmonic on the level-m graph iff every interior vertex equals
-the mean of its four neighbors, a system solved by fraction-free sparse
-elimination on integer rows, finest vertices first, that never uses the
-extension rule.  The elimination is cached per level as integer rows over
-one denominator, so a warm solve is one integer dot product per vertex, kept
+the mean of its four neighbors.  That system is solved level by level and
+never uses the extension rule: level m keeps level m - 1's solution on the
+vertices the two share, as the harmonic structure is compatible across
+levels, and solves only the vertices new at level m, by fraction-free sparse
+elimination on integer rows, finest first, with the coarse vertices as known
+columns.  The reuse is proven, not assumed: every coarse interior vertex must
+then satisfy its level-m mean-value equation, or the solve raises
+AssertionError.  The solution is cached per level as integer rows over one
+denominator, so a warm solve is one integer dot product per vertex, kept
 as a read-only mapping of integer numerators over one denominator that builds
 a Fraction only when a value is read.  Two checkers test an assignment on
 integer numerators over one denominator, read straight from a solve of the
@@ -99,21 +104,32 @@ def _basis_solutions(m: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
     """Per-vertex coefficients of the solution on the three unit boundary
     triples, as integer rows over one denominator D: (D, rows).
 
-    Row v is an integer weight s and coefficients n_u with s*x_v = sum of
-    n_u*x_u, at first 4*x_v = the sum of the four neighbors.  Eliminating
-    interior vertices finest first (reverse build_graph index, an order from
-    the graph alone) is a Kron reduction whose fill stays inside a cell, as a
-    cell meets the rest only at its corners.  It is fraction-free: eliminating
-    w takes the pivot p = s_w - n_ww, divides row w by the gcd of p and its
-    coefficients, once, when it becomes the pivot, and updates each row v
-    that meets w in place to p*row_v + f*row_w, f row v's coefficient of w.
-    Back-substitution then runs coarsest first onto the boundary columns, one
-    gcd-reduced (denominator, numerators) pair per vertex, and the pairs are
-    put over D, the lcm of their denominators."""
-    g = build_graph(m)
-    interior = [v for v in range(len(g.vertices)) if v not in g.boundary]
-    rows = {v: [4, dict.fromkeys(g.neighbors[v], 1)] for v in interior}
-    for w in reversed(interior):
+    Level 0 is the boundary's identity.  Level m takes level m - 1's rows for
+    its first vertices, which build_graph numbers as level m - 1 does, and
+    solves only the vertices new at level m, with the coarse ones as known
+    columns.  Row v of a new vertex is an integer weight s and coefficients
+    n_u with s*x_v = sum of n_u*x_u, at first 4*x_v = the sum of the four
+    neighbors.  Eliminating new vertices finest first (reverse build_graph
+    index, an order from the graph alone) is a Kron reduction whose fill
+    stays inside a cell, as a cell meets the rest only at its corners.  It is
+    fraction-free: eliminating w takes the pivot p = s_w - n_ww, divides row
+    w by the gcd of p and its coefficients, once, when it becomes the pivot,
+    and updates each row v that meets w in place to p*row_v + f*row_w, f row
+    v's coefficient of w.  Back-substitution then runs over the new vertices
+    in index order, one gcd-reduced (denominator, numerators) pair each, and
+    every row is put over D, the lcm of those denominators and level m - 1's.
+
+    The reuse is proven, not assumed: every coarse interior vertex must then
+    satisfy its level-m mean-value equation on the three columns, and the new
+    vertices satisfy theirs by the elimination, so the rows solve the whole
+    level-m system, whose solution is unique."""
+    if m == 0:
+        return 1, ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    g = build_graph(m)  # the level's guard, before any lower level is solved
+    coarse_den, coarse = _basis_solutions(m - 1)
+    new = range(len(coarse), len(g.vertices))
+    rows = {v: [4, dict.fromkeys(g.neighbors[v], 1)] for v in new}
+    for w in reversed(new):
         s, row = entry = rows[w]
         pivot = s - row.pop(w, 0)
         if pivot == 0:
@@ -124,8 +140,9 @@ def _basis_solutions(m: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
                 row[u] //= d
         entry[0] = pivot
         for v in row:
-            # rows keeps eliminated rows too, but the pattern is symmetric, so
-            # a pivot row holds only vertices not yet eliminated
+            # a coarse vertex is a known column and has no row; rows keeps
+            # eliminated rows too, but the pattern is symmetric, so a pivot
+            # row holds only vertices not yet eliminated
             if (ventry := rows.get(v)) is not None:
                 vrow = ventry[1]
                 f = vrow.pop(w)
@@ -135,10 +152,8 @@ def _basis_solutions(m: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
                         vrow[u] *= pivot
                 for u, c in row.items():
                     vrow[u] = vrow.get(u, 0) + f * c
-    coeffs: list[tuple[int, tuple[int, int, int]]] = [None] * len(g.vertices)
-    for j, b in enumerate(g.boundary):
-        coeffs[b] = 1, tuple(int(i == j) for i in range(3))
-    for v in interior:
+    coeffs = [(coarse_den, r) for r in coarse]
+    for v in new:
         pivot, row = rows[v]
         den = lcm(*(coeffs[u][0] for u in row))
         n0 = n1 = n2 = 0
@@ -148,9 +163,20 @@ def _basis_solutions(m: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
             n0, n1, n2 = n0 + k * a0, n1 + k * a1, n2 + k * a2
         den *= pivot
         d = gcd(den, n0, n1, n2)
-        coeffs[v] = den // d, (n0 // d, n1 // d, n2 // d)
-    den = lcm(*(d for d, _ in coeffs))
-    return den, tuple([(a0 * (k := den // d), a1 * k, a2 * k) for d, (a0, a1, a2) in coeffs])
+        coeffs.append((den // d, (n0 // d, n1 // d, n2 // d)))
+    den = lcm(coarse_den, *(d for d, _ in coeffs[len(coarse):]))
+    out = tuple([(a0 * (k := den // d), a1 * k, a2 * k) for d, (a0, a1, a2) in coeffs])
+    for v in range(len(coarse)):
+        if v not in g.boundary:
+            s0 = s1 = s2 = 0
+            for u in g.neighbors[v]:
+                a0, a1, a2 = out[u]
+                s0, s1, s2 = s0 + a0, s1 + a1, s2 + a2
+            r0, r1, r2 = out[v]
+            if (4 * r0, 4 * r1, 4 * r2) != (s0, s1, s2):
+                raise AssertionError(f"vertex {v} breaks its level-{m} mean-value "
+                                     f"equation on level {m - 1}'s rows")
+    return den, out
 
 
 class _Solution(Mapping):

@@ -70,35 +70,57 @@ def _pass(name: str, details: str, *checked: int) -> SuiteResult:
 UNIT_TRIPLES = (BoundaryValues(1, 0, 0), BoundaryValues(0, 1, 0), BoundaryValues(0, 0, 1))
 
 
+def _over(side) -> tuple[list, int]:
+    """A side as integer numerators over one positive denominator: a pair
+    (numerators, denominator) as it is given, a list of values over the lcm of
+    their denominators.  A flag (a bool) stays itself."""
+    if isinstance(side, tuple):
+        return side
+    den = lcm(*(x.denominator for x in side))
+    return [x if isinstance(x, bool) else x.numerator * (den // x.denominator)
+            for x in side], den
+
+
+def _value(n, den):
+    """The value of numerator n over den, for a certificate; a flag as it is."""
+    return n if isinstance(n, bool) else Fraction(n, den)
+
+
 def _linear(name: str, msg: str, sides, ms, scope: str, trials: int, seed: int) -> SuiteResult:
-    """Check sides(bv, m) -> (lhs values, rhs values), two maps linear in the
-    triple, for each m in ms: on UNIT_TRIPLES, which proves the identity for
-    every rational triple, then on `trials` random triples, which checks that
-    the code computes those linear maps: each sampled value (a flag aside) must
-    also equal alpha*u0 + beta*u1 + gamma*u2 of its unit-triple values u, in
-    integers apart from the kernel, so a fault both sides share is seen too."""
+    """Check sides(bv, m) -> (lhs, rhs), two maps linear in the triple, for
+    each m in ms.  A side is a list of values or a pair (numerators,
+    denominator); values are compared as integers, by cross-multiplication,
+    and a Fraction is built only for a failure's certificate.  The check runs
+    on UNIT_TRIPLES, which proves the identity for every rational triple, then
+    on `trials` random triples, which checks that the code computes those
+    linear maps: each sampled value (a flag aside) must also equal
+    alpha*u0 + beta*u1 + gamma*u2 of its unit-triple values u, in integers
+    apart from the kernel, so a fault both sides share is seen too."""
     rng = random.Random(seed)
-    units = {m: [] for m in ms}  # m -> the unit triples' lhs values, then (d, numerators over d)
+    units = {m: [] for m in ms}  # m -> the unit triples' lhs sides, then (d, numerators over d)
     for i, bv in enumerate((*UNIT_TRIPLES, *(random_triple(rng) for _ in range(trials)))):
         den = lcm(*(x.denominator for x in bv.as_tuple()))  # the triple over den
         a, b, g = (x.numerator * (den // x.denominator) for x in bv.as_tuple())
         for m in ms:
-            lhs, rhs = sides(bv, m)
+            (lhs, lden), (rhs, rden) = map(_over, sides(bv, m))
             for at, (x, y) in enumerate(zip(lhs, rhs)):
-                if x != y:
-                    return _fail(name, msg, bv=bv, m=m, at=at, lhs=x, rhs=y)
+                flag = isinstance(x, bool) or isinstance(y, bool)
+                if (x != y) if flag else (x * rden != y * lden):
+                    return _fail(name, msg, bv=bv, m=m, at=at, lhs=_value(x, lden),
+                                 rhs=_value(y, rden))
             if i < 3:
-                units[m].append(lhs)
+                units[m].append((lhs, lden))
                 continue
             if i == 3:  # the unit-triple values over the lcm d of their denominators
-                d = lcm(*(u.denominator for us in units[m] for u in us))
-                units[m] = d, [[u.numerator * d // u.denominator for u in us] for us in units[m]]
+                d = lcm(*(ud for _, ud in units[m]))
+                units[m] = d, [[u * (d // ud) for u in us] for us, ud in units[m]]
             d, us = units[m]
             for at, (x, u0, u1, u2) in enumerate(zip(lhs, *us)):
-                n = a * u0 + b * u1 + g * u2  # x must be n / (den * d)
-                if not isinstance(x, bool) and x.numerator * den * d != n * x.denominator:
+                n = a * u0 + b * u1 + g * u2  # x / lden must be n / (den * d)
+                if not isinstance(x, bool) and x * den * d != n * lden:
                     return _fail(name, "sample is not the combination of its unit-triple "
-                                 "values", bv=bv, m=m, at=at, lhs=x, rhs=Fraction(n, den * d))
+                                 "values", bv=bv, m=m, at=at, lhs=Fraction(x, lden),
+                                 rhs=Fraction(n, den * d))
     return _pass(name, f"proven on the unit triples for every rational triple, {scope}; "
                  f"{trials} random triples agree")
 
@@ -300,7 +322,9 @@ def suite_theorem6(trials: int = 100, m_max: int = 25, seed: int = 0) -> SuiteRe
 
 def suite_oracle(depth: int = 3, trials: int = 25, seed: int = 0) -> SuiteResult:
     """Graph solve agrees with cell addressing at every corner of every level-m
-    cell, and the five-point and mean-value checkers accept the solve."""
+    cell, and the five-point and mean-value checkers accept the solve.  Both
+    sides are integer numerators over one denominator: the solve's as it
+    holds them, the kernel's over L*5^m."""
     cells, den = [], 1  # one kernel pass per triple, in graph.triangles' order
 
     def sides(bv, m):
@@ -310,11 +334,11 @@ def suite_oracle(depth: int = 3, trials: int = 25, seed: int = 0) -> SuiteResult
         cells = [gasket.child_numerators(t, d) for t in cells for d in "012"]
         graph = oracle.build_graph(m)
         solved = oracle.solve_harmonic(m, bv)
-        values = [solved[v] for v in range(len(graph.vertices))]  # a Fraction per read
-        return ([values[v] for _, tri in graph.triangles[m] for v in tri]
-                + [oracle.check_five_point(graph, solved),
-                   oracle.check_mean_value(graph, solved)],
-                [Fraction(x, den * 5 ** m) for t in cells for x in t] + [True, True])
+        nums = solved.numerators
+        return (([nums[v] for _, tri in graph.triangles[m] for v in tri]
+                 + [oracle.check_five_point(graph, solved),
+                    oracle.check_mean_value(graph, solved)], solved.den),
+                ([x for t in cells for x in t] + [True, True], den * 5 ** m))
     return _linear("oracle", "solver disagrees with cell addressing, five-point relation "
                    "or mean-value equations",
                    sides, range(1, depth + 1), f"levels m <= {depth}", trials, seed)

@@ -182,7 +182,7 @@ class TestIntegerPath:
                 list(values.values())
             assert calls[0] == len(g.vertices)
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("m", range(1, MAX_LEVEL + 1))
     def test_elimination_makes_no_fraction(self, m):
         build_graph(m)
         _basis_solutions.cache_clear()
@@ -321,14 +321,18 @@ def dense_solve(graph):
     return [tuple(row[n:]) for row in system]
 
 
+def level_digest(m):
+    g = build_graph(m)
+    digest = hashlib.sha256()
+    digest.update(repr((g.vertices, g.triangles, g.boundary, g.neighbors)).encode())
+    digest.update(repr(_basis_solutions(m)).encode())
+    return digest.hexdigest()
+
+
 class TestBasisSolutions:
     @pytest.mark.parametrize("m", sorted(GOLDEN_LEVELS))
     def test_golden_graph_and_rows(self, m):
-        g = build_graph(m)
-        digest = hashlib.sha256()
-        digest.update(repr((g.vertices, g.triangles, g.boundary, g.neighbors)).encode())
-        digest.update(repr(_basis_solutions(m)).encode())
-        assert digest.hexdigest() == GOLDEN_LEVELS[m]
+        assert level_digest(m) == GOLDEN_LEVELS[m]
 
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
     def test_matches_dense_gauss_jordan(self, m):
@@ -352,6 +356,39 @@ class TestBasisSolutions:
         monkeypatch.setattr(oracle, "build_graph", lambda m: fake)
         with pytest.raises(ArithmeticError, match="^singular harmonicity system$"):
             _basis_solutions.__wrapped__(1)  # uncached: the level's real rows stay
+        monkeypatch.undo()
+        for m in (0, 1):
+            assert level_digest(m) == GOLDEN_LEVELS[m]
+
+    @pytest.mark.parametrize("m", [2, 5, MAX_LEVEL])
+    def test_coarse_rows_are_checked(self, m, monkeypatch):
+        # vertex 3, the first interior one, with one coefficient off in level
+        # m - 1's rows: the new vertices are solved from it, and its own
+        # level-m equation is the first to fail
+        den, rows = _basis_solutions(m - 1)
+        (c0, c1, c2), off = rows[3], list(rows)
+        off[3] = (c0 + 1, c1, c2)
+        monkeypatch.setattr(oracle, "_basis_solutions", lambda k: (den, tuple(off)))
+        with pytest.raises(AssertionError, match=rf"^vertex 3 breaks its level-{m} "
+                                                 "mean-value equation"):
+            _basis_solutions.__wrapped__(m)  # uncached, as the level's real rows are
+
+    def test_level_above_the_guard_solves_no_level(self):
+        _basis_solutions.cache_clear()
+        with pytest.raises(ValueError, match=f"^level {MAX_LEVEL + 1} exceeds guard"):
+            solve_harmonic(MAX_LEVEL + 1, BV)
+        assert _basis_solutions.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("m", [0, 1, 4, MAX_LEVEL])
+    def test_each_level_solved_once_from_the_one_below(self, m):
+        _basis_solutions.cache_clear()
+        _basis_solutions(m)
+        info = _basis_solutions.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (m + 1, m + 1, 0)
+        for k in range(m + 1):  # levels 0..m are the ones cached
+            _basis_solutions(k)
+        info = _basis_solutions.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (m + 1, m + 1, m + 1)
 
 
 class TestCheckMeanValue:

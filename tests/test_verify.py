@@ -84,9 +84,10 @@ class TestOneWrongDirection:
 
         def shifted(m, bv):
             solved = real(m, bv)
-            if m == 2:
-                solved = dict(solved)
-                solved[3] += bv.gamma  # vertex 3 is the first one past the corners
+            if m == 2:  # vertex 3 is the first one past the corners
+                nums = list(solved.numerators)
+                nums[3] += int(bv.gamma * solved.den)  # den is a multiple of the corners'
+                solved = oracle._Solution(tuple(nums), solved.den)
             return solved
         monkeypatch.setattr(oracle, "solve_harmonic", shifted)
         corners = [v for _, tri in oracle.build_graph(2).triangles[2] for v in tri]
@@ -149,6 +150,23 @@ def test_passing_sample_check_builds_no_fraction(monkeypatch):
     with fraction_gcd_calls() as calls:
         result = verify._linear("t", "sides differ", lambda bv, m: (table[bv, m], table[bv, m]),
                                 range(1, 4), "m <= 3", len(drawn), 0)
+    assert result.status == "PASS"
+    assert calls[0] == 0
+
+
+def test_passing_oracle_suite_builds_no_fraction(monkeypatch):
+    # both sides are integer numerators over one denominator: with prebuilt
+    # draws and the levels solved, a passing run makes no Fraction at all
+    rng = random.Random(5)
+    drawn = [verify.random_triple(rng) for _ in range(3)]
+    for bv in (*verify.UNIT_TRIPLES, *drawn):
+        gasket.to_numerators(bv)
+    for m in range(1, 5):
+        oracle.solve_harmonic(m, drawn[0])
+    prebuilt = iter(drawn)
+    monkeypatch.setattr(verify, "random_triple", lambda rng: next(prebuilt))
+    with fraction_gcd_calls() as calls:
+        result = verify.suite_oracle(depth=4, trials=len(drawn))
     assert result.status == "PASS"
     assert calls[0] == 0
 
