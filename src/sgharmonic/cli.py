@@ -141,8 +141,8 @@ def cmd_eval(alpha, beta, gamma, edge, point, fmt):
 
 @cli.command("classify")
 @triple_options
-@click.option("--depth", type=click.IntRange(1, 40), default=6, show_default=True,
-              help="bisection depth for extremum brackets")
+@click.option("--depth", type=click.IntRange(1, restrictions.MAX_EXTREMUM_DEPTH), default=6,
+              show_default=True, help="bisection depth for extremum brackets")
 @_format_option
 def cmd_classify(alpha, beta, gamma, depth, fmt):
     """Classify monotonicity on all three edges; bracket any extremum."""

@@ -3,10 +3,9 @@
 Vertices carry exact rational coordinates (u, v) in the affine frame
 p1 = (0,0), p2 = (1,0), p0 = (0,1), built as integers in units of 2^-m.  The
 graph is built in one pass, level by level: each triangle (i, j, k) of a
-level, in level order, numbers its midpoints ij, ik, jk the first time each
-point is seen and makes its three children as vertex-index triples.  Two
-triangles of a level share no edge, so every midpoint is new; a point seen
-twice would keep its first index and fail the vertex-count self-check.  A
+level, in level order, appends its midpoints ij, ik, jk as new vertices and
+makes its three children as vertex-index triples.  Cells meet only at their
+corners, so no midpoint repeats, which the build checks.  A
 function is harmonic on the level-m graph iff every interior vertex equals
 the mean of its four neighbors.  That system is solved level by level and
 never uses the extension rule: level m keeps level m - 1's solution on the
@@ -55,24 +54,20 @@ class GasketGraph:
 @lru_cache(maxsize=None)
 def build_graph(m: int) -> GasketGraph:
     """Exact level-m graph with per-level triangle incidence, in one pass: each
-    level's vertex-index triangles are made from the level above's, and a
-    midpoint takes the next index when its point, integers in units of 2^-m,
-    is first seen.  Points become Fraction pairs once per vertex at the end."""
+    level's vertex-index triangles are made from the level above's, and each
+    midpoint, integers in units of 2^-m, takes the next index.  Points become
+    Fraction pairs once per vertex at the end."""
     if m < 0:
         raise ValueError("level must be >= 0")
     if m > MAX_LEVEL:
         raise ValueError(f"level {m} exceeds guard {MAX_LEVEL}")
     unit = 1 << m
     points = [(0, unit), (0, 0), (unit, 0)]  # p0, p1, p2, the boundary
-    index = {p: i for i, p in enumerate(points)}
 
     def mid(i: int, j: int) -> int:
         (ax, ay), (bx, by) = points[i], points[j]
-        p = ((ax + bx) >> 1, (ay + by) >> 1)
-        if p not in index:
-            index[p] = len(points)
-            points.append(p)
-        return index[p]
+        points.append(((ax + bx) >> 1, (ay + by) >> 1))
+        return len(points) - 1
 
     triangles = {0: (("", (0, 1, 2)),)}
     for lvl in range(1, m + 1):
@@ -82,8 +77,9 @@ def build_graph(m: int) -> GasketGraph:
             nxt += ((addr + "0", (i, ij, ik)), (addr + "1", (ij, j, jk)),
                     (addr + "2", (ik, jk, k)))
         triangles[lvl] = tuple(nxt)
-    if len(points) != (expected := 3 * (3 ** m + 1) // 2):
-        raise AssertionError(f"vertex count {len(points)} != {expected}")
+    if not len(points) == len(set(points)) == (expected := 3 * (3 ** m + 1) // 2):
+        raise AssertionError(f"{len(set(points))} distinct of {len(points)} points, "
+                             f"expected {expected}")
     nbr: list[set[int]] = [set() for _ in points]
     for _, (i, j, k) in triangles[m]:
         nbr[i].update((j, k))
@@ -92,7 +88,7 @@ def build_graph(m: int) -> GasketGraph:
     boundary = (0, 1, 2)
     for i, ns in enumerate(nbr):
         want = 2 if i in boundary else 4
-        if m >= 1 and len(ns) != want:
+        if len(ns) != want:
             raise AssertionError(f"vertex {i} has {len(ns)} neighbors, expected {want}")
     coord = [Fraction(k, unit) for k in range(unit + 1)]
     return GasketGraph(m, tuple((coord[x], coord[y]) for x, y in points), triangles,
@@ -105,7 +101,7 @@ def _basis_solutions(m: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
     triples, as integer rows over one denominator D: (D, rows).
 
     Level 0 is the boundary's identity.  Level m takes level m - 1's rows for
-    its first vertices, which build_graph numbers as level m - 1 does, and
+    its first vertices, numbered as at level m - 1, and
     solves only the vertices new at level m, with the coarse ones as known
     columns.  Row v of a new vertex is an integer weight s and coefficients
     n_u with s*x_v = sum of n_u*x_u, at first 4*x_v = the sum of the four

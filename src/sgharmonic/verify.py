@@ -89,13 +89,14 @@ def _value(n, den):
 def _linear(name: str, msg: str, sides, ms, scope: str, trials: int, seed: int) -> SuiteResult:
     """Check sides(bv, m) -> (lhs, rhs), two maps linear in the triple, for
     each m in ms.  A side is a list of values or a pair (numerators,
-    denominator); values are compared as integers, by cross-multiplication,
-    and a Fraction is built only for a failure's certificate.  The check runs
-    on UNIT_TRIPLES, which proves the identity for every rational triple, then
-    on `trials` random triples, which checks that the code computes those
-    linear maps: each sampled value (a flag aside) must also equal
-    alpha*u0 + beta*u1 + gamma*u2 of its unit-triple values u, in integers
-    apart from the kernel, so a fault both sides share is seen too."""
+    denominator).  The two sides must have one length, and a flag (a bool)
+    equals only a flag; values are compared as integers, by cross-
+    multiplication, and a Fraction is built only for a failure's certificate.
+    The check runs on UNIT_TRIPLES, which proves the identity for every
+    rational triple, then on `trials` random triples, which checks that the
+    code computes those linear maps: each sampled value (a flag aside) must
+    also equal alpha*u0 + beta*u1 + gamma*u2 of its unit-triple values u, in
+    integers apart from the kernel, so a fault both sides share is seen too."""
     rng = random.Random(seed)
     units = {m: [] for m in ms}  # m -> the unit triples' lhs sides, then (d, numerators over d)
     for i, bv in enumerate((*UNIT_TRIPLES, *(random_triple(rng) for _ in range(trials)))):
@@ -103,9 +104,12 @@ def _linear(name: str, msg: str, sides, ms, scope: str, trials: int, seed: int) 
         a, b, g = (x.numerator * (den // x.denominator) for x in bv.as_tuple())
         for m in ms:
             (lhs, lden), (rhs, rden) = map(_over, sides(bv, m))
+            if len(lhs) != len(rhs):
+                return _fail(name, "sides differ in length", bv=bv, m=m, lhs=len(lhs),
+                             rhs=len(rhs))
             for at, (x, y) in enumerate(zip(lhs, rhs)):
-                flag = isinstance(x, bool) or isinstance(y, bool)
-                if (x != y) if flag else (x * rden != y * lden):
+                flag = isinstance(x, bool)
+                if flag != isinstance(y, bool) or ((x != y) if flag else (x * rden != y * lden)):
                     return _fail(name, msg, bv=bv, m=m, at=at, lhs=_value(x, lden),
                                  rhs=_value(y, rden))
             if i < 3:

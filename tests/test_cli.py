@@ -128,6 +128,17 @@ class TestClassify:
                    for v in payload["results"]["edges"].values())
         assert payload["results"]["simultaneous_monotone"] is None
 
+    def test_depth_reaches_the_extremum_guard(self):
+        # --depth reads restrictions.MAX_EXTREMUM_DEPTH: 4096 runs to full depth
+        args = ("classify", "-a", "5/2", "-b", "0", "-g", "1", "--format", "json")
+        res = run(*args, "--depth", "4096")
+        assert res.exit_code == 0
+        ext = json.loads(res.output)["results"]["edges"]["bottom"]["extremum"]
+        assert Fraction(ext["hi"]) - Fraction(ext["lo"]) == Fraction(1, 2 ** 4096)
+        res = run(*args, "--depth", "4097")
+        assert res.exit_code == 2
+        assert "4097 is not in the range 1<=x<=4096" in res.output
+
 
 class TestScan:
     def test_depth_one_rows(self):

@@ -43,10 +43,14 @@ class TestBuildGraph:
         g = build_graph(0)
         assert len(g.vertices) == 3
         assert len(g.triangles[0]) == 1
+        assert g.neighbors == ((1, 2), (0, 2), (0, 1))
 
     def test_vertex_counts(self):
         assert len(build_graph(1).vertices) == 6
         assert len(build_graph(3).vertices) == 42
+        for m in range(MAX_LEVEL + 1):  # every midpoint is a new point
+            vertices = build_graph(m).vertices
+            assert len(set(vertices)) == len(vertices) == 3 * (3 ** m + 1) // 2
 
     def test_interior_degree_four(self):
         g = build_graph(3)

@@ -137,6 +137,25 @@ def test_sample_certificate_is_the_exact_unit_combination():
     assert Fraction(ce["lhs"]) == combined + bv.alpha * bv.beta
 
 
+def test_sides_of_unequal_length_fail():
+    # a zip over both sides would stop at the shorter one and PASS
+    result = verify._linear("t", "sides differ",
+                            lambda bv, m: ([bv.alpha, bv.beta], [bv.alpha]),
+                            range(1, 3), "m <= 2", 5, 0)
+    assert (result.status, result.details) == ("FAIL", "sides differ in length")
+    assert result.counterexample == {"bv": "1,0,0", "m": "1", "lhs": "2", "rhs": "1"}
+
+
+@pytest.mark.parametrize("flag, number", [(True, 1), (False, 0)])
+def test_flag_equals_only_a_flag(flag, number):
+    for lhs, rhs in (([flag], [number]), ([number], [flag])):
+        result = verify._linear("t", "sides differ", lambda bv, m: (lhs, rhs),
+                                range(1, 2), "m <= 1", 0, 0)
+        assert (result.status, result.details) == ("FAIL", "sides differ")
+        assert (result.counterexample["lhs"], result.counterexample["rhs"]) == (
+            str(lhs[0]), str(rhs[0]))
+
+
 def test_passing_sample_check_builds_no_fraction(monkeypatch):
     # sides from prebuilt Fraction lists, mixed denominators and a flag among
     # them, and prebuilt draws: a passing run then makes no Fraction at all
