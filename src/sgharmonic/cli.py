@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import repeat
 from operator import floordiv, truediv
@@ -216,30 +217,31 @@ def _x_texts(start: int, stop: int, depth: int) -> list[str]:
 def cmd_scan(alpha, beta, gamma, edge, depth, output):
     """Emit values at all k/2^depth along an edge as lossless CSV."""
     bv = BoundaryValues(alpha, beta, gamma)
-    try:  # before the walk, so that an unwritable path fails at once
-        stream = open(output, "w", newline="") if output else sys.stdout
-    except OSError as exc:
-        raise click.UsageError(f"cannot write --output {output}: {exc.strerror}")
+    # the file is opened before the walk, so that an unwritable path fails at
+    # once; a failed open, write or close of it is a usage error, and the file
+    # is closed whatever happens
     try:
-        values, den = edge_profile(bv, depth, edge)
-        # CSV as csv.writer writes it (no field needs quoting, \r\n ends each
-        # row), written a block of rows at a time; each value in lowest terms.
-        # A block is its columns, each made by C-level maps, interleaved.
-        stream.write("x_num,x_den,f_num,f_den,f_float\r\n")
-        for start in range(0, len(values), _SCAN_BLOCK_ROWS):
-            stop = min(start + _SCAN_BLOCK_ROWS, len(values))
-            block = values[start:stop]
-            gcds = list(map(math.gcd, block, repeat(den)))
-            q_texts = {c: f",{den // c}," for c in set(gcds)}  # a few dozen
-            cells = [None, ",", None, None, None, "\r\n"] * len(block)  # x,p,q,float
-            cells[::6] = _x_texts(start, stop, depth)
-            cells[2::6] = map(str, map(floordiv, block, gcds))
-            cells[3::6] = map(q_texts.__getitem__, gcds)
-            cells[4::6] = map(repr, _display_floats(block, den))
-            stream.write("".join(cells))
-    finally:
-        if output:
-            stream.close()
+        with open(output, "w", newline="") if output else nullcontext(sys.stdout) as stream:
+            values, den = edge_profile(bv, depth, edge)
+            # CSV as csv.writer writes it (no field needs quoting, \r\n ends each
+            # row), written a block of rows at a time; each value in lowest terms.
+            # A block is its columns, each made by C-level maps, interleaved.
+            stream.write("x_num,x_den,f_num,f_den,f_float\r\n")
+            for start in range(0, len(values), _SCAN_BLOCK_ROWS):
+                stop = min(start + _SCAN_BLOCK_ROWS, len(values))
+                block = values[start:stop]
+                gcds = list(map(math.gcd, block, repeat(den)))
+                q_texts = {c: f",{den // c}," for c in set(gcds)}  # a few dozen
+                cells = [None, ",", None, None, None, "\r\n"] * len(block)  # x,p,q,float
+                cells[::6] = _x_texts(start, stop, depth)
+                cells[2::6] = map(str, map(floordiv, block, gcds))
+                cells[3::6] = map(q_texts.__getitem__, gcds)
+                cells[4::6] = map(repr, _display_floats(block, den))
+                stream.write("".join(cells))
+    except OSError as exc:
+        if not output:
+            raise
+        raise click.UsageError(f"cannot write --output {output}: {exc.strerror}")
 
 
 @cli.command("verify")

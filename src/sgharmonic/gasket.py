@@ -20,9 +20,10 @@ numerators over L*5^|w|; :func:`child_numerators` maps a parent's to a
 child's.  So cell w is a fixed integer 3x3 map, over 5^|w|, of the outer
 numerators: :func:`cell_numerators` applies it, built from child_numerators
 once per word and kept in a bounded cache, and each triple computes its
-numerators once.  :func:`edge_cell` reads a cell of an edge's frame from a
-second bounded cache, of that map already permuted into the frame, per
-(edge, k, m).  The closed forms of lemma 2 are integer rows over 2*5^m
+numerators once.  An edge's restriction is the bottom edge's of the triple
+with its corners relabelled, so :func:`edge_cell` applies the map of a
+bottom-edge cell, cached per (k, m) for all three edges, to the permuted
+numerators.  The closed forms of lemma 2 are integer rows over 2*5^m
 or 10*5^m applied to the same numerators.  Every walk and closed form
 divides only for the values it returns: one ``Fraction`` per value.
 :func:`edge_profile` returns its values as integer numerators over one
@@ -53,11 +54,6 @@ _EDGE_PERMUTATION = {
     "left": (2, 0, 1),    # [p0, p1]
     "right": (1, 0, 2),   # [p0, p2]
 }
-# The child maps commute with relabelling the corners: child d of the
-# permuted triple is child perm[d] of the triple, permuted.  So a cell word of
-# an edge's frame names, with each digit d read as perm[d], a cell of bv.
-_EDGE_DIGITS = {edge: str.maketrans("012", "".join(map(str, perm)))
-                for edge, perm in _EDGE_PERMUTATION.items()}
 
 CellAddress = str  # word over "012"; "" is the whole gasket
 
@@ -227,15 +223,11 @@ def cell_values(bv: BoundaryValues, addr: CellAddress) -> BoundaryValues:
 
 
 @lru_cache(maxsize=1024)
-def _frame_map(edge: str, k: int,
-               m: int) -> tuple[tuple[Numerators, Numerators, Numerators], int]:
+def _frame_map(k: int, m: int) -> tuple[tuple[Numerators, Numerators, Numerators], int]:
     """Rows of the integer map, over 5^m, from a triple's corner numerators to
-    those of the cell cell_word(k, m) of the edge's frame, in that frame's
-    corner order, and 5^m: the word map of the cell word with each digit read
-    in bv's labels, its rows permuted.  Built once per (edge, k, m)."""
-    perm = _EDGE_PERMUTATION[edge]
-    rows = _word_map(cell_word(k, m).translate(_EDGE_DIGITS[edge]))
-    return (rows[perm[0]], rows[perm[1]], rows[perm[2]]), 5 ** m
+    those of its bottom-edge cell cell_word(k, m), and 5^m.  Built once per
+    (k, m); every edge reads it, on its permuted numerators."""
+    return _word_map(cell_word(k, m)), 5 ** m
 
 
 def edge_cell(bv: BoundaryValues, edge: str,
@@ -245,16 +237,17 @@ def edge_cell(bv: BoundaryValues, edge: str,
     decode_edge_point(x) names, and x's place 0, 1, 1/3 or 2/3 along its
     bottom edge.  At x = 1 the cell is the whole edge, over L = to_numerators(bv)[1].
 
-    The point is decoded first, then the edge is read: one lookup of the
-    cached _frame_map of (edge, k, m), and its nine integer products with
-    the triple's numerators."""
+    The point is decoded first, then the edge is read: the cached _frame_map
+    of (k, m), and its nine integer products with the triple's numerators in
+    the edge's corner order."""
     k, m, place = decode_edge_point(x)
     try:
-        rows, scale = _frame_map(edge, k, m)
+        i, j, l = _EDGE_PERMUTATION[edge]
     except KeyError:
         raise ValueError(f"unknown edge {edge!r}") from None
-    (a, b, g), den = to_numerators(bv)
-    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = rows
+    ((x0, y0, z0), (x1, y1, z1), (x2, y2, z2)), scale = _frame_map(k, m)
+    t, den = to_numerators(bv)
+    a, b, g = t[i], t[j], t[l]
     return ((x0 * a + y0 * b + z0 * g, x1 * a + y1 * b + z1 * g, x2 * a + y2 * b + z2 * g),
             den * scale, place)
 

@@ -197,7 +197,8 @@ def _relation_triple(rng: random.Random, line: int) -> BoundaryValues:
 
 def suite_theorem4(trials: int = 10_000, seed: int = 0) -> SuiteResult:
     """Vertex relations agree with strict classification on all three edges,
-    and exactly one edge is NonMonotone when no relation holds."""
+    and exactly one edge is NonMonotone when no relation holds.  On a
+    relation line, corner_relations gives that line's relation."""
     rng = random.Random(seed)
     cls = restrictions.MonotonicityClass
     strict = (cls.STRICTLY_INCREASING, cls.STRICTLY_DECREASING)
@@ -210,7 +211,14 @@ def suite_theorem4(trials: int = 10_000, seed: int = 0) -> SuiteResult:
         if restrictions.simultaneous_monotone(bv) != all(c in strict for c in classes):
             return _fail("theorem4", "vertex relations disagree with edge classes", bv=bv)
         a, b, g = bv.as_tuple()
-        relation = 2 * a == b + g or 2 * b == a + g or 2 * g == a + b
+        lines = [2 * a == b + g, 2 * b == a + g, 2 * g == a + b]
+        relation = any(lines)
+        if relation:  # a nonconstant triple is on one line at most
+            want = [((2, -1, -1), (1, -2, 1), (1, 1, -2))[lines.index(True)]]
+            got = restrictions.corner_relations(bv, 5)
+            if got != want:
+                return _fail("theorem4", "corner relation is not the relation line's",
+                             bv=bv, relations=str(got), line=str(want))
         non = classes.count(cls.NON_MONOTONE)
         if non != (0 if relation else 1):
             return _fail("theorem4", "wrong count of NonMonotone edges: 0 on a relation "
@@ -218,8 +226,8 @@ def suite_theorem4(trials: int = 10_000, seed: int = 0) -> SuiteResult:
         related += relation
         unrelated += not relation
     return _pass("theorem4", f"{trials + 3 * per_line} nonconstant triples: {related} on a "
-                 f"relation line with no NonMonotone edge, {unrelated} on none with exactly "
-                 "one", related, unrelated)
+                 "relation line with that line's corner relation and no NonMonotone edge, "
+                 f"{unrelated} on none with exactly one", related, unrelated)
 
 
 def suite_lemma4(trials: int = 100, m_max: int = 15, seed: int = 0) -> SuiteResult:
@@ -268,13 +276,23 @@ def suite_theorem5(trials: int = 1000, depth: int = 6, seed: int = 0) -> SuiteRe
 
 
 def suite_eq16(trials: int = 100, m_max: int = 30, seed: int = 0) -> SuiteResult:
-    """5*alpha_m + 15*beta_m + 7*gamma_m is conserved along the nesting."""
+    """5*alpha_m + 15*beta_m + 7*gamma_m is conserved along the nesting.  At
+    m = 0, also 27 f(1/3) of each edge is 5a + 15b + 7g of the edge's corners
+    (a, b, g), read through gasket._EDGE_PERMUTATION, and 27 f(2/3) is the
+    same with b and g swapped."""
     def sides(bv, m):
         seq = restrictions.triangle_sequence(bv, m)
-        return ([5 * seq.alpha_m + 15 * seq.beta_m + 7 * seq.gamma_m],
-                [restrictions.conserved_combination(bv)])
+        lhs = [5 * seq.alpha_m + 15 * seq.beta_m + 7 * seq.gamma_m]
+        rhs = [restrictions.conserved_combination(bv)]
+        if m == 0:
+            t = bv.as_tuple()
+            for edge, (i, j, l) in gasket._EDGE_PERMUTATION.items():
+                lhs += [27 * gasket.eval_dyadic(bv, EdgePoint(edge, Fraction(n, 3)))
+                        for n in (1, 2)]
+                rhs += [5 * t[i] + 15 * t[j] + 7 * t[l], 5 * t[i] + 7 * t[j] + 15 * t[l]]
+        return lhs, rhs
     return _linear("eq16", "conserved combination drifted", sides, range(m_max + 1),
-                   f"m <= {m_max}", trials, seed)
+                   f"m <= {m_max}, and f(1/3), f(2/3) of every edge at m = 0", trials, seed)
 
 
 def suite_closed_form(trials: int = 100, m_max: int = 30, seed: int = 0) -> SuiteResult:

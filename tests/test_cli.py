@@ -1,8 +1,11 @@
 import contextlib
+import errno
 import functools
 import gc
 import hashlib
+import io
 import json
+import os
 import re
 import sys
 import time
@@ -190,6 +193,45 @@ class TestScan:
         assert res.exit_code == 2
         assert f"cannot write --output {path}" in res.output
         assert not path.parent.exists()
+
+    @pytest.mark.parametrize("failing", ["write", "close"])
+    def test_output_write_failure_is_a_usage_error(self, tmp_path, monkeypatch, failing):
+        # a full disk fails a write, or the flush of the rows at close: exit 2
+        # with the message of a failed open, no traceback, and the file closed
+        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        class FullStream(io.StringIO):
+            def write(self, text):
+                if failing == "write":
+                    raise full
+                return super().write(text)
+
+            def close(self):
+                super().close()
+                if failing == "close":
+                    raise full
+        streams = []
+        monkeypatch.setattr(sgharmonic.cli, "open",
+                            lambda *args, **kwargs: streams.append(FullStream()) or streams[-1],
+                            raising=False)
+        path = tmp_path / "scan.csv"
+        res = run("scan", "-a", "1", "-b", "2", "-g", "3", "--depth", "4", "--output", str(path))
+        assert (res.exit_code, type(res.exception)) == (2, SystemExit)
+        assert f"cannot write --output {path}: {os.strerror(errno.ENOSPC)}" in res.output
+        assert len(streams) == 1 and streams[0].closed
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("depth", [4, 14])  # the rows fail at close; at a write
+    def test_output_to_a_full_device(self, monkeypatch, depth):
+        opened = []
+        monkeypatch.setattr(sgharmonic.cli, "open",
+                            lambda *args, **kwargs: opened.append(open(*args, **kwargs))
+                            or opened[-1], raising=False)
+        res = run("scan", "-a", "1", "-b", "2", "-g", "3", "--depth", str(depth),
+                  "--output", "/dev/full")
+        assert (res.exit_code, type(res.exception)) == (2, SystemExit)
+        assert "cannot write --output /dev/full: " in res.output
+        assert len(opened) == 1 and opened[0].closed
 
     # an integer triple, (-9/5, 1/5, 11/5) on the hyperplane alpha = 2*beta - gamma,
     # and a 70-bit one; the digest was generated before the CSV was written in blocks
@@ -391,7 +433,8 @@ class TestVerify:
         assert 0 < sum(suite["elapsed_s"] for suite in payload["suites"]) <= wall
         human = run("verify", "--suite", "eq16", "--trials", "5").output
         assert re.fullmatch(r"eq16: PASS - proven on the unit triples for every rational "
-                            r"triple, m <= 30; 5 random triples agree \(\d+\.\d\d s\)\n",
+                            r"triple, m <= 30, and f\(1/3\), f\(2/3\) of every edge at m = 0; "
+                            r"5 random triples agree \(\d+\.\d\d s\)\n",
                             human)
 
     def test_counterexample_is_exact_text(self):

@@ -223,9 +223,11 @@ def fold(t, addr):
 
 
 def frame_cell(bv, edge, k, m):
-    """The cell cell_word(k, m) of the edge's frame, from its cached frame map."""
-    rows, scale = _frame_map(edge, k, m)
+    """The cell cell_word(k, m) of the edge's frame: the cached bottom-edge map
+    of (k, m) on the numerators in the edge's corner order."""
+    rows, scale = _frame_map(k, m)
     t, den = to_numerators(bv)
+    t = [t[i] for i in gasket._EDGE_PERMUTATION[edge]]
     return tuple(sum(r * x for r, x in zip(row, t)) for row in rows), den * scale
 
 
@@ -244,8 +246,9 @@ def cells(draw):
 
 
 class TestCaches:
-    # the word maps and the edges' frame maps are cached; a cached answer must
-    # equal the plain one, cold, warm and after the cache has evicted
+    # the word maps and the bottom-edge cells' frame maps, which all three
+    # edges share, are cached; a cached answer must equal the plain one, cold,
+    # warm and after the cache has evicted
 
     @settings(deadline=None)
     @given(triples(), words)
@@ -291,12 +294,14 @@ class TestCaches:
     @given(triples(), st.sampled_from(EDGES), cells())
     def test_frame_map_bounded(self, bv, edge, cell):
         maxsize = _frame_map.cache_parameters()["maxsize"]
-        filler = [(edge, k, 12) for k in range(maxsize + 1)]
+        filler = [(k, 12) for k in range(maxsize + 1)]
         for key in filler:
-            frame_cell(bv, *key)
+            frame_cell(bv, edge, *key)
         assert _frame_map.cache_info().currsize <= maxsize
-        for e, k, m in ((edge, *cell), filler[0], filler[-1]):  # filler[0] was evicted
-            assert frame_cell(bv, e, k, m) == cell_numerators(on_edge(bv, e), cell_word(k, m))
+        for k, m in (cell, filler[0], filler[-1]):  # filler[0] was evicted
+            for e in EDGES:  # one entry serves every edge
+                assert frame_cell(bv, e, k, m) == cell_numerators(on_edge(bv, e),
+                                                                  cell_word(k, m))
 
     def test_seen_words_walk_no_step(self, monkeypatch):
         # a new triple on words already seen is matrix-vector products only
@@ -478,8 +483,8 @@ class TestEdgeProfile:
 
 class TestBottomLevel:
     # the level walk behind bottom_cells and edge_profile, against the word
-    # maps: cell k at depth d of an edge is cell_word(k, d) with each digit
-    # read in bv's labels, its corners permuted into the edge's frame
+    # maps: cell k at depth d of an edge is cell_word(k, d) of the triple
+    # permuted into the edge's frame
     TRIPLES = [
         BoundaryValues(Fraction(-93, 71), Fraction(115, 67), Fraction(-88, 101)),
         BoundaryValues(Fraction(2 ** 40 - 87, 211), Fraction(-(2 ** 39) - 5, 179),
@@ -491,14 +496,11 @@ class TestBottomLevel:
     def test_cells_are_the_word_map_cells(self, edge, subedge_levels, monkeypatch):
         # at 2 levels, edge_profile walks depth 8 as 32 sub-edges of 4 cells
         monkeypatch.setattr(gasket, "_SUBEDGE_LEVELS", subedge_levels)
-        perm = gasket._EDGE_PERMUTATION[edge]
         for bv in self.TRIPLES:
             for d in range(9):
-                want = []
-                for k in range(2 ** d):
-                    t, den = cell_numerators(
-                        bv, cell_word(k, d).translate(gasket._EDGE_DIGITS[edge]))
-                    want.append((t[perm[0]], t[perm[1]], t[perm[2]]))
+                cells = [cell_numerators(on_edge(bv, edge), cell_word(k, d))
+                         for k in range(2 ** d)]
+                want, den = [t for t, _ in cells], cells[0][1]
                 assert bottom_cells(bv, d, edge) == want
                 assert edge_profile(bv, d, edge) == (
                     [b for _, b, _ in want] + [want[-1][2]], den)

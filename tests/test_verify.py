@@ -366,6 +366,43 @@ def test_theorem4_plants_every_relation_line(monkeypatch):
         "FAIL", "vertex relations disagree with edge classes")
 
 
+def test_eq16_reads_the_third_points_of_every_edge(monkeypatch):
+    # eval_dyadic off by 10^-6 at third points only: the m = 0 entries see it
+    # on the first unit triple, at 1/3 of the bottom edge, 27 f(1/3) = 5
+    real = gasket.eval_dyadic
+    monkeypatch.setattr(gasket, "eval_dyadic", lambda bv, pt: real(bv, pt) + (
+        Fraction(1, 10 ** 6) if pt.position.denominator % 3 == 0 else 0))
+    assert_fail(verify.suite_eq16(trials=3, m_max=2), "1,0,0", 0, 1,
+                5 + Fraction(27, 10 ** 6), 5)
+
+
+def test_eq16_reads_each_edge_through_its_permutation(monkeypatch):
+    # an edge_cell that reads the left edge for the right fails at the right
+    # edge's 1/3 point, entry 5, first on (0, 1, 0): the right edge's apex
+    # p1 is the left edge's second end
+    real = gasket.edge_cell
+    monkeypatch.setattr(gasket, "edge_cell", lambda bv, edge, x: real(
+        bv, "left" if edge == "right" else edge, x))
+    assert_fail(verify.suite_eq16(trials=3, m_max=2), "0,1,0", 0, 5, 7, 5)
+
+
+def test_theorem4_checks_the_corner_relations(monkeypatch):
+    # corner_relations with its signs flipped gives each line's relation with
+    # its first coefficient negative
+    real = restrictions.corner_relations
+    monkeypatch.setattr(restrictions, "corner_relations", lambda bv, bound: [
+        tuple(-c for c in r) for r in real(bv, bound)])
+    result = verify.suite_theorem4(trials=50)
+    assert (result.status, result.details) == (
+        "FAIL", "corner relation is not the relation line's")
+    ce = result.counterexample
+    bv = BoundaryValues(*map(Fraction, ce["bv"].split(",")))
+    assert ce == {"bv": ce["bv"], "relations": str([tuple(-c for c in r)
+                                                    for r in real(bv, 5)]),
+                  "line": str(real(bv, 5))}
+    assert ce["line"] in ("[(2, -1, -1)]", "[(1, -2, 1)]", "[(1, 1, -2)]")
+
+
 def test_theorem4_counts_the_non_monotone_edges(monkeypatch):
     # exactly one NonMonotone edge off the relation lines, none on them
     real = restrictions.classify_edge
