@@ -37,10 +37,8 @@ from .restrictions import (
     locate_extremum,
     simultaneous_monotone,
     third_point_context,
-    third_point_of_subedge,
     third_point_onset,
     third_point_quotients,
-    third_point_value,
     triangle_sequence,
 )
 
@@ -56,6 +54,5 @@ __all__ = [
     "gamma_closed_form", "junction_derivative", "locate_extremum",
     "normal_derivative", "parse_rational", "renormalized_vertex_difference",
     "simultaneous_monotone", "solve_harmonic", "third_point_context",
-    "third_point_of_subedge", "third_point_onset", "third_point_quotients",
-    "third_point_value", "triangle_sequence",
+    "third_point_onset", "third_point_quotients", "triangle_sequence",
 ]

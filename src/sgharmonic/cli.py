@@ -190,6 +190,21 @@ def cmd_classify(alpha, beta, gamma, depth, fmt):
 
 
 _SCAN_BLOCK_ROWS = 4096
+_SCAN_HEADER = "x_num,x_den,f_num,f_den,f_float\r\n"
+MAX_SCAN_BYTES = 2 ** 30  # 1 GiB; a scan whose _scan_bytes exceed it is refused
+
+
+def _scan_bytes(t, den: int, depth: int) -> int:
+    """A bound on the bytes scan writes for an edge whose whole-edge frame cell
+    is t over den.  Each value is a convex combination of the corners, so over
+    den * 5^depth its numerator is at most max|t| * 5^depth.  Each of the
+    2^depth + 1 rows then holds at most: that with a sign, den * 5^depth, two
+    x fields of at most 2^depth, a float repr of at most 24 characters and
+    6 separator bytes."""
+    p = 5 ** depth
+    row = (len(str(max(map(abs, t)) * p)) + 1 + len(str(den * p))
+           + 2 * len(str(2 ** depth)) + 24 + 6)
+    return len(_SCAN_HEADER) + (2 ** depth + 1) * row
 
 
 def _x_texts(start: int, stop: int, depth: int) -> list[str]:
@@ -217,6 +232,15 @@ def _x_texts(start: int, stop: int, depth: int) -> list[str]:
 def cmd_scan(alpha, beta, gamma, edge, depth, output):
     """Emit values at all k/2^depth along an edge as lossless CSV."""
     bv = BoundaryValues(alpha, beta, gamma)
+    t, den, _ = edge_cell(bv, edge, 1)
+    size = _scan_bytes(t, den, depth)
+    if size > MAX_SCAN_BYTES:  # refused before the file is opened or any walk
+        digits = max(len(str(abs(n))) for x in bv.as_tuple()
+                     for n in (x.numerator, x.denominator))
+        raise click.UsageError(
+            f"scan would write about {size} bytes at --depth {depth} with inputs of "
+            f"up to {digits} digits, above its bound of {MAX_SCAN_BYTES} bytes (1 GiB); "
+            "lower --depth or the inputs' digits")
     # the file is opened before the walk, so that an unwritable path fails at
     # once; a failed open, write or close of it is a usage error, and the file
     # is closed whatever happens
@@ -226,7 +250,7 @@ def cmd_scan(alpha, beta, gamma, edge, depth, output):
             # CSV as csv.writer writes it (no field needs quoting, \r\n ends each
             # row), written a block of rows at a time; each value in lowest terms.
             # A block is its columns, each made by C-level maps, interleaved.
-            stream.write("x_num,x_den,f_num,f_den,f_float\r\n")
+            stream.write(_SCAN_HEADER)
             for start in range(0, len(values), _SCAN_BLOCK_ROWS):
                 stop = min(start + _SCAN_BLOCK_ROWS, len(values))
                 block = values[start:stop]

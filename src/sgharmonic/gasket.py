@@ -72,10 +72,6 @@ class BoundaryValues:
             if type(x) is not Fraction:
                 object.__setattr__(self, name, Fraction(x))
 
-    @property
-    def delta(self) -> Fraction:
-        return self.alpha + self.beta + self.gamma
-
     def is_constant(self) -> bool:
         return self.alpha == self.beta == self.gamma
 
@@ -343,12 +339,6 @@ def _lemma2_row(m: int, which: str) -> tuple[Numerators, int]:
     else:
         raise ValueError(f"unknown point family {which!r}")
     return ((a, g, b) if which in ("one_minus_half_power", "r_m") else (a, b, g)), q
-
-
-def lemma2_coefficients(m: int, which: str) -> tuple[Fraction, Fraction, Fraction]:
-    """Exact (alpha, beta, gamma) coefficients of the closed forms at depth m."""
-    row, q = _lemma2_row(m, which)
-    return tuple(Fraction(x, q) for x in row)
 
 
 def closed_form_lemma2(bv: BoundaryValues, m: int, which: str) -> Fraction:

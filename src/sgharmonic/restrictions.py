@@ -20,12 +20,9 @@ from .exactarith import QuadExt, format_rational
 from .gasket import (
     _EDGE_PERMUTATION,
     BoundaryValues,
-    CellAddress,
-    EdgePoint,
     bottom_cells,
     cell_numerators,
     edge_cell,
-    eval_dyadic,
     to_numerators,
 )
 
@@ -263,18 +260,11 @@ class TriangleSequence:
     alpha_m: Fraction
     beta_m: Fraction
     gamma_m: Fraction
-    p1_m: Fraction  # position of the beta_m corner: 1/3 - (1/3)(1/4)^m
-    p2_m: Fraction  # position of the gamma_m corner: 1/3 + (2/3)(1/4)^m
 
 
 def conserved_combination(bv: BoundaryValues) -> Fraction:
     """5*alpha + 15*beta + 7*gamma, invariant along the nested triangles."""
     return 5 * bv.alpha + 15 * bv.beta + 7 * bv.gamma
-
-
-def third_point_value(bv: BoundaryValues) -> Fraction:
-    """f(1/3) on the bottom edge: (5*alpha + 15*beta + 7*gamma)/27."""
-    return conserved_combination(bv) / 27
 
 
 def triangle_sequence(bv: BoundaryValues, m: int) -> TriangleSequence:
@@ -285,14 +275,7 @@ def triangle_sequence(bv: BoundaryValues, m: int) -> TriangleSequence:
     if m < 0:
         raise ValueError("m must be >= 0")
     t, den = cell_numerators(bv, "12" * m)
-    return TriangleSequence(m, *(Fraction(x, den) for x in t), *_third_point_positions(m))
-
-
-@lru_cache(maxsize=256)
-def _third_point_positions(m: int) -> tuple[Fraction, Fraction]:
-    """(p1_m, p2_m) of triangle_sequence: 1/3 - (1/3)(1/4)^m and 1/3 + (2/3)(1/4)^m."""
-    q = 4 ** m
-    return Fraction(q - 1, 3 * q), Fraction(q + 2, 3 * q)
+    return TriangleSequence(m, *(Fraction(x, den) for x in t))
 
 
 #: (100s + 4h)/24 = 91/150 + (2/25)sqrt13 ~ 0.8951, with s, h = (7 +- sqrt13)/50
@@ -433,8 +416,9 @@ def beta_closed_form(bv: BoundaryValues, m: int) -> Fraction:
 
 def third_point_quotients(bv: BoundaryValues, m: int) -> tuple[Fraction, Fraction]:
     """Difference quotients (left, right) toward x = 1/3 along the nested
-    triangle corners: (beta_m - f(1/3))/(p1_m - 1/3) and
-    (gamma_m - f(1/3))/(p2_m - 1/3).
+    triangle corners, which sit at 1/3 - (1/3)(1/4)^m (beta_m) and
+    1/3 + (2/3)(1/4)^m (gamma_m): (beta_m - f(1/3))/(-(1/3)(1/4)^m) and
+    (gamma_m - f(1/3))/((2/3)(1/4)^m).
 
     With (a_m, b_m, g_m) over L 25^m the numerators of the m-th triangle and
     c = 5a + 15b + 7g over L, so f(1/3) = c/27L, these are the Fractions
@@ -445,19 +429,3 @@ def third_point_quotients(bv: BoundaryValues, m: int) -> tuple[Fraction, Fractio
     (_, b, g), den = cell_numerators(bv, "12" * m)  # den = L 25^m
     c, p = _slow_pairs(bv)[0] * 25 ** m, 4 ** m
     return Fraction((c - 27 * b) * p, 9 * den), Fraction((27 * g - c) * p, 18 * den)
-
-
-def third_point_of_subedge(
-    bv: BoundaryValues, addr: CellAddress, which: Fraction
-) -> tuple[Fraction, Fraction]:
-    """Global position and exact value, by eval_dyadic, of the 1/3 (or 2/3)
-    point of the bottom sub-edge of a {1,2}-word cell; the restriction's
-    derivative vanishes there at every scale."""
-    if any(ch not in "12" for ch in addr):
-        raise ValueError(f"address must be a word over {{1,2}}, got {addr!r}")
-    which = Fraction(which)
-    if which not in (Fraction(1, 3), Fraction(2, 3)):
-        raise ValueError("which must be 1/3 or 2/3")
-    k = int("0" + addr.replace("1", "0").replace("2", "1"), 2)  # inverse of cell_word
-    position = (k + which) / 2 ** len(addr)
-    return position, eval_dyadic(bv, EdgePoint("bottom", position))

@@ -89,7 +89,9 @@ def _value(n, den):
 def _linear(name: str, msg: str, sides, ms, scope: str, trials: int, seed: int) -> SuiteResult:
     """Check sides(bv, m) -> (lhs, rhs), two maps linear in the triple, for
     each m in ms.  A side is a list of values or a pair (numerators,
-    denominator).  The two sides must have one length, and a flag (a bool)
+    denominator).  sides may also return a third list, one short statement
+    per entry: a failing entry's statement is then the FAIL's message in
+    place of msg.  The two sides must have one length, and a flag (a bool)
     equals only a flag; values are compared as integers, by cross-
     multiplication, and a Fraction is built only for a failure's certificate.
     The check runs on UNIT_TRIPLES, which proves the identity for every
@@ -103,15 +105,16 @@ def _linear(name: str, msg: str, sides, ms, scope: str, trials: int, seed: int) 
         den = lcm(*(x.denominator for x in bv.as_tuple()))  # the triple over den
         a, b, g = (x.numerator * (den // x.denominator) for x in bv.as_tuple())
         for m in ms:
-            (lhs, lden), (rhs, rden) = map(_over, sides(bv, m))
+            lhs, rhs, *statements = sides(bv, m)
+            (lhs, lden), (rhs, rden) = _over(lhs), _over(rhs)
             if len(lhs) != len(rhs):
                 return _fail(name, "sides differ in length", bv=bv, m=m, lhs=len(lhs),
                              rhs=len(rhs))
             for at, (x, y) in enumerate(zip(lhs, rhs)):
                 flag = isinstance(x, bool)
                 if flag != isinstance(y, bool) or ((x != y) if flag else (x * rden != y * lden)):
-                    return _fail(name, msg, bv=bv, m=m, at=at, lhs=_value(x, lden),
-                                 rhs=_value(y, rden))
+                    return _fail(name, statements[0][at] if statements else msg, bv=bv,
+                                 m=m, at=at, lhs=_value(x, lden), rhs=_value(y, rden))
             if i < 3:
                 units[m].append((lhs, lden))
                 continue
@@ -279,19 +282,24 @@ def suite_eq16(trials: int = 100, m_max: int = 30, seed: int = 0) -> SuiteResult
     """5*alpha_m + 15*beta_m + 7*gamma_m is conserved along the nesting.  At
     m = 0, also 27 f(1/3) of each edge is 5a + 15b + 7g of the edge's corners
     (a, b, g), read through gasket._EDGE_PERMUTATION, and 27 f(2/3) is the
-    same with b and g swapped."""
+    same with b and g swapped.  Each m = 0 entry carries its statement."""
+    drifted = "conserved combination drifted"
+
     def sides(bv, m):
         seq = restrictions.triangle_sequence(bv, m)
         lhs = [5 * seq.alpha_m + 15 * seq.beta_m + 7 * seq.gamma_m]
         rhs = [restrictions.conserved_combination(bv)]
-        if m == 0:
-            t = bv.as_tuple()
-            for edge, (i, j, l) in gasket._EDGE_PERMUTATION.items():
-                lhs += [27 * gasket.eval_dyadic(bv, EdgePoint(edge, Fraction(n, 3)))
-                        for n in (1, 2)]
-                rhs += [5 * t[i] + 15 * t[j] + 7 * t[l], 5 * t[i] + 7 * t[j] + 15 * t[l]]
-        return lhs, rhs
-    return _linear("eq16", "conserved combination drifted", sides, range(m_max + 1),
+        if m:
+            return lhs, rhs
+        t, statements = bv.as_tuple(), [drifted]
+        for edge, (i, j, l) in gasket._EDGE_PERMUTATION.items():
+            lhs += [27 * gasket.eval_dyadic(bv, EdgePoint(edge, Fraction(n, 3)))
+                    for n in (1, 2)]
+            rhs += [5 * t[i] + 15 * t[j] + 7 * t[l], 5 * t[i] + 7 * t[j] + 15 * t[l]]
+            statements += [f"27 f(1/3) of {edge} = 5a + 15b + 7g of its corners",
+                           f"27 f(2/3) of {edge} = 5a + 7b + 15g of its corners"]
+        return lhs, rhs, statements
+    return _linear("eq16", drifted, sides, range(m_max + 1),
                    f"m <= {m_max}, and f(1/3), f(2/3) of every edge at m = 0", trials, seed)
 
 

@@ -7,9 +7,11 @@ import io
 import json
 import os
 import re
+import shlex
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -30,7 +32,7 @@ from sgharmonic.gasket import (
     on_edge,
 )
 from sgharmonic.oracle import MAX_LEVEL
-from sgharmonic.restrictions import third_point_value
+from sgharmonic.restrictions import conserved_combination
 
 
 def run(*args):
@@ -71,7 +73,7 @@ class TestEval:
                     c = cell_values(on_edge(bv, edge), cell_word(k, m))
                     if j == 2:
                         c = BoundaryValues(c.alpha, c.gamma, c.beta)
-                    want[bv, edge, point] = third_point_value(c)
+                    want[bv, edge, point] = conserved_combination(c) / 27
         refuse_on_edge(monkeypatch)
         for (bv, edge, point), value in want.items():
             res = run("eval", *(f"--{name}={format_rational(x)}" for name, x in
@@ -232,6 +234,63 @@ class TestScan:
         assert (res.exit_code, type(res.exception)) == (2, SystemExit)
         assert "cannot write --output /dev/full: " in res.output
         assert len(opened) == 1 and opened[0].closed
+
+    # At depth 20 with (10^n, 0, 1), a row is bounded by n + 15 digits of the
+    # numerator with its sign, 14 of the denominator 5^20, two x fields of 7,
+    # a float of 24 and 6 separators: n + 73 bytes.  So n = 951 gives 1024
+    # bytes a row, and 2^20 + 1 rows and the header pass 1 GiB; n = 950 does not.
+    ABOVE_BOUND = 1024 * (2 ** 20 + 1) + len("x_num,x_den,f_num,f_den,f_float\r\n")
+
+    class Walked(Exception):
+        pass
+
+    def refuse_walk(self, monkeypatch):
+        def walk(*args):
+            raise self.Walked
+        monkeypatch.setattr(sgharmonic.cli, "edge_profile", walk)
+
+    @pytest.mark.parametrize("output", [False, True])
+    def test_refused_just_above_the_bound(self, tmp_path, monkeypatch, output):
+        self.refuse_walk(monkeypatch)
+        path = tmp_path / "scan.csv"
+        res = run("scan", "-a", f"1{'0' * 951}", "-b", "0", "-g", "1", "--depth", "20",
+                  *(["--output", str(path)] if output else []))
+        assert (res.exit_code, type(res.exception)) == (2, SystemExit)
+        assert sgharmonic.cli.MAX_SCAN_BYTES == 2 ** 30 < self.ABOVE_BOUND
+        assert (f"scan would write about {self.ABOVE_BOUND} bytes at --depth 20 with "
+                f"inputs of up to 952 digits, above its bound of {2 ** 30} bytes"
+                in res.output)
+        assert res.stdout == ""  # the message goes to standard error
+        assert not path.exists()
+
+    @pytest.mark.parametrize("triple", [(f"1{'0' * 950}", "0", "1"), ("2", "-3", "7/3")])
+    def test_admitted_at_or_below_the_bound(self, monkeypatch, triple):
+        # just below the bound, and CI's depth-20 triple (about 79 MB): the walk runs
+        self.refuse_walk(monkeypatch)
+        a, b, g = triple
+        res = run("scan", "-a", a, "-b", b, "-g", g, "--depth", "20")
+        assert type(res.exception) is self.Walked
+
+    @pytest.mark.parametrize("depth", [0, 1, 8])
+    def test_estimate_bounds_the_output(self, depth):
+        # on the triples of every digest, float overflows and 70-bit corners included
+        for a, b, g in self.SCAN_TRIPLES:
+            bv = BoundaryValues(*map(Fraction, (a, b, g)))
+            for edge in EDGES:
+                t, den, _ = sgharmonic.cli.edge_cell(bv, edge, 1)
+                res = run("scan", f"--alpha={a}", f"--beta={b}", f"--gamma={g}",
+                          "--edge", edge, "--depth", str(depth))
+                assert res.exit_code == 0
+                assert len(res.stdout_bytes) <= sgharmonic.cli._scan_bytes(t, den, depth)
+
+    def test_refusal_leaves_an_existing_output_file(self, tmp_path, monkeypatch):
+        self.refuse_walk(monkeypatch)
+        path = tmp_path / "scan.csv"
+        path.write_bytes(b"kept\r\n")
+        res = run("scan", "-a", f"1{'0' * 3999}", "-b", "0", "-g", "1", "--depth", "20",
+                  "--output", str(path))
+        assert res.exit_code == 2 and "inputs of up to 4000 digits" in res.output
+        assert path.read_bytes() == b"kept\r\n"
 
     # an integer triple, (-9/5, 1/5, 11/5) on the hyperplane alpha = 2*beta - gamma,
     # and a 70-bit one; the digest was generated before the CSV was written in blocks
@@ -653,3 +712,25 @@ def test_golden_outputs():
         res = run(*args)
         digest.update(json.dumps([args, res.exit_code, res.stdout]).encode())
     assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+def test_readme_cli_examples(tmp_path, monkeypatch):
+    # each `sgharmonic ...` line of the README's CLI block exits 0, and prints
+    # what its "# ->" comment gives, where "..." stands for any text
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("\n```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    ran = checked = 0
+    for line in block.splitlines():
+        if not line.startswith("sgharmonic "):
+            continue
+        command, _, want = line.partition("# ->")
+        res = run(*shlex.split(command)[1:])
+        assert res.exit_code == 0, (command, res.output)
+        ran += 1
+        if want.strip():
+            pattern = re.escape(want.strip()).replace(re.escape("..."), ".*")
+            assert re.fullmatch(pattern, res.stdout.strip()), (command, res.stdout)
+            checked += 1
+    assert (ran, checked) == (6, 2)
+    assert (tmp_path / "profile.csv").read_text().startswith("x_num,x_den,f_num,f_den,")

@@ -21,6 +21,7 @@ from sgharmonic.gasket import (
     BoundaryValues,
     EdgePoint,
     _frame_map,
+    _lemma2_row,
     _word_map,
     bottom_cells,
     cell_numerators,
@@ -34,7 +35,6 @@ from sgharmonic.gasket import (
     eval_dyadic,
     extend_once,
     lemma2_abscissa,
-    lemma2_coefficients,
     normal_derivative,
     on_edge,
     renormalized_vertex_difference,
@@ -42,8 +42,8 @@ from sgharmonic.gasket import (
 )
 from sgharmonic.restrictions import (
     DerivClass,
+    conserved_combination,
     junction_derivative,
-    third_point_value,
     triangle_sequence,
 )
 
@@ -381,8 +381,8 @@ class TestEvalDyadic:
                     for m in range(7):
                         for k in range(2 ** m):
                             c = cell_values(t, cell_word(k, m))
-                            want = (c.beta, third_point_value(c),
-                                    third_point_value(BoundaryValues(c.alpha, c.gamma, c.beta)))
+                            want = (c.beta, conserved_combination(c) / 27, conserved_combination(
+                                BoundaryValues(c.alpha, c.gamma, c.beta)) / 27)
                             for j in range(3):
                                 x = (k + Fraction(j, 3)) / 2 ** m
                                 assert eval_dyadic(bv, EdgePoint(edge, x)) == want[j]
@@ -555,7 +555,7 @@ class TestLemma2:
         bv = BoundaryValues(0, 0, 1)
         for m, which in ((0, "half_power"), (-3, "r_m"), (0, "middle")):
             for call in (lambda: closed_form_lemma2(bv, m, which),
-                         lambda: lemma2_coefficients(m, which)):
+                         lambda: _lemma2_row(m, which)):
                 with pytest.raises(ValueError, match="^m must be >= 1$") as exc:
                     call()
                 assert exc.type is ValueError
@@ -563,16 +563,18 @@ class TestLemma2:
     def test_unknown_family_rejected(self):
         bv = BoundaryValues(0, 0, 1)
         for call in (lambda: closed_form_lemma2(bv, 2, "middle"),
-                     lambda: lemma2_coefficients(2, "middle"),
+                     lambda: _lemma2_row(2, "middle"),
                      lambda: lemma2_abscissa(2, "middle")):
             with pytest.raises(ValueError, match="^unknown point family 'middle'$") as exc:
                 call()
             assert exc.type is ValueError
 
     def test_coefficient_rows_sum_to_one(self):
+        # the integer row sums to its denominator
         for m in range(1, 21):
             for which in LEMMA2_POINTS:
-                assert sum(lemma2_coefficients(m, which)) == 1
+                row, q = _lemma2_row(m, which)
+                assert sum(row) == q
 
     def test_coefficients_match_stated_rows(self):
         # the rows as stated for 1/2^m and l_m; the other two swap beta, gamma
@@ -584,16 +586,17 @@ class TestLemma2:
             for which, row in (("half_power", half), ("l_m", l_m),
                                ("one_minus_half_power", (half[0], half[2], half[1])),
                                ("r_m", (l_m[0], l_m[2], l_m[1]))):
-                assert lemma2_coefficients(m, which) == row
+                got, q = _lemma2_row(m, which)
+                assert tuple(Fraction(x, q) for x in got) == row
 
     @settings(deadline=None, max_examples=40)
     @given(st.one_of(triples(), constant_triples))
     def test_closed_form_is_coefficient_sum(self, bv):
         for m in range(1, 31):
             for which in LEMMA2_POINTS:
-                coefficients = lemma2_coefficients(m, which)
+                row, q = _lemma2_row(m, which)
                 assert closed_form_lemma2(bv, m, which) == sum(
-                    c * x for c, x in zip(coefficients, bv.as_tuple()))
+                    c * x for c, x in zip(row, bv.as_tuple())) / q
 
     def test_matches_recursion_up_to_depth_20(self):
         rng = random.Random(4)

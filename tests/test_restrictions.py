@@ -51,10 +51,8 @@ from sgharmonic.restrictions import (
     locate_extremum,
     simultaneous_monotone,
     third_point_context,
-    third_point_of_subedge,
     third_point_onset,
     third_point_quotients,
-    third_point_value,
     triangle_sequence,
 )
 
@@ -118,7 +116,7 @@ class TestClassifyEdge:
         for _ in range(2000):
             bv = rand_nonconstant(rng)
             a, b, g = bv.as_tuple()
-            d = bv.delta
+            d = sum(bv.as_tuple())
             strict = classify_edge(bv, "bottom") in (INC, DEC)
             assert strict == ((3 * b - d) * (3 * g - d) <= 0)
 
@@ -430,7 +428,8 @@ def reference_zeros(bv, depth):
         raise ValueError("depth must be >= 1")
     if bv.is_constant():
         raise ValueError("derivative classes are undefined for constant functions")
-    zeros = [("vertex", v) for v, x in zip(VERTICES, bv.as_tuple()) if 3 * x == bv.delta]
+    t = bv.as_tuple()
+    zeros = [("vertex", v) for v, x in zip(VERTICES, t) if 3 * x == sum(t)]
     for edge in EDGES:
         cells = bottom_cells(on_edge(bv, edge), depth)
         zeros += [(edge, Fraction(k, 2 ** depth)) for k, (a, b, g) in enumerate(cells)
@@ -715,15 +714,20 @@ class TestVertexForms:
 
 class TestThirdPoint:
     def test_value_examples(self):
-        assert third_point_value(BoundaryValues(0, 0, 1)) == Fraction(7, 27)
-        assert third_point_value(BoundaryValues(1, 1, 1)) == 1
-        assert third_point_value(BoundaryValues(1, 0, 0)) == Fraction(5, 27)
+        # f(1/3) = (5 alpha + 15 beta + 7 gamma)/27, eq. 16
+        third = EdgePoint("bottom", Fraction(1, 3))
+        assert eval_dyadic(BoundaryValues(0, 0, 1), third) == Fraction(7, 27)
+        assert eval_dyadic(BoundaryValues(1, 1, 1), third) == 1
+        assert eval_dyadic(BoundaryValues(1, 0, 0), third) == Fraction(5, 27)
 
     def test_triangle_sequence_one_step(self):
-        seq = triangle_sequence(BoundaryValues(0, 0, 1), 1)
+        bv = BoundaryValues(0, 0, 1)
+        seq = triangle_sequence(bv, 1)
         assert (seq.alpha_m, seq.beta_m, seq.gamma_m) == (
             Fraction(6, 25), Fraction(1, 5), Fraction(2, 5))
-        assert (seq.p1_m, seq.p2_m) == (Fraction(1, 4), Fraction(1, 2))
+        # the beta and gamma corners of cell "12" sit at 1/4 and 1/2
+        assert eval_dyadic(bv, EdgePoint("bottom", Fraction(1, 4))) == seq.beta_m
+        assert eval_dyadic(bv, EdgePoint("bottom", Fraction(1, 2))) == seq.gamma_m
 
     def test_triangle_sequence_two_steps(self):
         seq = triangle_sequence(BoundaryValues(0, 0, 1), 2)
@@ -750,10 +754,12 @@ class TestThirdPoint:
         for _ in range(10):
             bv = rand_triple(rng)
             for m in range(1, 6):
-                seq = triangle_sequence(bv, m)
-                assert seq.p2_m - seq.p1_m == Fraction(1, 4 ** m)
-                assert eval_dyadic(bv, EdgePoint("bottom", seq.p1_m)) == seq.beta_m
-                assert eval_dyadic(bv, EdgePoint("bottom", seq.p2_m)) == seq.gamma_m
+                # 1/3 - (1/3)(1/4)^m and 1/3 + (2/3)(1/4)^m
+                seq, q = triangle_sequence(bv, m), 4 ** m
+                p1, p2 = Fraction(q - 1, 3 * q), Fraction(q + 2, 3 * q)
+                assert p2 - p1 == Fraction(1, q)
+                assert eval_dyadic(bv, EdgePoint("bottom", p1)) == seq.beta_m
+                assert eval_dyadic(bv, EdgePoint("bottom", p2)) == seq.gamma_m
 
     def test_closed_form_examples(self):
         bv = BoundaryValues(0, 0, 1)
@@ -857,26 +863,23 @@ class TestThirdPoint:
                 third_point_quotients(BoundaryValues(0, 0, 1), m)
 
     def test_subedge_examples(self):
-        bv = BoundaryValues(0, 0, 1)
-        assert third_point_of_subedge(bv, "", Fraction(1, 3)) == (
-            Fraction(1, 3), Fraction(7, 27))
-        assert third_point_of_subedge(bv, "1", Fraction(1, 3)) == (
-            Fraction(1, 6), Fraction(19, 135))
-        assert third_point_of_subedge(BoundaryValues(1, 1, 1), "2",
-                                      Fraction(2, 3)) == (Fraction(5, 6), 1)
-
-    def test_subedge_rejects_apex_words(self):
-        with pytest.raises(ValueError):
-            third_point_of_subedge(BoundaryValues(0, 0, 1), "10", Fraction(1, 3))
+        # the j/3 point of the sub-edge of cell_word(k, m) is (k + j/3)/2^m
+        # (1/3, 1/6 and 5/6 here)
+        unit, const = BoundaryValues(0, 0, 1), BoundaryValues(1, 1, 1)
+        for (k, m, j), bv, value in (((0, 0, 1), unit, Fraction(7, 27)),
+                                     ((0, 1, 1), unit, Fraction(19, 135)),
+                                     ((1, 1, 2), const, 1)):
+            position = (k + Fraction(j, 3)) / 2 ** m
+            assert eval_dyadic(bv, EdgePoint("bottom", position)) == value
 
     def test_subedge_quotient_decay_transfers(self):
-        # sub-edge third points inherit the zero derivative at every scale
+        # sub-edge third points inherit the zero derivative at every scale:
+        # the 1/3 point of cell "21", k = 2 and m = 2, is its cell's f(1/3)
         bv = BoundaryValues(4, -1, 3)
         from sgharmonic.gasket import cell_values
-        cell = cell_values(bv, "21")
-        pos, val = third_point_of_subedge(bv, "21", Fraction(1, 3))
-        assert val == third_point_value(cell)
-        assert pos == Fraction(2, 4) + Fraction(1, 3) / 4
+        position = (2 + Fraction(1, 3)) / 4
+        assert eval_dyadic(bv, EdgePoint("bottom", position)) == (
+            conserved_combination(cell_values(bv, "21")) / 27)
 
 
 small = st.builds(Fraction, st.integers(-100, 100), st.integers(1, 100))
@@ -919,19 +922,22 @@ class TestClosedFormDifferential:
             seq = triangle_sequence(bv, m)
             assert gamma_closed_form(bv, m) == seq.gamma_m
             assert beta_closed_form(bv, m) == seq.beta_m
-            assert seq.p1_m == third - third * Fraction(1, 4) ** m
-            assert seq.p2_m == third + 2 * third * Fraction(1, 4) ** m
+            # the corners sit at 1/3 - (1/3)(1/4)^m and 1/3 + (2/3)(1/4)^m
+            p1, p2 = third - third * Fraction(1, 4) ** m, third + 2 * third * Fraction(1, 4) ** m
+            assert eval_dyadic(bv, EdgePoint("bottom", p1)) == seq.beta_m
+            assert eval_dyadic(bv, EdgePoint("bottom", p2)) == seq.gamma_m
 
     @settings(deadline=None, max_examples=12)
     @given(third_point_triples)
     def test_quotients_match_fraction_derivation(self, bv):
         # the integer form against the quotients' definition on Fractions
-        f_third, third = third_point_value(bv), Fraction(1, 3)
+        f_third = conserved_combination(bv) / 27
         for m in range(1, 41):
-            seq = triangle_sequence(bv, m)
+            seq, step = triangle_sequence(bv, m), Fraction(1, 4) ** m
+            # the corners sit at 1/3 - (1/3)(1/4)^m and 1/3 + (2/3)(1/4)^m
             assert third_point_quotients(bv, m) == (
-                (seq.beta_m - f_third) / (seq.p1_m - third),
-                (seq.gamma_m - f_third) / (seq.p2_m - third))
+                (seq.beta_m - f_third) / (-step / 3),
+                (seq.gamma_m - f_third) / (2 * step / 3))
 
     @settings(deadline=None, max_examples=60)
     @given(third_point_triples)

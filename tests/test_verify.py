@@ -70,7 +70,9 @@ class TestOneWrongDirection:
             seq = real(bv, m)
             return dataclasses.replace(seq, alpha_m=seq.alpha_m + bv.alpha) if m == 4 else seq
         monkeypatch.setattr(restrictions, "triangle_sequence", drifted)
-        assert_fail(verify.suite_eq16(trials=3, m_max=6), "1,0,0", 4, 0, 10, 5)
+        result = verify.suite_eq16(trials=3, m_max=6)
+        assert_fail(result, "1,0,0", 4, 0, 10, 5)
+        assert result.details == "conserved combination drifted"
 
     def test_closed_form(self, monkeypatch):
         perturbed(monkeypatch, restrictions, "beta_closed_form",
@@ -106,10 +108,10 @@ class TestOneWrongDirection:
 
 
 def test_sample_catches_fault_vanishing_on_unit_triples(monkeypatch):
-    # alpha*beta*delta is 0 on every unit triple, so only the sample sees it:
+    # alpha*beta*(alpha + beta + gamma) is 0 on every unit triple, so only the sample sees it:
     # it checks that the code computes a linear map at all
     perturbed(monkeypatch, restrictions, "gamma_closed_form",
-              lambda bv, m: bv.alpha * bv.beta * bv.delta)
+              lambda bv, m: bv.alpha * bv.beta * sum(bv.as_tuple()))
     assert verify.suite_closed_form(trials=0, m_max=3).status == "PASS"
     result = verify.suite_closed_form(trials=3, m_max=3)
     assert result.status == "FAIL"
@@ -372,8 +374,9 @@ def test_eq16_reads_the_third_points_of_every_edge(monkeypatch):
     real = gasket.eval_dyadic
     monkeypatch.setattr(gasket, "eval_dyadic", lambda bv, pt: real(bv, pt) + (
         Fraction(1, 10 ** 6) if pt.position.denominator % 3 == 0 else 0))
-    assert_fail(verify.suite_eq16(trials=3, m_max=2), "1,0,0", 0, 1,
-                5 + Fraction(27, 10 ** 6), 5)
+    result = verify.suite_eq16(trials=3, m_max=2)
+    assert_fail(result, "1,0,0", 0, 1, 5 + Fraction(27, 10 ** 6), 5)
+    assert result.details == "27 f(1/3) of bottom = 5a + 15b + 7g of its corners"
 
 
 def test_eq16_reads_each_edge_through_its_permutation(monkeypatch):
@@ -383,7 +386,9 @@ def test_eq16_reads_each_edge_through_its_permutation(monkeypatch):
     real = gasket.edge_cell
     monkeypatch.setattr(gasket, "edge_cell", lambda bv, edge, x: real(
         bv, "left" if edge == "right" else edge, x))
-    assert_fail(verify.suite_eq16(trials=3, m_max=2), "0,1,0", 0, 5, 7, 5)
+    result = verify.suite_eq16(trials=3, m_max=2)
+    assert_fail(result, "0,1,0", 0, 5, 7, 5)
+    assert result.details == "27 f(1/3) of right = 5a + 15b + 7g of its corners"
 
 
 def test_theorem4_checks_the_corner_relations(monkeypatch):
