@@ -26,7 +26,6 @@ from .restrictions import (
     DerivClass,
     ExtremumResult,
     MonotonicityClass,
-    ThirdPointContext,
     TriangleSequence,
     beta_closed_form,
     classify_edge,
@@ -36,7 +35,6 @@ from .restrictions import (
     junction_derivative,
     locate_extremum,
     simultaneous_monotone,
-    third_point_context,
     third_point_onset,
     third_point_quotients,
     triangle_sequence,
@@ -47,12 +45,11 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryValues", "CellAddress", "DerivClass", "EDGES", "EdgePoint",
     "ExtremumResult", "GasketGraph", "MonotonicityClass", "QuadExt",
-    "ThirdPointContext", "TriangleSequence", "beta_closed_form",
-    "build_graph", "cell_values", "check_five_point", "check_mean_value",
-    "classify_edge", "closed_form_lemma2", "count_zero_junctions", "dsv_check",
-    "edge_profile", "eval_dyadic", "extend_once", "format_rational",
-    "gamma_closed_form", "junction_derivative", "locate_extremum",
-    "normal_derivative", "parse_rational", "renormalized_vertex_difference",
-    "simultaneous_monotone", "solve_harmonic", "third_point_context",
+    "TriangleSequence", "beta_closed_form", "build_graph", "cell_values",
+    "check_five_point", "check_mean_value", "classify_edge", "closed_form_lemma2",
+    "count_zero_junctions", "dsv_check", "edge_profile", "eval_dyadic",
+    "extend_once", "format_rational", "gamma_closed_form", "junction_derivative",
+    "locate_extremum", "normal_derivative", "parse_rational",
+    "renormalized_vertex_difference", "simultaneous_monotone", "solve_harmonic",
     "third_point_onset", "third_point_quotients", "triangle_sequence",
 ]

@@ -3,8 +3,8 @@
 Rationals are plain :class:`fractions.Fraction` (arbitrary precision, always
 canonical, denominator positive), read and written in the text form "p/q".
 ``QuadExt`` is a value type for numbers a + b*sqrt(13) with rational a, b:
-construction, the conjugate, equality and hashing, and no ring operations
-or order.  Sums, products and signs in Q(sqrt13) are taken on integer pairs
+construction, equality and hashing, and no ring operations or order.
+Sums, products, conjugates and signs in Q(sqrt13) are taken on integer pairs
 where they are needed (the third-point closed forms and onset in
 :mod:`sgharmonic.restrictions`), without any floating point.
 """
@@ -71,9 +71,6 @@ class QuadExt:
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt is immutable")
-
-    def conjugate(self) -> "QuadExt":
-        return QuadExt(self.rational_part, -self.root13_part)
 
     def __eq__(self, other):
         if not isinstance(other, QuadExt):

@@ -284,22 +284,11 @@ def triangle_sequence(bv: BoundaryValues, m: int) -> TriangleSequence:
 THIRD_POINT_STEP_BOUND = QuadExt(Fraction(91, 150), Fraction(2, 25))
 
 
-@dataclass(frozen=True)
-class ThirdPointContext:
-    """gamma_m = A h^m + B s^m + c/27 and beta_m = C s^m + D h^m + c/27 in
-    Q(sqrt13); A and D are the conjugates of B and C."""
-
-    c: Fraction  # the conserved combination 5 alpha + 15 beta + 7 gamma
-    A: QuadExt
-    B: QuadExt
-    C: QuadExt
-    D: QuadExt
-
-
 def _slow_pairs(bv: BoundaryValues) -> tuple[int, int, tuple[int, int], tuple[int, int]]:
     """(c, L, B, C): the conserved combination c over L, the lcm of the corner
-    denominators, and the slow coefficients B and C of third_point_context as
-    integer pairs (u, v) for (u + v sqrt13) / 3510L."""
+    denominators, and the slow coefficients B and C as integer pairs (u, v)
+    for (u + v sqrt13) / 3510L.  In Q(sqrt13), gamma_m = A h^m + B s^m + c/27
+    and beta_m = C s^m + D h^m + c/27, with A and D the conjugates of B and C."""
     # The step "12" takes beta, gamma to (4 alpha + 16 beta + 5 gamma)/25 and
     # (alpha + 2 beta + 2 gamma)/5.  With alpha = (c - 15 beta - 7 gamma)/5
     # these are (4c + 20 beta - 3 gamma)/125 and (c - 5 beta + 3 gamma)/25,
@@ -317,18 +306,11 @@ def _slow_pairs(bv: BoundaryValues) -> tuple[int, int, tuple[int, int], tuple[in
 
 
 def _slow_coefficient(den: int, pair: tuple[int, int]) -> QuadExt:
-    """B or C of third_point_context from its integer pair (u, v) of
-    _slow_pairs over 3510L, with den = L."""
+    """The slow coefficient B or C as a QuadExt, from its integer pair (u, v)
+    of _slow_pairs over 3510L, with den = L."""
     u, v = pair
     # a QuadExt, not the pair: bench/layertrace.py stops when QuadExt is never called
     return QuadExt(Fraction(u, 3510 * den), Fraction(v, 3510 * den))
-
-
-def third_point_context(bv: BoundaryValues) -> ThirdPointContext:
-    """Closed-form coefficients from one 2x2 step and its s-projector."""
-    c, den, slow_b, slow_c = _slow_pairs(bv)
-    B, C = _slow_coefficient(den, slow_b), _slow_coefficient(den, slow_c)
-    return ThirdPointContext(Fraction(c, den), B.conjugate(), B, C, C.conjugate())
 
 
 def third_point_onset(bv: BoundaryValues) -> tuple[int, int]:
@@ -403,8 +385,8 @@ def _closed_form(bv: BoundaryValues, m: int, side: str) -> Fraction:
 
 def gamma_closed_form(bv: BoundaryValues, m: int) -> Fraction:
     """gamma_m = A*h^m + B*s^m + c/27 with A the conjugate of B, evaluated
-    from integers; the result matches the integer recursion.  Of the
-    context it builds B only: two Fractions, and one for the value."""
+    from integers; the result matches the integer recursion.  Of the slow
+    coefficients it builds B only: two Fractions, and one for the value."""
     return _closed_form(bv, m, "right")
 
 

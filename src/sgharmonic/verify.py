@@ -158,7 +158,12 @@ def suite_lemma2(trials: int = 100, m_max: int = 20, seed: int = 0) -> SuiteResu
 
 
 def suite_theorem3(trials: int = 200, seed: int = 0) -> SuiteResult:
-    """Sampled behavior matches the monotonicity classification."""
+    """Sampled behavior matches the monotonicity classification, each triple
+    on an edge drawn at random.  On a NonMonotone edge, every sample of the
+    depth-12 profile that attains its max (or min, by the bracket's kind)
+    sits at an end of locate_extremum's depth-12 bracket [lo, hi], at that
+    one point when lo = hi: the restriction is strictly monotone on each side
+    of its extremum, which the bracket holds."""
     rng = random.Random(seed)
     inc = restrictions.MonotonicityClass.STRICTLY_INCREASING
     non = restrictions.MonotonicityClass.NON_MONOTONE
@@ -167,25 +172,37 @@ def suite_theorem3(trials: int = 200, seed: int = 0) -> SuiteResult:
         if checked_inc == checked_non == 40:
             break
         bv = random_triple(rng, 30)
-        cls = restrictions.classify_edge(bv, "bottom")
+        edge = rng.choice(gasket.EDGES)
+        cls = restrictions.classify_edge(bv, edge)
         if cls is inc and checked_inc < 40:
             # numerators over one positive denominator, in the values' order
-            prof, _ = gasket.edge_profile(bv, 10)
+            prof, _ = gasket.edge_profile(bv, 10, edge)
             if any(x >= y for x, y in zip(prof, prof[1:])):
-                return _fail("theorem3", "increasing class not strictly increasing", bv=bv)
+                return _fail("theorem3", "increasing class not strictly increasing",
+                             bv=bv, edge=edge)
             checked_inc += 1
         elif cls is non and checked_non < 40:
-            a, b, g = bv.as_tuple()
+            (a, b, g), den, _ = gasket.edge_cell(bv, edge, 1)  # the edge's frame
             margin = max(abs(a - (2 * b - g)), abs(a - (2 * g - b)), abs(b - g))
-            if margin < 1:
+            if margin < den:
                 continue  # near-boundary triples need unbounded depth
-            prof, _ = gasket.edge_profile(bv, 12)
+            prof, _ = gasket.edge_profile(bv, 12, edge)
             diffs = [y - x for x, y in zip(prof, prof[1:])]
             if not (any(d > 0 for d in diffs) and any(d < 0 for d in diffs)):
-                return _fail("theorem3", "non-monotone class looks monotone at depth 12", bv=bv)
+                return _fail("theorem3", "non-monotone class looks monotone at depth 12",
+                             bv=bv, edge=edge)
+            bracket = restrictions.locate_extremum(bv, edge, 12)
+            best = (max if bracket.kind == "max" else min)(prof)
+            at = [k for k, v in enumerate(prof) if v == best]
+            if any(k not in (bracket.lo * 2 ** 12, bracket.hi * 2 ** 12) for k in at):
+                return _fail("theorem3", f"profile's {bracket.kind} outside the extremum "
+                             "bracket at depth 12", bv=bv, edge=edge, kind=bracket.kind,
+                             lo=bracket.lo, hi=bracket.hi, indices=str(at))
             checked_non += 1
     return _pass("theorem3", f"{checked_inc} increasing and {checked_non} non-monotone "
-                 "triples sampled", checked_inc, checked_non)
+                 "triples sampled, each on a random edge; every extreme sample of a "
+                 "non-monotone depth-12 profile at an end of its extremum bracket",
+                 checked_inc, checked_non)
 
 
 def _relation_triple(rng: random.Random, line: int) -> BoundaryValues:

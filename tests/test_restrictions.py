@@ -2,7 +2,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import count, permutations, product
-from math import gcd, lcm
+from math import gcd
 
 import mpmath
 import pytest
@@ -50,7 +50,6 @@ from sgharmonic.restrictions import (
     junction_derivative,
     locate_extremum,
     simultaneous_monotone,
-    third_point_context,
     third_point_onset,
     third_point_quotients,
     triangle_sequence,
@@ -797,12 +796,6 @@ class TestThirdPoint:
                     form(bv, -1)
                 assert exc.type is ValueError
 
-    def test_context_invariants(self):
-        bv = BoundaryValues(3, -2, 5)
-        ctx = third_point_context(bv)
-        assert ctx.c == conserved_combination(bv)
-        assert ctx.A == ctx.B.conjugate() and ctx.D == ctx.C.conjugate()
-
     def test_quotient_examples(self):
         bv = BoundaryValues(0, 0, 1)
         assert third_point_quotients(bv, 1) == (Fraction(32, 45), Fraction(38, 45))
@@ -825,11 +818,12 @@ class TestThirdPoint:
         rng = random.Random(21)
         for _ in range(30):
             bv = rand_nonconstant(rng)
-            ctx = third_point_context(bv)
+            _, den, slow_b, slow_c = restrictions._slow_pairs(bv)
+            slow = [restrictions._slow_coefficient(den, pair) for pair in (slow_c, slow_b)]
             x, y = 7, 1  # (7 + sqrt13)^m
             for m in range(1, 16):
                 quotients = third_point_quotients(bv, m)
-                for q, coef, factor in zip(quotients, (ctx.C, ctx.B), (3, Fraction(3, 2))):
+                for q, coef, factor in zip(quotients, slow, (3, Fraction(3, 2))):
                     env_r, env_s = envelope(coef, factor, m, x, y)
                     assert sign13(env_r - abs(q), env_s) >= 0
                 x, y = 7 * x + 13 * y, x + 7 * y
@@ -887,19 +881,18 @@ third_point_triples = st.one_of(triples(), st.builds(BoundaryValues, small, smal
                                 constant_triples)
 
 
-def onset_by_mpmath(slow):
+def onset_by_mpmath(pair):
     """The onset's definition by brute force: the least m with
     |conj slow| h^m <= |slow| s^m / 25, h, s = (7 -+ sqrt13)/50, in mpmath.
 
-    With slow = (a + b sqrt13)/D on integers, both sides times 25 50^m D are
-    25|conj z| and |z| for z = (a + b sqrt13)(7 + sqrt13)^m, whose integers
-    stay below 2^(bits + 5m).  Their difference +-z -+ 25 conj z is x + y sqrt13
-    with integers below 2^(bits + 5m + 5), nonzero unless slow = 0 as sqrt13
-    is irrational, and |x + y sqrt13| >= 1/(|x| + 4|y|) for such integers, so
+    With slow = (a + b sqrt13)/D, (a, b) its integer pair from _slow_pairs
+    and D = 3510L, both sides times 25 50^m D are 25|conj z| and |z| for
+    z = (a + b sqrt13)(7 + sqrt13)^m, whose integers stay below 2^(bits + 5m).
+    Their difference +-z -+ 25 conj z is x + y sqrt13 with integers below
+    2^(bits + 5m + 5), nonzero unless slow = 0 as sqrt13 is irrational, and
+    |x + y sqrt13| >= 1/(|x| + 4|y|) for such integers, so
     2 (bits + 5m + 8) + 64 bits decide each step."""
-    r, s = slow.rational_part, slow.root13_part
-    den = lcm(r.denominator, s.denominator)
-    a, b = r.numerator * (den // r.denominator), s.numerator * (den // s.denominator)
+    a, b = pair
     bits = max(abs(a), abs(b)).bit_length()
     for m in count():
         with mpmath.workprec(2 * (bits + 5 * m + 8) + 64):
@@ -915,8 +908,8 @@ class TestClosedFormDifferential:
     @settings(deadline=None, max_examples=12)
     @given(third_point_triples)
     def test_closed_forms_match_walk(self, bv):
-        ctx = third_point_context(bv)
-        assert ctx.A == ctx.B.conjugate() and ctx.D == ctx.C.conjugate()
+        c, den, _, _ = restrictions._slow_pairs(bv)
+        assert Fraction(c, den) == conserved_combination(bv)
         third = Fraction(1, 3)
         for m in range(41):
             seq = triangle_sequence(bv, m)
@@ -941,15 +934,15 @@ class TestClosedFormDifferential:
 
     @settings(deadline=None, max_examples=60)
     @given(third_point_triples)
-    def test_context_matches_fraction_derivation(self, bv):
+    def test_slow_pairs_match_fraction_derivation(self, bv):
         # x = (beta - c/27, gamma - c/27), y = (50K - 7)x, Px = x/2 + y sqrt13/26
         c = 5 * bv.alpha + 15 * bv.beta + 7 * bv.gamma
         xb, xg = bv.beta - c / 27, bv.gamma - c / 27
         yb, yg = xb - Fraction(6, 5) * xg, -10 * xb - xg
-        ctx = third_point_context(bv)
-        assert ctx.c == c
-        assert ctx.B == QuadExt(xg / 2, yg / 26) and ctx.A == QuadExt(xg / 2, -yg / 26)
-        assert ctx.C == QuadExt(xb / 2, yb / 26) and ctx.D == QuadExt(xb / 2, -yb / 26)
+        num, den, slow_b, slow_c = restrictions._slow_pairs(bv)
+        assert Fraction(num, den) == c
+        assert restrictions._slow_coefficient(den, slow_b) == QuadExt(xg / 2, yg / 26)
+        assert restrictions._slow_coefficient(den, slow_c) == QuadExt(xb / 2, yb / 26)
 
     @settings(deadline=None, max_examples=120)
     @given(third_point_triples)
@@ -957,8 +950,8 @@ class TestClosedFormDifferential:
     @example(BoundaryValues(-3, 3, 2))   # right m0 = 3; it would be 4 with 1/26
     @example(BoundaryValues(-3, 1, 0))   # x_g = 0: B = -1350 sqrt13/3510, right m0 = 3
     def test_onset_is_least_m_of_the_margin(self, bv):
-        ctx = third_point_context(bv)
-        assert third_point_onset(bv) == (onset_by_mpmath(ctx.C), onset_by_mpmath(ctx.B))
+        _, _, slow_b, slow_c = restrictions._slow_pairs(bv)
+        assert third_point_onset(bv) == (onset_by_mpmath(slow_c), onset_by_mpmath(slow_b))
 
     @pytest.mark.parametrize("k, left_m0, right_m0", [
         (1, 15, 16), (2, 28, 28), (3, 41, 41), (4, 53, 54),
@@ -974,9 +967,9 @@ class TestClosedFormDifferential:
         bv = BoundaryValues(Fraction(-(15 * xb + 7 * xg), 135), Fraction(xb, 27),
                             Fraction(xg, 27))
         assert conserved_combination(bv) == 0
-        ctx = third_point_context(bv)
+        _, _, slow_b, slow_c = restrictions._slow_pairs(bv)
         assert third_point_onset(bv) == (left_m0, right_m0)
-        assert (onset_by_mpmath(ctx.C), onset_by_mpmath(ctx.B)) == (left_m0, right_m0)
+        assert (onset_by_mpmath(slow_c), onset_by_mpmath(slow_b)) == (left_m0, right_m0)
 
 
 def counted_calls(monkeypatch, *names):
@@ -1020,10 +1013,11 @@ class TestGcdCounts:
     def test_third_point_closed_forms_make_three_fractions(self):
         # two for the parts of the one slow coefficient (B or C), one for the value
         for bv in GCD_TRIPLES:
-            ctx = third_point_context(bv)
             _, den, slow_b, slow_c = restrictions._slow_pairs(bv)
-            assert ctx.B == restrictions._slow_coefficient(den, slow_b)
-            assert ctx.C == restrictions._slow_coefficient(den, slow_c)
+            for pair in (slow_b, slow_c):
+                with fraction_gcd_calls() as calls:
+                    restrictions._slow_coefficient(den, pair)
+                assert calls[0] == 2
             for m in (0, 1, 5, 7, 30, 60):
                 for form in (gamma_closed_form, beta_closed_form):
                     with fraction_gcd_calls() as calls:

@@ -294,13 +294,57 @@ def test_theorem3_stops_drawing_once_both_quotas_are_met(monkeypatch):
         calls[0] += 1
         return real(bv, edge)
     monkeypatch.setattr(restrictions, "classify_edge", counted)
-    full = "40 increasing and 40 non-monotone triples sampled"
+    full = ("40 increasing and 40 non-monotone triples sampled, each on a random edge; "
+            "every extreme sample of a non-monotone depth-12 profile at an end of its "
+            "extremum bracket")
     assert verify.suite_theorem3(trials=5000).details == full
     drawn, calls[0] = calls[0], 0
     assert drawn < 5000
     assert verify.suite_theorem3(trials=drawn).details == full
     assert verify.suite_theorem3(trials=drawn - 1).details != full
     assert calls[0] == 2 * drawn - 1
+
+
+def _flipped_kind(real):
+    def mutant(bv, edge, depth):
+        r = real(bv, edge, depth)
+        return dataclasses.replace(r, kind="min" if r.kind == "max" else "max")
+    return mutant
+
+
+def _moved_one_cell_right(real):
+    def mutant(bv, edge, depth):
+        r, cell = real(bv, edge, depth), Fraction(1, 2 ** depth)
+        return dataclasses.replace(r, lo=r.lo + cell, hi=r.hi + cell)
+    return mutant
+
+
+def _right_for_left(real):
+    return lambda bv, depth, edge="bottom": real(bv, depth, "right" if edge == "left" else edge)
+
+
+def _never_zero(real):
+    def mutant(bv, edge, position):
+        return tuple(restrictions.DerivClass.PLUS_INFINITY
+                     if c is restrictions.DerivClass.ZERO else c
+                     for c in real(bv, edge, position))
+    return mutant
+
+
+@pytest.mark.parametrize("module, name, mutate, suite, trials", [
+    (restrictions, "locate_extremum", _flipped_kind, "theorem3", 200),
+    (restrictions, "locate_extremum", _moved_one_cell_right, "theorem3", 200),
+    (gasket, "edge_profile", _right_for_left, "theorem3", 200),
+    pytest.param(restrictions, "junction_derivative", _never_zero, "theorem5", 100,
+                 marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1, step one")),
+], ids=["extremum-kind-flipped", "extremum-bracket-one-cell-right",
+        "profile-reads-right-for-left", "junction-derivative-never-zero"])
+def test_mutant_table(monkeypatch, module, name, mutate, suite, trials):
+    # a fault in a result the CLI prints, or in the derivative classes, FAILs
+    # the one suite whose statement it breaks
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    (result,) = verify.run_suites([suite], trials=trials)
+    assert result.status == "FAIL", result
 
 
 M_SUITES = ("lemma2", "lemma4", "eq16", "closedform", "theorem6")
