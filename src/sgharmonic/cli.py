@@ -278,7 +278,6 @@ def cmd_scan(alpha, beta, gamma, edge, depth, output):
 @_format_option
 def cmd_verify(suites, trials, depth, m_max, seed, fmt):
     """Run cross-check suites; nonzero exit on any failure."""
-    names = list(suites) or list(verify.SUITES)
     try:
         results = verify.run_suites(suites, seed=seed, trials=trials, depth=depth,
                                     m_max=m_max)
@@ -287,7 +286,7 @@ def cmd_verify(suites, trials, depth, m_max, seed, fmt):
     if fmt == "json":
         payload = {
             "command": "verify",
-            "inputs": {"suites": names, "trials": trials, "depth": depth,
+            "inputs": {"suites": [r.name for r in results], "trials": trials, "depth": depth,
                        "m_max": m_max, "seed": seed},
             "results": {"all_passed": all(r.passed for r in results)},
             "suites": [{"name": r.name, "status": r.status, "details": r.details,

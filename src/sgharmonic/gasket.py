@@ -46,15 +46,20 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 
-EDGES = ("bottom", "left", "right")
+
+class _EdgeTable(dict):  # keyed by edge name: any other name is a ValueError
+    def __missing__(self, edge):
+        raise ValueError(f"unknown edge {edge!r}")
+
 
 # Relabelings mapping each edge of G0 onto the bottom edge [p1, p2] of the
 # permuted triple, first-named endpoint at position 0.
-_EDGE_PERMUTATION = {
+_EDGE_PERMUTATION = _EdgeTable({
     "bottom": (0, 1, 2),  # [p1, p2]
     "left": (2, 0, 1),    # [p0, p1]
     "right": (1, 0, 2),   # [p0, p2]
-}
+})
+EDGES = tuple(_EDGE_PERMUTATION)
 
 CellAddress = str  # word over "012"; "" is the whole gasket
 
@@ -106,10 +111,7 @@ class EdgePoint:
 
 def on_edge(bv: BoundaryValues, edge: str) -> BoundaryValues:
     """Permute the triple so that `edge` is the bottom edge [p1', p2']: the tests' reference."""
-    try:
-        perm = _EDGE_PERMUTATION[edge]
-    except KeyError:
-        raise ValueError(f"unknown edge {edge!r}") from None
+    perm = _EDGE_PERMUTATION[edge]
     t = bv.as_tuple()
     return BoundaryValues(t[perm[0]], t[perm[1]], t[perm[2]])
 
@@ -238,10 +240,7 @@ def edge_cell(bv: BoundaryValues, edge: str,
     of (k, m), and its nine integer products with the triple's numerators in
     the edge's corner order."""
     k, m, place = decode_edge_point(x)
-    try:
-        i, j, l = _EDGE_PERMUTATION[edge]
-    except KeyError:
-        raise ValueError(f"unknown edge {edge!r}") from None
+    i, j, l = _EDGE_PERMUTATION[edge]
     ((x0, y0, z0), (x1, y1, z1), (x2, y2, z2)), scale = _frame_map(k, m)
     t, den = to_numerators(bv)
     a, b, g = t[i], t[j], t[l]

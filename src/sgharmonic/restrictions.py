@@ -19,6 +19,7 @@ from math import gcd
 from .exactarith import QuadExt, format_rational
 from .gasket import (
     _EDGE_PERMUTATION,
+    EDGES,
     BoundaryValues,
     bottom_cells,
     cell_numerators,
@@ -68,10 +69,7 @@ def _edge_ends(bv: BoundaryValues, edge: str) -> tuple[int, int]:
     share a strict sign.  As the forms sum to zero, exactly one pair does
     when no form is 0, and none when one is (the other two are then
     opposite): at most one edge has ends of strictly opposite signs."""
-    try:
-        _, i, j = _EDGE_PERMUTATION[edge]
-    except KeyError:
-        raise ValueError(f"unknown edge {edge!r}") from None
+    _, i, j = _EDGE_PERMUTATION[edge]
     v = _vertex_forms(bv)
     return -v[i], v[j]
 
@@ -221,7 +219,7 @@ def count_zero_junctions(
     zeros: list[ZeroJunction] = [("vertex", name) for name, v in
                                  zip(VERTICES, _vertex_forms(bv)) if not v]
     n = 2 ** depth
-    for edge in ("bottom", "left", "right"):
+    for edge in EDGES:
         x, y = _edge_ends(bv, edge)
         if x * y >= 0:  # no interior Zero junction on this edge
             continue

@@ -47,12 +47,9 @@ def random_nonconstant_triple(rng: random.Random, bound: int = 100) -> BoundaryV
 
 
 def _text(value) -> str:
-    """Exact text of a certificate value; a triple reads "alpha,beta,gamma",
-    a list of zero junctions as zero-search prints it."""
+    """Exact text of a certificate value: a triple reads "alpha,beta,gamma", else its str."""
     if isinstance(value, BoundaryValues):
         return ",".join(format_rational(x) for x in value.as_tuple())
-    if isinstance(value, list):
-        return ", ".join(restrictions.format_zero(z) for z in value)
     return str(value)
 
 
@@ -197,7 +194,7 @@ def suite_theorem3(trials: int = 200, seed: int = 0) -> SuiteResult:
             if any(k not in (bracket.lo * 2 ** 12, bracket.hi * 2 ** 12) for k in at):
                 return _fail("theorem3", f"profile's {bracket.kind} outside the extremum "
                              "bracket at depth 12", bv=bv, edge=edge, kind=bracket.kind,
-                             lo=bracket.lo, hi=bracket.hi, indices=str(at))
+                             lo=bracket.lo, hi=bracket.hi, indices=at)
             checked_non += 1
     return _pass("theorem3", f"{checked_inc} increasing and {checked_non} non-monotone "
                  "triples sampled, each on a random edge; every extreme sample of a "
@@ -238,7 +235,7 @@ def suite_theorem4(trials: int = 10_000, seed: int = 0) -> SuiteResult:
             got = restrictions.corner_relations(bv, 5)
             if got != want:
                 return _fail("theorem4", "corner relation is not the relation line's",
-                             bv=bv, relations=str(got), line=str(want))
+                             bv=bv, relations=got, line=want)
         non = classes.count(cls.NON_MONOTONE)
         if non != (0 if relation else 1):
             return _fail("theorem4", "wrong count of NonMonotone edges: 0 on a relation "
@@ -270,7 +267,17 @@ def suite_theorem5(trials: int = 1000, depth: int = 6, seed: int = 0) -> SuiteRe
     Each triple is first checked for the premise of the zero scan, which walks
     only an edge whose end forms have strictly opposite signs: at most one
     edge has them.  Then the end forms the scan reads, restrictions._edge_ends
-    on the vertex forms, must equal those of each whole-edge frame cell."""
+    on the vertex forms, must equal those of each whole-edge frame cell.
+
+    Random triples almost never carry a zero, so a triple is then planted on
+    each Zero line up to depth min(depth, 3): the three vertex forms, and the
+    form a + g - 2b of each junction k/2^d (k odd) of each edge, all read on
+    UNIT_TRIPLES as integer rows f (a junction's over 5^d).  The triple
+    f x (1, 1, 1) = (f1 - f2, f2 - f0, f0 - f1) is on the line f = 0.  The
+    zero scan must find exactly that zero on it; at a junction, both
+    derivative classes must be Zero and the extremum descent must stop there."""
+    def text(zeros):
+        return ", ".join(map(restrictions.format_zero, zeros))
     rng = random.Random(seed)
     worst = 0
     for _ in range(trials):
@@ -288,11 +295,37 @@ def suite_theorem5(trials: int = 1000, depth: int = 6, seed: int = 0) -> SuiteRe
         count, zeros = restrictions.count_zero_junctions(bv, depth)
         worst = max(worst, count)
         if count > 1:
-            return _fail("theorem5", "more than one zero junction", bv=bv, zeros=zeros)
+            return _fail("theorem5", "more than one zero junction", bv=bv, zeros=text(zeros))
+    top = min(depth, 3)
+    lines = [(("vertex", name), [restrictions._vertex_forms(u)[i] for u in UNIT_TRIPLES])
+             for i, name in enumerate(restrictions.VERTICES)]
+    lines += [((edge, x), [restrictions._ends(gasket.edge_cell(u, edge, x)[0])[0]
+                           for u in UNIT_TRIPLES])
+              for edge in gasket.EDGES for d in range(1, top + 1)
+              for x in (Fraction(k, 2 ** d) for k in range(1, 2 ** d, 2))]
+    for zero, (f0, f1, f2) in lines:
+        bv, planted = BoundaryValues(f1 - f2, f2 - f0, f0 - f1), restrictions.format_zero(zero)
+        count, zeros = restrictions.count_zero_junctions(bv, depth)
+        if (count, zeros) != (1, [zero]):
+            return _fail("theorem5", "the zero scan does not find exactly the planted zero",
+                         bv=bv, planted=planted, zeros=text(zeros))
+        if zero[0] == "vertex":
+            continue
+        edge, x = zero
+        left, right = restrictions.junction_derivative(bv, edge, x)
+        if (left, right) != (restrictions.DerivClass.ZERO,) * 2:
+            return _fail("theorem5", "derivative classes at the planted zero are not Zero",
+                         bv=bv, planted=planted, left=left.value, right=right.value)
+        bracket = restrictions.locate_extremum(bv, edge, depth)
+        if bracket.lo != x or bracket.hi != x:
+            return _fail("theorem5", "the extremum descent does not stop at the planted "
+                         "zero", bv=bv, planted=planted, lo=bracket.lo, hi=bracket.hi)
     return _pass("theorem5", f"{trials} triples, depth {depth}, max zero-count {worst}; "
                  "vertex-form end pairs equal to the frame cells' on every edge; premise "
                  "of the one-edge zero scan checked: at most one edge per triple has end "
-                 "forms of opposite sign")
+                 f"forms of opposite sign; {len(lines)} planted Zero lines to depth {top}, "
+                 "each with exactly its one zero, found by the scan, and at a junction "
+                 "with Zero classes and the extremum descent stopping there", len(lines))
 
 
 def suite_eq16(trials: int = 100, m_max: int = 30, seed: int = 0) -> SuiteResult:

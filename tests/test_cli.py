@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from test_restrictions import refuse_on_edge
+from helpers import refuse_on_edge
 
 import sgharmonic.cli
 from sgharmonic.cli import cli
@@ -496,15 +496,21 @@ class TestVerify:
                             r"5 random triples agree \(\d+\.\d\d s\)\n",
                             human)
 
-    def test_counterexample_is_exact_text(self):
-        from sgharmonic import verify
+    def test_counterexample_is_exact_text(self, monkeypatch):
+        from sgharmonic import restrictions, verify
         from sgharmonic.gasket import BoundaryValues
         res = verify._fail("theorem6", "msg", bv=BoundaryValues(
-            Fraction(19, 27), Fraction(-17, 13), -2), ratio=Fraction(7, 3), m0=7,
-            zeros=[("left", Fraction(1, 2)), ("vertex", "p0")])
+            Fraction(19, 27), Fraction(-17, 13), -2), ratio=Fraction(7, 3), m0=7)
         assert res.status == "FAIL"
-        assert res.counterexample == {"bv": "19/27,-17/13,-2", "ratio": "7/3",
-                                      "m0": "7", "zeros": "left:1/2, p0"}
+        assert res.counterexample == {"bv": "19/27,-17/13,-2", "ratio": "7/3", "m0": "7"}
+        # a zero scan that finds two zeros: theorem5 lists them as zero-search prints
+        monkeypatch.setattr(restrictions, "count_zero_junctions", lambda bv, depth: (
+            2, [("left", Fraction(1, 2)), ("vertex", "p0")]))
+        res = run("verify", "--suite", "theorem5", "--trials", "3", "--format", "json")
+        assert res.exit_code == 1
+        (suite,) = json.loads(res.output)["suites"]
+        assert (suite["status"], suite["details"]) == ("FAIL", "more than one zero junction")
+        assert suite["counterexample"]["zeros"] == "left:1/2, p0"
 
     def test_closedform_suite_passes(self):
         res = run("verify", "--suite", "closedform", "--trials", "10",

@@ -8,20 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import sign13  # exact sign of a + b sqrt13, apart from the package
 from sgharmonic.exactarith import QuadExt, format_rational, parse_rational
 
 fractions_st = st.fractions(max_denominator=10 ** 6)
 
 S = QuadExt(Fraction(7, 50), Fraction(1, 50))   # (7 + sqrt13)/50
 H = QuadExt(Fraction(7, 50), Fraction(-1, 50))  # (7 - sqrt13)/50
-
-
-def sign13(a, b) -> int:
-    """Exact sign of a + b*sqrt13 for integers (or rationals) a and b, apart
-    from the package: when the terms differ in sign, a^2 against 13 b^2."""
-    if a * b >= 0:  # the terms agree in sign, or one is 0
-        return (a > 0 or b > 0) - (a < 0 or b < 0)
-    return (1 if a > 0 else -1) if a * a > 13 * b * b else (1 if b > 0 else -1)
 
 
 class TestRational:

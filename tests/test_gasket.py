@@ -1,11 +1,7 @@
-import contextlib
 import dataclasses
-import fractions
-import math
 import pickle
 import random
 import re
-import types
 from fractions import Fraction
 
 import pytest
@@ -13,6 +9,13 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import (  # shared strategies, gcd counter and reference classes
+    GCD_TRIPLES,
+    constant_triples,
+    fraction_gcd_calls,
+    sign_class,
+    triples,
+)
 from sgharmonic import gasket
 from sgharmonic.cli import cli
 from sgharmonic.gasket import (
@@ -41,7 +44,6 @@ from sgharmonic.gasket import (
     to_numerators,
 )
 from sgharmonic.restrictions import (
-    DerivClass,
     conserved_combination,
     junction_derivative,
     triangle_sequence,
@@ -107,62 +109,6 @@ def step_by_step(bv, addr):
         bv = {"0": BoundaryValues(a, p01, p02), "1": BoundaryValues(p01, b, p12),
               "2": BoundaryValues(p02, p12, g)}[digit]
     return bv
-
-
-BIG = 2 ** 200
-# pairwise coprime, so a triple's common denominator is a product of them
-COPRIME_DENOMINATORS = (1, 7, 11 * 13, 5 ** 9, 3 ** 40, 2 ** 61, 2 ** 61 - 1)
-corners = st.one_of(
-    st.just(Fraction(0)),
-    st.builds(Fraction, st.integers(-BIG, BIG), st.sampled_from(COPRIME_DENOMINATORS)),
-    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),
-)
-
-
-@st.composite
-def triples(draw):
-    """Corner triples, some on the hyperplanes alpha = 2*beta - gamma and
-    alpha = 2*gamma - beta that bound the monotone classes."""
-    b, g = draw(corners), draw(corners)
-    a = draw(st.one_of(corners, st.just(2 * b - g), st.just(2 * g - b)))
-    return BoundaryValues(a, b, g)
-
-
-constant_triples = st.builds(lambda x: BoundaryValues(x, x, x), corners)
-
-
-@contextlib.contextmanager
-def fraction_gcd_calls():
-    """Count the gcd calls Fraction makes inside the block, by swapping the
-    math module that fractions sees for one whose gcd counts."""
-    counted = [0]
-
-    def gcd(a, b):
-        counted[0] += 1
-        return math.gcd(a, b)
-
-    counting_math = types.SimpleNamespace(**vars(math))
-    counting_math.gcd = gcd
-    saved, fractions.math = fractions.math, counting_math
-    try:
-        yield counted
-    finally:
-        fractions.math = saved
-
-
-# 7-bit, 40-bit and 200-bit corners, a hyperplane triple and a constant one
-GCD_TRIPLES = [
-    BoundaryValues(Fraction(-93, 71), Fraction(115, 67), Fraction(-88, 101)),
-    BoundaryValues(Fraction(2 ** 40 - 87, 211), Fraction(-(2 ** 39) - 5, 179), 3),
-    BoundaryValues(Fraction(3 ** 126, 2 ** 200 - 1), Fraction(-(5 ** 86), 7 ** 71), 0),
-    BoundaryValues(Fraction(-9, 5), Fraction(1, 5), Fraction(11, 5)),
-    BoundaryValues(Fraction(7, 3), Fraction(7, 3), Fraction(7, 3)),
-]
-
-
-def sign_class(x):
-    return {1: DerivClass.PLUS_INFINITY, -1: DerivClass.MINUS_INFINITY,
-            0: DerivClass.ZERO}[(x > 0) - (x < 0)]
 
 
 class TestKernelDifferential:

@@ -5,12 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_gasket import (  # the kernel test's corner strategy and gcd counter
+from helpers import (  # shared corner strategy and gcd counter
     GCD_TRIPLES,
     fraction_gcd_calls,
     triples,
 )
-
 from sgharmonic import oracle
 from sgharmonic.gasket import BoundaryValues, cell_values
 from sgharmonic.oracle import (

@@ -8,17 +8,18 @@ import mpmath
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from test_exactarith import sign13  # exact sign of a + b sqrt13, apart from the package
-from test_gasket import (  # the kernel test's corner strategies and gcd counter
+from helpers import (  # shared strategies, gcd counter and reference classes
     GCD_TRIPLES,
     constant_triples,
     corners,
     fraction_gcd_calls,
+    refuse_on_edge,
+    sign13,
     sign_class,
     triples,
 )
 
-from sgharmonic import cli, gasket, restrictions
+from sgharmonic import gasket, restrictions
 from sgharmonic.exactarith import QuadExt
 from sgharmonic.gasket import (
     EDGES,
@@ -86,16 +87,6 @@ def fraction_dsv(bv, edge):
     if not (t.beta < mid < t.gamma):
         return False
     return Fraction(1, 4) <= (t.gamma - mid) / (mid - t.beta) <= 4
-
-
-def refuse_on_edge(monkeypatch):
-    """Make the package's on_edge raise from here on, in gasket and in any
-    module that would import it by name; this module keeps its own binding."""
-    def refuse(*args):
-        raise AssertionError("on_edge called")
-    monkeypatch.setattr(gasket, "on_edge", refuse)
-    for module in (restrictions, cli):
-        monkeypatch.setattr(module, "on_edge", refuse, raising=False)
 
 
 class TestClassifyEdge:

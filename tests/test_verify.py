@@ -12,10 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from helpers import fraction_gcd_calls  # shared gcd counter
 from sgharmonic import gasket, oracle, restrictions, verify
 from sgharmonic.gasket import BoundaryValues, EdgePoint
-
-from test_gasket import fraction_gcd_calls  # the kernel test's gcd counter
 
 UNITS = ("1,0,0", "0,1,0", "0,0,1")
 EXACT = re.compile(r"-?\d+(/\d+)?")
@@ -335,8 +334,7 @@ def _never_zero(real):
     (restrictions, "locate_extremum", _flipped_kind, "theorem3", 200),
     (restrictions, "locate_extremum", _moved_one_cell_right, "theorem3", 200),
     (gasket, "edge_profile", _right_for_left, "theorem3", 200),
-    pytest.param(restrictions, "junction_derivative", _never_zero, "theorem5", 100,
-                 marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1, step one")),
+    (restrictions, "junction_derivative", _never_zero, "theorem5", 100),
 ], ids=["extremum-kind-flipped", "extremum-bracket-one-cell-right",
         "profile-reads-right-for-left", "junction-derivative-never-zero"])
 def test_mutant_table(monkeypatch, module, name, mutate, suite, trials):
@@ -381,8 +379,8 @@ def test_theorem5_checks_the_premise_of_the_one_edge_scan(monkeypatch):
     # fails when more than one edge does, with each edge's (x, y) in integers
     passed = verify.suite_theorem5(trials=20)
     assert passed.status == "PASS"
-    assert passed.details.endswith("premise of the one-edge zero scan checked: at most "
-                                   "one edge per triple has end forms of opposite sign")
+    assert ("premise of the one-edge zero scan checked: at most one edge per triple has "
+            "end forms of opposite sign; 24 planted Zero lines") in passed.details
     real = restrictions._ends
 
     def forged(t):
@@ -397,6 +395,48 @@ def test_theorem5_checks_the_premise_of_the_one_edge_scan(monkeypatch):
     assert ce == {"bv": ce["bv"], **{edge: str(forged(gasket.edge_cell(bv, edge, 1)[0]))
                                      for edge in gasket.EDGES}}
     assert all(re.fullmatch(r"\(-\d+, \d+\)", ce[edge]) for edge in gasket.EDGES)
+
+
+@pytest.mark.parametrize("depth, lines", [(1, 6), (2, 12), (3, 24), (6, 24)])
+def test_theorem5_plants_every_zero_line(depth, lines):
+    # the three vertex lines, and 2^(d-1) junction lines per edge at each d
+    result = verify.suite_theorem5(trials=5, depth=depth)
+    assert result.status == "PASS"
+    assert result.details.endswith(
+        f"; {lines} planted Zero lines to depth {min(depth, 3)}, each with exactly its one "
+        "zero, found by the scan, and at a junction with Zero classes and the extremum "
+        "descent stopping there")
+
+
+def test_theorem5_certificates_name_the_planted_zero(monkeypatch):
+    # random triples carry no zero, so each fault is seen first on a planted
+    # line: p0's is (0, -3, 3), bottom:1/2's is (-6, 3, 3)
+    with monkeypatch.context() as m:
+        m.setattr(restrictions, "count_zero_junctions", lambda bv, depth: (0, []))
+        result = verify.suite_theorem5(trials=5)
+    assert (result.status, result.details, result.counterexample) == (
+        "FAIL", "the zero scan does not find exactly the planted zero",
+        {"bv": "0,-3,3", "planted": "p0", "zeros": ""})
+    with monkeypatch.context() as m:
+        m.setattr(restrictions, "junction_derivative",
+                  _never_zero(restrictions.junction_derivative))
+        result = verify.suite_theorem5(trials=5)
+    assert (result.status, result.details, result.counterexample) == (
+        "FAIL", "derivative classes at the planted zero are not Zero",
+        {"bv": "-6,3,3", "planted": "bottom:1/2", "left": "PlusInfinity",
+         "right": "PlusInfinity"})
+    with monkeypatch.context() as m:
+        m.setattr(restrictions, "locate_extremum",
+                  _moved_one_cell_right(restrictions.locate_extremum))
+        result = verify.suite_theorem5(trials=5)
+    assert (result.status, result.details, result.counterexample) == (
+        "FAIL", "the extremum descent does not stop at the planted zero",
+        {"bv": "-6,3,3", "planted": "bottom:1/2", "lo": "33/64", "hi": "33/64"})
+
+
+def test_certificate_renders_any_list_by_str():
+    result = verify._fail("x", "m", indices=[1, 2])
+    assert (result.status, result.counterexample) == ("FAIL", {"indices": "[1, 2]"})
 
 
 def test_theorem4_plants_every_relation_line(monkeypatch):
