@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from time import perf_counter
 
 from . import gasket, oracle, restrictions
@@ -70,48 +70,40 @@ UNIT_TRIPLES = (BoundaryValues(1, 0, 0), BoundaryValues(0, 1, 0), BoundaryValues
 def _over(side) -> tuple[list, int]:
     """A side as integer numerators over one positive denominator: a pair
     (numerators, denominator) as it is given, a list of values over the lcm of
-    their denominators.  A flag (a bool) stays itself."""
+    their denominators."""
     if isinstance(side, tuple):
         return side
     den = lcm(*(x.denominator for x in side))
-    return [x if isinstance(x, bool) else x.numerator * (den // x.denominator)
-            for x in side], den
+    return [x.numerator * (den // x.denominator) for x in side], den
 
 
-def _value(n, den):
-    """The value of numerator n over den, for a certificate; a flag as it is."""
-    return n if isinstance(n, bool) else Fraction(n, den)
-
-
-def _linear(name: str, msg: str, sides, ms, scope: str, trials: int, seed: int) -> SuiteResult:
-    """Check sides(bv, m) -> (lhs, rhs), two maps linear in the triple, for
-    each m in ms.  A side is a list of values or a pair (numerators,
-    denominator).  sides may also return a third list, one short statement
-    per entry: a failing entry's statement is then the FAIL's message in
-    place of msg.  The two sides must have one length, and a flag (a bool)
-    equals only a flag; values are compared as integers, by cross-
-    multiplication, and a Fraction is built only for a failure's certificate.
-    The check runs on UNIT_TRIPLES, which proves the identity for every
-    rational triple, then on `trials` random triples, which checks that the
-    code computes those linear maps: each sampled value (a flag aside) must
-    also equal alpha*u0 + beta*u1 + gamma*u2 of its unit-triple values u, in
-    integers apart from the kernel, so a fault both sides share is seen too."""
+def _linear(name: str, sides, ms, scope: str, trials: int, seed: int) -> SuiteResult:
+    """Check sides(bv, m) -> (lhs, rhs, statements), two maps linear in the
+    triple and one short statement per entry, for each m in ms.  A side is a
+    list of values or a pair (numerators, denominator).  The three lists must
+    have one length; a failing entry's statement is the FAIL's message.
+    Values are compared as integers, by cross-multiplication, and a Fraction
+    is built only for a failure's certificate.  The check runs on
+    UNIT_TRIPLES, which proves the identity for every rational triple, then
+    on `trials` random triples, which checks that the code computes those
+    linear maps: each sampled value must also equal alpha*u0 + beta*u1 +
+    gamma*u2 of its unit-triple values u, in integers apart from the kernel,
+    so a fault both sides share is seen too."""
     rng = random.Random(seed)
     units = {m: [] for m in ms}  # m -> the unit triples' lhs sides, then (d, numerators over d)
     for i, bv in enumerate((*UNIT_TRIPLES, *(random_triple(rng) for _ in range(trials)))):
         den = lcm(*(x.denominator for x in bv.as_tuple()))  # the triple over den
         a, b, g = (x.numerator * (den // x.denominator) for x in bv.as_tuple())
         for m in ms:
-            lhs, rhs, *statements = sides(bv, m)
+            lhs, rhs, statements = sides(bv, m)
             (lhs, lden), (rhs, rden) = _over(lhs), _over(rhs)
-            if len(lhs) != len(rhs):
+            if not len(lhs) == len(rhs) == len(statements):
                 return _fail(name, "sides differ in length", bv=bv, m=m, lhs=len(lhs),
-                             rhs=len(rhs))
+                             rhs=len(rhs), statements=len(statements))
             for at, (x, y) in enumerate(zip(lhs, rhs)):
-                flag = isinstance(x, bool)
-                if flag != isinstance(y, bool) or ((x != y) if flag else (x * rden != y * lden)):
-                    return _fail(name, statements[0][at] if statements else msg, bv=bv,
-                                 m=m, at=at, lhs=_value(x, lden), rhs=_value(y, rden))
+                if x * rden != y * lden:
+                    return _fail(name, statements[at], bv=bv, m=m, at=at,
+                                 lhs=Fraction(x, lden), rhs=Fraction(y, rden))
             if i < 3:
                 units[m].append((lhs, lden))
                 continue
@@ -121,7 +113,7 @@ def _linear(name: str, msg: str, sides, ms, scope: str, trials: int, seed: int) 
             d, us = units[m]
             for at, (x, u0, u1, u2) in enumerate(zip(lhs, *us)):
                 n = a * u0 + b * u1 + g * u2  # x / lden must be n / (den * d)
-                if not isinstance(x, bool) and x * den * d != n * lden:
+                if x * den * d != n * lden:
                     return _fail(name, "sample is not the combination of its unit-triple "
                                  "values", bv=bv, m=m, at=at, lhs=Fraction(x, lden),
                                  rhs=Fraction(n, den * d))
@@ -146,11 +138,13 @@ def suite_lemma1(trials: int = 10_000, seed: int = 0) -> SuiteResult:
 
 def suite_lemma2(trials: int = 100, m_max: int = 20, seed: int = 0) -> SuiteResult:
     """Closed forms at 1/2^m, 1-1/2^m, l_m, r_m equal recursive evaluation."""
+    statements = [f"closed form at {w} = eval_dyadic there" for w in gasket.LEMMA2_POINTS]
+
     def sides(bv, m):
         return ([gasket.closed_form_lemma2(bv, m, w) for w in gasket.LEMMA2_POINTS],
                 [gasket.eval_dyadic(bv, EdgePoint("bottom", gasket.lemma2_abscissa(m, w)))
-                 for w in gasket.LEMMA2_POINTS])
-    return _linear("lemma2", "closed form != recursion", sides, range(1, m_max + 1),
+                 for w in gasket.LEMMA2_POINTS], statements)
+    return _linear("lemma2", sides, range(1, m_max + 1),
                    f"m <= {m_max}, all four families", trials, seed)
 
 
@@ -257,8 +251,9 @@ def suite_lemma4(trials: int = 100, m_max: int = 15, seed: int = 0) -> SuiteResu
                 - gasket.eval_dyadic(bv, EdgePoint("bottom", half)))
         return ([rise / (gasket.lemma2_abscissa(m, "l_m") - half)],
                 [Fraction(3, 5) * Fraction(6, 5) ** m * (g - b)
-                 + Fraction(2, 5) ** m * (2 * a - 3 * b + g) / 5])
-    return _linear("lemma4", "dominant-term identity broken", sides, range(1, m_max + 1),
+                 + Fraction(2, 5) ** m * (2 * a - 3 * b + g) / 5],
+                ["left quotient at l_m = its dominant-term form"])
+    return _linear("lemma4", sides, range(1, m_max + 1),
                    f"m <= {m_max}", trials, seed)
 
 
@@ -269,13 +264,20 @@ def suite_theorem5(trials: int = 1000, depth: int = 6, seed: int = 0) -> SuiteRe
     edge has them.  Then the end forms the scan reads, restrictions._edge_ends
     on the vertex forms, must equal those of each whole-edge frame cell.
 
+    The proof reads every Zero form to `depth` on UNIT_TRIPLES, as integer
+    rows f: the three vertex forms, and the form a + g - 2b of cell k of
+    gasket.bottom_cells(u, d, edge), which count_zero_junctions tests at
+    junction k/2^d (k odd, d <= depth, a junction's row over 5^d).  Each
+    form vanishes on the constants, and two that are not proportional vanish
+    together only there, so when no form is 0 and no two are proportional,
+    no nonconstant real triple has two Zero junctions to `depth` (Stanley,
+    "An introduction to hyperplane arrangements", 2004, lecture 1).
+
     Random triples almost never carry a zero, so a triple is then planted on
-    each Zero line up to depth min(depth, 3): the three vertex forms, and the
-    form a + g - 2b of each junction k/2^d (k odd) of each edge, all read on
-    UNIT_TRIPLES as integer rows f (a junction's over 5^d).  The triple
-    f x (1, 1, 1) = (f1 - f2, f2 - f0, f0 - f1) is on the line f = 0.  The
-    zero scan must find exactly that zero on it; at a junction, both
-    derivative classes must be Zero and the extremum descent must stop there."""
+    each Zero line up to depth min(depth, 3).  The triple f x (1, 1, 1) =
+    (f1 - f2, f2 - f0, f0 - f1) is on the line f = 0.  The zero scan must
+    find exactly that zero on it; at a junction, both derivative classes must
+    be Zero and the extremum descent must stop there."""
     def text(zeros):
         return ", ".join(map(restrictions.format_zero, zeros))
     rng = random.Random(seed)
@@ -296,14 +298,29 @@ def suite_theorem5(trials: int = 1000, depth: int = 6, seed: int = 0) -> SuiteRe
         worst = max(worst, count)
         if count > 1:
             return _fail("theorem5", "more than one zero junction", bv=bv, zeros=text(zeros))
-    top = min(depth, 3)
-    lines = [(("vertex", name), [restrictions._vertex_forms(u)[i] for u in UNIT_TRIPLES])
+    lines = [(("vertex", name), tuple(restrictions._vertex_forms(u)[i] for u in UNIT_TRIPLES))
              for i, name in enumerate(restrictions.VERTICES)]
-    lines += [((edge, x), [restrictions._ends(gasket.edge_cell(u, edge, x)[0])[0]
-                           for u in UNIT_TRIPLES])
-              for edge in gasket.EDGES for d in range(1, top + 1)
-              for x in (Fraction(k, 2 ** d) for k in range(1, 2 ** d, 2))]
-    for zero, (f0, f1, f2) in lines:
+    for edge in gasket.EDGES:
+        for d in range(1, depth + 1):
+            cells = list(zip(*(gasket.bottom_cells(u, d, edge) for u in UNIT_TRIPLES)))
+            lines += [((edge, Fraction(k, 2 ** d)),
+                       tuple(a + g - 2 * b for a, b, g in cells[k])) for k in range(1, 2 ** d, 2)]
+    seen = {}  # a form's primitive multiple, first nonzero part positive -> (zero, form)
+    for zero, form in lines:
+        lead = next((f for f in form if f), 0)
+        if not lead:
+            return _fail("theorem5", "a Zero form vanishes on every triple",
+                         zero=restrictions.format_zero(zero), form=form)
+        g = gcd(*form) if lead > 0 else -gcd(*form)
+        other, other_form = seen.setdefault(tuple(f // g for f in form), (zero, form))
+        if other != zero:
+            return _fail("theorem5", "two Zero forms are proportional",
+                         first=restrictions.format_zero(other), first_form=other_form,
+                         second=restrictions.format_zero(zero), second_form=form)
+    top = min(depth, 3)
+    shallow = [(zero, form) for zero, form in lines
+               if zero[0] == "vertex" or zero[1].denominator <= 2 ** top]
+    for zero, (f0, f1, f2) in shallow:
         bv, planted = BoundaryValues(f1 - f2, f2 - f0, f0 - f1), restrictions.format_zero(zero)
         count, zeros = restrictions.count_zero_junctions(bv, depth)
         if (count, zeros) != (1, [zero]):
@@ -321,27 +338,27 @@ def suite_theorem5(trials: int = 1000, depth: int = 6, seed: int = 0) -> SuiteRe
             return _fail("theorem5", "the extremum descent does not stop at the planted "
                          "zero", bv=bv, planted=planted, lo=bracket.lo, hi=bracket.hi)
     return _pass("theorem5", f"{trials} triples, depth {depth}, max zero-count {worst}; "
+                 f"{len(lines)} Zero forms to depth {depth} pairwise non-proportional; "
                  "vertex-form end pairs equal to the frame cells' on every edge; premise "
                  "of the one-edge zero scan checked: at most one edge per triple has end "
-                 f"forms of opposite sign; {len(lines)} planted Zero lines to depth {top}, "
+                 f"forms of opposite sign; {len(shallow)} planted Zero lines to depth {top}, "
                  "each with exactly its one zero, found by the scan, and at a junction "
-                 "with Zero classes and the extremum descent stopping there", len(lines))
+                 "with Zero classes and the extremum descent stopping there", len(shallow))
 
 
 def suite_eq16(trials: int = 100, m_max: int = 30, seed: int = 0) -> SuiteResult:
     """5*alpha_m + 15*beta_m + 7*gamma_m is conserved along the nesting.  At
     m = 0, also 27 f(1/3) of each edge is 5a + 15b + 7g of the edge's corners
     (a, b, g), read through gasket._EDGE_PERMUTATION, and 27 f(2/3) is the
-    same with b and g swapped.  Each m = 0 entry carries its statement."""
-    drifted = "conserved combination drifted"
-
+    same with b and g swapped."""
     def sides(bv, m):
         seq = restrictions.triangle_sequence(bv, m)
         lhs = [5 * seq.alpha_m + 15 * seq.beta_m + 7 * seq.gamma_m]
         rhs = [restrictions.conserved_combination(bv)]
+        statements = ["conserved combination drifted"]
         if m:
-            return lhs, rhs
-        t, statements = bv.as_tuple(), [drifted]
+            return lhs, rhs, statements
+        t = bv.as_tuple()
         for edge, (i, j, l) in gasket._EDGE_PERMUTATION.items():
             lhs += [27 * gasket.eval_dyadic(bv, EdgePoint(edge, Fraction(n, 3)))
                     for n in (1, 2)]
@@ -349,7 +366,7 @@ def suite_eq16(trials: int = 100, m_max: int = 30, seed: int = 0) -> SuiteResult
             statements += [f"27 f(1/3) of {edge} = 5a + 15b + 7g of its corners",
                            f"27 f(2/3) of {edge} = 5a + 7b + 15g of its corners"]
         return lhs, rhs, statements
-    return _linear("eq16", drifted, sides, range(m_max + 1),
+    return _linear("eq16", sides, range(m_max + 1),
                    f"m <= {m_max}, and f(1/3), f(2/3) of every edge at m = 0", trials, seed)
 
 
@@ -359,8 +376,9 @@ def suite_closed_form(trials: int = 100, m_max: int = 30, seed: int = 0) -> Suit
     def sides(bv, m):
         seq = restrictions.triangle_sequence(bv, m)
         return ([restrictions.gamma_closed_form(bv, m), restrictions.beta_closed_form(bv, m)],
-                [seq.gamma_m, seq.beta_m])
-    return _linear("closedform", "closed form != recursion", sides, range(m_max + 1),
+                [seq.gamma_m, seq.beta_m],
+                ["gamma_m closed form = recursion", "beta_m closed form = recursion"])
+    return _linear("closedform", sides, range(m_max + 1),
                    f"m <= {m_max}", trials, seed)
 
 
@@ -404,24 +422,23 @@ def suite_oracle(depth: int = 3, trials: int = 25, seed: int = 0) -> SuiteResult
     """Graph solve agrees with cell addressing at every corner of every level-m
     cell, and the five-point and mean-value checkers accept the solve.  Both
     sides are integer numerators over one denominator: the solve's as it
-    holds them, the kernel's over L*5^m."""
-    cells, den = [], 1  # one kernel pass per triple, in graph.triangles' order
-
+    holds them, the kernel's over L*5^m.  A checker's entry is 0 when it
+    accepts the solve and 1 when it rejects it, against 0."""
     def sides(bv, m):
-        nonlocal cells, den
-        if m == 1:  # _linear asks for m = 1, 2, ... in turn
-            *cells, den = gasket.to_numerators(bv)  # the root cell, over L
-        cells = [gasket.child_numerators(t, d) for t in cells for d in "012"]
+        *cells, den = gasket.to_numerators(bv)  # the root cell, over L
+        for _ in range(m):  # the level-m cells, in graph.triangles' order
+            cells = [gasket.child_numerators(t, d) for t in cells for d in "012"]
         graph = oracle.build_graph(m)
         solved = oracle.solve_harmonic(m, bv)
         nums = solved.numerators
-        return (([nums[v] for _, tri in graph.triangles[m] for v in tri]
-                 + [oracle.check_five_point(graph, solved),
-                    oracle.check_mean_value(graph, solved)], solved.den),
-                ([x for t in cells for x in t] + [True, True], den * 5 ** m))
-    return _linear("oracle", "solver disagrees with cell addressing, five-point relation "
-                   "or mean-value equations",
-                   sides, range(1, depth + 1), f"levels m <= {depth}", trials, seed)
+        corners = [nums[v] for _, tri in graph.triangles[m] for v in tri]
+        return ((corners + [0 if check(graph, solved) else solved.den
+                            for check in (oracle.check_five_point, oracle.check_mean_value)],
+                 solved.den),
+                ([x for t in cells for x in t] + [0, 0], den * 5 ** m),
+                ["graph solve = cell addressing"] * len(corners)
+                + ["check_five_point accepts the solve", "check_mean_value accepts the solve"])
+    return _linear("oracle", sides, range(1, depth + 1), f"levels m <= {depth}", trials, seed)
 
 
 SUITES = {
@@ -452,7 +469,9 @@ def run_suites(names=None, seed: int = 0, **overrides) -> list[SuiteResult]:
     """Run the named suites (all by default), each with the overrides among
     its parameters.  An override that no named suite takes, or a depth or work
     above a named suite's MAX_DEPTH, MAX_WORK or _MAX_M_WORK, is a ValueError
-    raised before any suite runs; with no names it also says which suites refuse."""
+    raised before any suite runs; with no names it also says which suites refuse.
+    A suite that raises FAILs with the exception as its certificate, and the
+    others still run."""
     every, names = not names, list(names or SUITES)
     given = {key: value for key, value in overrides.items() if value is not None}
     params = {name: inspect.signature(SUITES[name]).parameters for name in names}
@@ -485,7 +504,11 @@ def run_suites(names=None, seed: int = 0, **overrides) -> list[SuiteResult]:
     for name in names:
         start = perf_counter()
         kwargs = {k: v for k, v in given.items() if k in params[name]}
-        result = SUITES[name](seed=seed, **kwargs)
+        try:
+            result = SUITES[name](seed=seed, **kwargs)
+        except Exception as exc:  # a fault in the program, not in the options
+            error = f"{type(exc).__name__}: {exc}"
+            result = _fail(name, f"raised {error}", error=error)
         result.elapsed_s = perf_counter() - start
         results.append(result)
     return results

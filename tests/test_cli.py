@@ -527,6 +527,32 @@ class TestVerify:
         assert "--m-max" in res.output
         assert "theorem5" in res.output
 
+    def test_suite_that_raises_fails_with_the_exception(self, monkeypatch):
+        # a fault raised inside a suite is a FAIL (exit 1), not a usage error
+        # (exit 2) or a traceback, and the other suites still run
+        from sgharmonic import oracle, restrictions
+
+        def monotone(*args):
+            raise ValueError("restriction is monotone; no extremum to locate")
+
+        def singular(*args):
+            raise ArithmeticError("singular system")
+        monkeypatch.setattr(restrictions, "locate_extremum", monotone)
+        monkeypatch.setattr(oracle, "solve_harmonic", singular)
+        res = run("verify", "--suite", "theorem5", "--trials", "3")
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert res.output.startswith("theorem5: FAIL - raised ValueError: restriction is "
+                                     "monotone; no extremum to locate (")
+        assert "Usage" not in res.output and "Traceback" not in res.output
+        res = run("verify", "--suite", "oracle", "--suite", "lemma1", "--trials", "3",
+                  "--format", "json")
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        failed, passed = json.loads(res.output)["suites"]
+        assert (failed["name"], failed["status"], failed["details"]) == (
+            "oracle", "FAIL", "raised ArithmeticError: singular system")
+        assert failed["counterexample"] == {"error": "ArithmeticError: singular system"}
+        assert (passed["name"], passed["status"]) == ("lemma1", "PASS")
+
     def test_theorem6_checking_no_step_is_inconclusive(self):
         res = run("verify", "--suite", "theorem6", "--m-max", "3", "--trials", "5")
         assert res.exit_code == 1

@@ -51,16 +51,18 @@ class TestOneWrongDirection:
                   lambda bv, m, which: bv.beta / 7 if m == 5 else 0)
         x = gasket.lemma2_abscissa(5, gasket.LEMMA2_POINTS[0])
         true = gasket.eval_dyadic(BoundaryValues(0, 1, 0), EdgePoint("bottom", x))
-        assert_fail(verify.suite_lemma2(trials=3, m_max=6), "0,1,0", 5, 0,
-                    true + Fraction(1, 7), true)
+        result = verify.suite_lemma2(trials=3, m_max=6)
+        assert_fail(result, "0,1,0", 5, 0, true + Fraction(1, 7), true)
+        assert result.details == "closed form at half_power = eval_dyadic there"
 
     def test_lemma4(self, monkeypatch):
         perturbed(monkeypatch, gasket, "closed_form_lemma2",
                   lambda bv, m, which: bv.gamma if (m, which) == (3, "l_m") else 0)
         rise = gasket.lemma2_abscissa(3, "l_m") - Fraction(1, 2)
         true = Fraction(3, 5) * Fraction(6, 5) ** 3 + Fraction(2, 5) ** 3 / 5
-        assert_fail(verify.suite_lemma4(trials=3, m_max=4), "0,0,1", 3, 0,
-                    true + 1 / rise, true)
+        result = verify.suite_lemma4(trials=3, m_max=4)
+        assert_fail(result, "0,0,1", 3, 0, true + 1 / rise, true)
+        assert result.details == "left quotient at l_m = its dominant-term form"
 
     def test_eq16(self, monkeypatch):
         real = restrictions.triangle_sequence
@@ -77,8 +79,9 @@ class TestOneWrongDirection:
         perturbed(monkeypatch, restrictions, "beta_closed_form",
                   lambda bv, m: bv.beta / 3 if m == 7 else 0)
         true = restrictions.triangle_sequence(BoundaryValues(0, 1, 0), 7).beta_m
-        assert_fail(verify.suite_closed_form(trials=3, m_max=8), "0,1,0", 7, 1,
-                    true + Fraction(1, 3), true)
+        result = verify.suite_closed_form(trials=3, m_max=8)
+        assert_fail(result, "0,1,0", 7, 1, true + Fraction(1, 3), true)
+        assert result.details == "beta_m closed form = recursion"
 
     def test_oracle(self, monkeypatch):
         real = oracle.solve_harmonic
@@ -95,15 +98,17 @@ class TestOneWrongDirection:
         at = corners.index(3)
         addr, _ = oracle.build_graph(2).triangles[2][at // 3]
         true = gasket.cell_values(BoundaryValues(0, 0, 1), addr).as_tuple()[at % 3]
-        assert_fail(verify.suite_oracle(depth=3, trials=3), "0,0,1", 2, at, true + 1, true)
+        result = verify.suite_oracle(depth=3, trials=3)
+        assert_fail(result, "0,0,1", 2, at, true + 1, true)
+        assert result.details == "graph solve = cell addressing"
 
     def test_oracle_five_point_side(self, monkeypatch):
+        # a checker that rejects the solve reads 1 against 0, after the 81 corners
         monkeypatch.setattr(oracle, "check_five_point", lambda graph, values: graph.level < 3)
         result = verify.suite_oracle(depth=3, trials=3)
-        assert result.status == "FAIL"
-        assert (result.counterexample["bv"], result.counterexample["m"]) == ("1,0,0", "3")
-        assert (result.counterexample["lhs"], result.counterexample["rhs"]) == ("False",
-                                                                                "True")
+        assert_fail(result, "1,0,0", 3, 81, 1, 0)
+        assert (result.counterexample["lhs"], result.counterexample["rhs"]) == ("1", "0")
+        assert result.details == "check_five_point accepts the solve"
 
 
 def test_sample_catches_fault_vanishing_on_unit_triples(monkeypatch):
@@ -125,9 +130,9 @@ def test_sample_certificate_is_the_exact_unit_combination():
 
     def sides(bv, m):
         value = sum(c * x for c, x in zip(coefficients, bv.as_tuple())) / m
-        lhs = [True, value + (bv.alpha * bv.beta if m == 2 else 0)]
-        return lhs, list(lhs)
-    result = verify._linear("t", "sides differ", sides, range(1, 4), "m <= 3", 5, 0)
+        lhs = [0, value + (bv.alpha * bv.beta if m == 2 else 0)]
+        return lhs, list(lhs), ["zero", "value"]
+    result = verify._linear("t", sides, range(1, 4), "m <= 3", 5, 0)
     assert result.status == "FAIL"
     assert result.details == "sample is not the combination of its unit-triple values"
     ce = result.counterexample
@@ -139,36 +144,29 @@ def test_sample_certificate_is_the_exact_unit_combination():
 
 
 def test_sides_of_unequal_length_fail():
-    # a zip over both sides would stop at the shorter one and PASS
-    result = verify._linear("t", "sides differ",
-                            lambda bv, m: ([bv.alpha, bv.beta], [bv.alpha]),
-                            range(1, 3), "m <= 2", 5, 0)
-    assert (result.status, result.details) == ("FAIL", "sides differ in length")
-    assert result.counterexample == {"bv": "1,0,0", "m": "1", "lhs": "2", "rhs": "1"}
-
-
-@pytest.mark.parametrize("flag, number", [(True, 1), (False, 0)])
-def test_flag_equals_only_a_flag(flag, number):
-    for lhs, rhs in (([flag], [number]), ([number], [flag])):
-        result = verify._linear("t", "sides differ", lambda bv, m: (lhs, rhs),
-                                range(1, 2), "m <= 1", 0, 0)
-        assert (result.status, result.details) == ("FAIL", "sides differ")
-        assert (result.counterexample["lhs"], result.counterexample["rhs"]) == (
-            str(lhs[0]), str(rhs[0]))
+    # a zip over both sides would stop at the shorter one and PASS; a missing
+    # statement would leave a failing entry unnamed
+    for lhs, rhs, statements in ((2, 1, 2), (2, 2, 1)):
+        def sides(bv, m):
+            return [bv.alpha, bv.beta][:lhs], [bv.alpha, bv.beta][:rhs], ["a", "b"][:statements]
+        result = verify._linear("t", sides, range(1, 3), "m <= 2", 5, 0)
+        assert (result.status, result.details) == ("FAIL", "sides differ in length")
+        assert result.counterexample == {"bv": "1,0,0", "m": "1", "lhs": str(lhs),
+                                         "rhs": str(rhs), "statements": str(statements)}
 
 
 def test_passing_sample_check_builds_no_fraction(monkeypatch):
-    # sides from prebuilt Fraction lists, mixed denominators and a flag among
-    # them, and prebuilt draws: a passing run then makes no Fraction at all
+    # sides from prebuilt Fraction lists, mixed denominators and an integer
+    # among them, and prebuilt draws: a passing run then makes no Fraction at all
     rng = random.Random(3)
     drawn = [verify.random_triple(rng) for _ in range(20)]
     rows = [(Fraction(1, 3), Fraction(-5, 4), Fraction(2, 7)), (7, Fraction(1, 10), 0)]
     table = {(bv, m): [sum(c * x for c, x in zip(row, bv.as_tuple())) * m for row in rows]
-             + [bv.alpha < 0] for bv in (*verify.UNIT_TRIPLES, *drawn) for m in range(1, 4)}
+             + [0] for bv in (*verify.UNIT_TRIPLES, *drawn) for m in range(1, 4)}
     prebuilt = iter(drawn)
     monkeypatch.setattr(verify, "random_triple", lambda rng: next(prebuilt))
     with fraction_gcd_calls() as calls:
-        result = verify._linear("t", "sides differ", lambda bv, m: (table[bv, m], table[bv, m]),
+        result = verify._linear("t", lambda bv, m: (table[bv, m], table[bv, m], list("abc")),
                                 range(1, 4), "m <= 3", len(drawn), 0)
     assert result.status == "PASS"
     assert calls[0] == 0
@@ -406,6 +404,34 @@ def test_theorem5_plants_every_zero_line(depth, lines):
         f"; {lines} planted Zero lines to depth {min(depth, 3)}, each with exactly its one "
         "zero, found by the scan, and at a junction with Zero classes and the extremum "
         "descent stopping there")
+
+
+@pytest.mark.parametrize("depth", [1, 6, 12])
+def test_theorem5_proves_every_zero_form_non_proportional(depth):
+    # the 3 vertex forms and 2^d - 1 junction forms per edge
+    result = verify.suite_theorem5(trials=1, depth=depth)
+    assert result.status == "PASS"
+    assert (f"; {3 + 3 * (2 ** depth - 1)} Zero forms to depth {depth} pairwise "
+            "non-proportional; ") in result.details
+
+
+def test_theorem5_names_both_proportional_zero_forms(monkeypatch):
+    # the left edge read as the bottom one: left:1/2 has bottom:1/2's form
+    real = gasket.bottom_cells
+    monkeypatch.setattr(gasket, "bottom_cells", lambda bv, depth, edge: real(
+        bv, depth, "bottom" if edge == "left" else edge))
+    result = verify.suite_theorem5(trials=5)
+    assert (result.status, result.details) == ("FAIL", "two Zero forms are proportional")
+    ce = result.counterexample
+    assert re.fullmatch(r"\(-?\d+, -?\d+, -?\d+\)", ce["first_form"])
+    assert ce == {"first": "bottom:1/2", "first_form": ce["first_form"],
+                  "second": "left:1/2", "second_form": ce["first_form"]}
+    # every junction form 0: a constant cell
+    monkeypatch.setattr(gasket, "bottom_cells", lambda bv, depth, edge: [(1, 1, 1)] * 2 ** depth)
+    result = verify.suite_theorem5(trials=5)
+    assert (result.status, result.details, result.counterexample) == (
+        "FAIL", "a Zero form vanishes on every triple",
+        {"zero": "bottom:1/2", "form": "(0, 0, 0)"})
 
 
 def test_theorem5_certificates_name_the_planted_zero(monkeypatch):
