@@ -1,7 +1,7 @@
 """Exact evaluation and derivative analysis of harmonic functions on the
 Sierpinski gasket."""
 
-from .exactarith import QuadExt, format_rational, parse_rational
+from .exactarith import QuadExt, parse_rational
 from .gasket import (
     EDGES,
     BoundaryValues,
@@ -48,7 +48,7 @@ __all__ = [
     "TriangleSequence", "beta_closed_form", "build_graph", "cell_values",
     "check_five_point", "check_mean_value", "classify_edge", "closed_form_lemma2",
     "count_zero_junctions", "dsv_check", "edge_profile", "eval_dyadic",
-    "extend_once", "format_rational", "gamma_closed_form", "junction_derivative",
+    "extend_once", "gamma_closed_form", "junction_derivative",
     "locate_extremum", "normal_derivative", "parse_rational",
     "renormalized_vertex_difference", "simultaneous_monotone", "solve_harmonic",
     "third_point_onset", "third_point_quotients", "triangle_sequence",

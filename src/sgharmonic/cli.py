@@ -2,11 +2,13 @@
 
 All machine-readable output carries exact fractions; floats appear only as
 display companions.  Exit codes: 0 success, 1 verification failure,
-2 usage or parse error.
+2 usage or parse error, or output that cannot be written; a closed pipe
+ends quietly.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import sys
@@ -18,7 +20,7 @@ from operator import floordiv, truediv
 import click
 
 from . import restrictions, verify
-from .exactarith import format_rational, parse_rational
+from .exactarith import parse_rational
 from .gasket import (
     EDGES,
     MAX_EDGE_DEPTH,
@@ -68,8 +70,8 @@ def _echo(text: str) -> None:
     click.echo(text, file=sys.stdout)
 
 
-def _emit_json(command: str, inputs: dict, results: dict) -> None:
-    _echo(json.dumps({"command": command, "inputs": inputs, "results": results},
+def _emit_json(command: str, inputs: dict, results: dict, **more) -> None:
+    _echo(json.dumps({"command": command, "inputs": inputs, "results": results, **more},
                      indent=2))
 
 
@@ -92,19 +94,27 @@ def _display_floats(ps: list[int], q: int) -> list[float]:
 
 
 def _triple_inputs(bv: BoundaryValues) -> dict:
-    return {"alpha": format_rational(bv.alpha),
-            "beta": format_rational(bv.beta),
-            "gamma": format_rational(bv.gamma)}
+    return {"alpha": str(bv.alpha), "beta": str(bv.beta), "gamma": str(bv.gamma)}
 
 
 class ExactCommand(click.Command):
-    """Runs without Python's int-to-str limit; options are parsed under it."""
+    """Runs without Python's int-to-str limit; options are parsed under it.
+    Output that cannot be opened, written, flushed or closed is a usage error;
+    a closed pipe is left to click, which ends quietly."""
 
     def invoke(self, ctx):
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
-            return super().invoke(ctx)
+            result = super().invoke(ctx)
+            sys.stdout.flush()
+            return result
+        except OSError as exc:
+            if exc.errno == errno.EPIPE:
+                raise
+            output = ctx.params.get("output")
+            where = f"--output {output}" if output else "stdout"
+            raise click.UsageError(f"cannot write {where}: {exc.strerror}", ctx)
         finally:
             sys.set_int_max_str_digits(limit)
 
@@ -132,12 +142,12 @@ def cmd_eval(alpha, beta, gamma, edge, point, fmt):
         raise click.UsageError(str(exc))
     approx, = _display_floats([value.numerator], value.denominator)
     if fmt == "json":
-        inputs = {**_triple_inputs(bv), "edge": edge, "point": format_rational(point)}
+        inputs = {**_triple_inputs(bv), "edge": edge, "point": str(point)}
         # JSON has no infinities: an out-of-range companion is null
-        _emit_json("eval", inputs, {"value": format_rational(value),
+        _emit_json("eval", inputs, {"value": str(value),
                                     "value_float": approx if math.isfinite(approx) else None})
     else:
-        _echo(f"{format_rational(value)} ({approx:g})")
+        _echo(f"{value} ({approx:g})")
 
 
 @cli.command("classify")
@@ -156,9 +166,9 @@ def cmd_classify(alpha, beta, gamma, depth, fmt):
             res = restrictions.locate_extremum(bv, edge, depth)
             entry["extremum"] = {
                 "kind": res.kind,
-                "lo": format_rational(res.lo),
-                "hi": format_rational(res.hi),
-                "at_junction": format_rational(res.lo) if res.lo == res.hi else None,
+                "lo": str(res.lo),
+                "hi": str(res.hi),
+                "at_junction": str(res.lo) if res.lo == res.hi else None,
             }
         per_edge[edge] = entry
     lengths = {}
@@ -170,7 +180,7 @@ def cmd_classify(alpha, beta, gamma, depth, fmt):
         "edges": per_edge,
         "simultaneous_monotone": (None if bv.is_constant()
                                   else restrictions.simultaneous_monotone(bv)),
-        "edge_lengths": {e: format_rational(v) for e, v in lengths.items()},
+        "edge_lengths": {e: str(v) for e, v in lengths.items()},
         "length_ordering": ordering,
     }
     if fmt == "json":
@@ -242,30 +252,24 @@ def cmd_scan(alpha, beta, gamma, edge, depth, output):
             f"up to {digits} digits, above its bound of {MAX_SCAN_BYTES} bytes (1 GiB); "
             "lower --depth or the inputs' digits")
     # the file is opened before the walk, so that an unwritable path fails at
-    # once; a failed open, write or close of it is a usage error, and the file
-    # is closed whatever happens
-    try:
-        with open(output, "w", newline="") if output else nullcontext(sys.stdout) as stream:
-            values, den = edge_profile(bv, depth, edge)
-            # CSV as csv.writer writes it (no field needs quoting, \r\n ends each
-            # row), written a block of rows at a time; each value in lowest terms.
-            # A block is its columns, each made by C-level maps, interleaved.
-            stream.write(_SCAN_HEADER)
-            for start in range(0, len(values), _SCAN_BLOCK_ROWS):
-                stop = min(start + _SCAN_BLOCK_ROWS, len(values))
-                block = values[start:stop]
-                gcds = list(map(math.gcd, block, repeat(den)))
-                q_texts = {c: f",{den // c}," for c in set(gcds)}  # a few dozen
-                cells = [None, ",", None, None, None, "\r\n"] * len(block)  # x,p,q,float
-                cells[::6] = _x_texts(start, stop, depth)
-                cells[2::6] = map(str, map(floordiv, block, gcds))
-                cells[3::6] = map(q_texts.__getitem__, gcds)
-                cells[4::6] = map(repr, _display_floats(block, den))
-                stream.write("".join(cells))
-    except OSError as exc:
-        if not output:
-            raise
-        raise click.UsageError(f"cannot write --output {output}: {exc.strerror}")
+    # once, and is closed whatever happens
+    with open(output, "w", newline="") if output else nullcontext(sys.stdout) as stream:
+        values, den = edge_profile(bv, depth, edge)
+        # CSV as csv.writer writes it (no field needs quoting, \r\n ends each
+        # row), written a block of rows at a time; each value in lowest terms.
+        # A block is its columns, each made by C-level maps, interleaved.
+        stream.write(_SCAN_HEADER)
+        for start in range(0, len(values), _SCAN_BLOCK_ROWS):
+            stop = min(start + _SCAN_BLOCK_ROWS, len(values))
+            block = values[start:stop]
+            gcds = list(map(math.gcd, block, repeat(den)))
+            q_texts = {c: f",{den // c}," for c in set(gcds)}  # a few dozen
+            cells = [None, ",", None, None, None, "\r\n"] * len(block)  # x,p,q,float
+            cells[::6] = _x_texts(start, stop, depth)
+            cells[2::6] = map(str, map(floordiv, block, gcds))
+            cells[3::6] = map(q_texts.__getitem__, gcds)
+            cells[4::6] = map(repr, _display_floats(block, den))
+            stream.write("".join(cells))
 
 
 @cli.command("verify")
@@ -284,16 +288,12 @@ def cmd_verify(suites, trials, depth, m_max, seed, fmt):
     except ValueError as exc:
         raise click.UsageError(str(exc))
     if fmt == "json":
-        payload = {
-            "command": "verify",
-            "inputs": {"suites": [r.name for r in results], "trials": trials, "depth": depth,
-                       "m_max": m_max, "seed": seed},
-            "results": {"all_passed": all(r.passed for r in results)},
-            "suites": [{"name": r.name, "status": r.status, "details": r.details,
-                        "counterexample": r.counterexample, "elapsed_s": r.elapsed_s}
-                       for r in results],
-        }
-        _echo(json.dumps(payload, indent=2))
+        _emit_json("verify", {"suites": [r.name for r in results], "trials": trials,
+                              "depth": depth, "m_max": m_max, "seed": seed},
+                   {"all_passed": all(r.passed for r in results)},
+                   suites=[{"name": r.name, "status": r.status, "details": r.details,
+                            "counterexample": r.counterexample, "elapsed_s": r.elapsed_s}
+                           for r in results])
     else:
         for r in results:
             _echo(f"{r.name}: {r.status} - {r.details} ({r.elapsed_s:.2f} s)")

@@ -1,7 +1,7 @@
 """Exact arithmetic substrate: rationals and the real quadratic field Q(sqrt(13)).
 
 Rationals are plain :class:`fractions.Fraction` (arbitrary precision, always
-canonical, denominator positive), read and written in the text form "p/q".
+canonical, denominator positive), read in the "p/q" form that ``str`` writes.
 ``QuadExt`` is a value type for numbers a + b*sqrt(13) with rational a, b:
 construction, equality and hashing, and no ring operations or order.
 Sums, products, conjugates and signs in Q(sqrt13) are taken on integer pairs
@@ -46,11 +46,6 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"{text!r} has more than {limit} digits in its numerator "
                          "or denominator (the int-to-str limit)")
     return q
-
-
-def format_rational(q: Fraction) -> str:
-    """Inverse of :func:`parse_rational`; "p/q" with q omitted when 1."""
-    return str(q)
 
 
 class QuadExt:

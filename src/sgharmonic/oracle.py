@@ -14,10 +14,10 @@ levels, and solves only the vertices new at level m, by fraction-free sparse
 elimination on integer rows, finest first, with the coarse vertices as known
 columns.  The reuse is proven, not assumed: every coarse interior vertex must
 then satisfy its level-m mean-value equation, or the solve raises
-AssertionError.  The solution is cached per level as integer rows over one
-denominator, so a warm solve is one integer dot product per vertex, kept
-as a read-only mapping of integer numerators over one denominator that builds
-a Fraction only when a value is read.  Two checkers test an assignment on
+AssertionError.  Back-substitution keeps the solution as integer rows over
+one running denominator, cached per level, so a warm solve is one integer
+dot product per vertex, kept as a read-only mapping of integer numerators
+over that denominator that builds a Fraction only when a value is read.  Two checkers test an assignment on
 integer numerators over one denominator, read straight from a solve of the
 graph's level: the mean-value equation at every interior vertex, and the
 five-point relation per minimal triangle, kept apart from the solve so the
@@ -112,8 +112,9 @@ def _basis_solutions(m: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
     w by the gcd of p and its coefficients, once, when it becomes the pivot,
     and updates each row v that meets w in place to p*row_v + f*row_w, f row
     v's coefficient of w.  Back-substitution then runs over the new vertices
-    in index order, one gcd-reduced (denominator, numerators) pair each, and
-    every row is put over D, the lcm of those denominators and level m - 1's.
+    in index order over one running denominator D, at first level m - 1's:
+    x_v is N/(D*s_v), N the sum of n_u*row_u, and when k = s_v/gcd(s_v, N)
+    > 1, D and every row so far are multiplied by k, so row v is N*k/s_v.
 
     The reuse is proven, not assumed: every coarse interior vertex must then
     satisfy its level-m mean-value equation on the three columns, and the new
@@ -148,20 +149,18 @@ def _basis_solutions(m: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
                         vrow[u] *= pivot
                 for u, c in row.items():
                     vrow[u] = vrow.get(u, 0) + f * c
-    coeffs = [(coarse_den, r) for r in coarse]
+    den, out = coarse_den, list(coarse)
     for v in new:
         pivot, row = rows[v]
-        den = lcm(*(coeffs[u][0] for u in row))
         n0 = n1 = n2 = 0
         for u, c in row.items():
-            d, (a0, a1, a2) = coeffs[u]
-            k = c * (den // d)
-            n0, n1, n2 = n0 + k * a0, n1 + k * a1, n2 + k * a2
-        den *= pivot
-        d = gcd(den, n0, n1, n2)
-        coeffs.append((den // d, (n0 // d, n1 // d, n2 // d)))
-    den = lcm(coarse_den, *(d for d, _ in coeffs[len(coarse):]))
-    out = tuple([(a0 * (k := den // d), a1 * k, a2 * k) for d, (a0, a1, a2) in coeffs])
+            a0, a1, a2 = out[u]
+            n0, n1, n2 = n0 + c * a0, n1 + c * a1, n2 + c * a2
+        d = gcd(pivot, n0, n1, n2)
+        if (k := pivot // d) > 1:
+            den *= k
+            out = [(a0 * k, a1 * k, a2 * k) for a0, a1, a2 in out]
+        out.append((n0 // d, n1 // d, n2 // d))
     for v in range(len(coarse)):
         if v not in g.boundary:
             s0 = s1 = s2 = 0
@@ -172,7 +171,7 @@ def _basis_solutions(m: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
             if (4 * r0, 4 * r1, 4 * r2) != (s0, s1, s2):
                 raise AssertionError(f"vertex {v} breaks its level-{m} mean-value "
                                      f"equation on level {m - 1}'s rows")
-    return den, out
+    return den, tuple(out)
 
 
 class _Solution(Mapping):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .exactarith import QuadExt, format_rational
+from .exactarith import QuadExt
 from .gasket import (
     _EDGE_PERMUTATION,
     EDGES,
@@ -190,7 +190,7 @@ MAX_ZERO_DEPTH = 12  # 2^12 cells on the one edge walked; guard of count_zero_ju
 
 def format_zero(z: ZeroJunction) -> str:
     """Exact text of a zero junction: "p0" for a vertex, "left:1/2" otherwise."""
-    return z[1] if z[0] == "vertex" else f"{z[0]}:{format_rational(z[1])}"
+    return z[1] if z[0] == "vertex" else f"{z[0]}:{z[1]}"
 
 
 def count_zero_junctions(

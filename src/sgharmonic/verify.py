@@ -14,7 +14,6 @@ from math import gcd, lcm
 from time import perf_counter
 
 from . import gasket, oracle, restrictions
-from .exactarith import format_rational
 from .gasket import BoundaryValues, EdgePoint
 
 
@@ -49,7 +48,7 @@ def random_nonconstant_triple(rng: random.Random, bound: int = 100) -> BoundaryV
 def _text(value) -> str:
     """Exact text of a certificate value: a triple reads "alpha,beta,gamma", else its str."""
     if isinstance(value, BoundaryValues):
-        return ",".join(format_rational(x) for x in value.as_tuple())
+        return ",".join(map(str, value.as_tuple()))
     return str(value)
 
 
@@ -274,7 +273,7 @@ def suite_theorem5(trials: int = 1000, depth: int = 6, seed: int = 0) -> SuiteRe
     "An introduction to hyperplane arrangements", 2004, lecture 1).
 
     Random triples almost never carry a zero, so a triple is then planted on
-    each Zero line up to depth min(depth, 3).  The triple f x (1, 1, 1) =
+    each Zero line up to depth min(depth, 6).  The triple f x (1, 1, 1) =
     (f1 - f2, f2 - f0, f0 - f1) is on the line f = 0.  The zero scan must
     find exactly that zero on it; at a junction, both derivative classes must
     be Zero and the extremum descent must stop there."""
@@ -317,7 +316,7 @@ def suite_theorem5(trials: int = 1000, depth: int = 6, seed: int = 0) -> SuiteRe
             return _fail("theorem5", "two Zero forms are proportional",
                          first=restrictions.format_zero(other), first_form=other_form,
                          second=restrictions.format_zero(zero), second_form=form)
-    top = min(depth, 3)
+    top = min(depth, 6)
     shallow = [(zero, form) for zero, form in lines
                if zero[0] == "vertex" or zero[1].denominator <= 2 ** top]
     for zero, (f0, f1, f2) in shallow:

@@ -8,6 +8,7 @@ import json
 import os
 import re
 import shlex
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -20,7 +21,6 @@ from helpers import refuse_on_edge
 
 import sgharmonic.cli
 from sgharmonic.cli import cli
-from sgharmonic.exactarith import format_rational
 from sgharmonic.gasket import (
     EDGES,
     BoundaryValues,
@@ -76,7 +76,7 @@ class TestEval:
                     want[bv, edge, point] = conserved_combination(c) / 27
         refuse_on_edge(monkeypatch)
         for (bv, edge, point), value in want.items():
-            res = run("eval", *(f"--{name}={format_rational(x)}" for name, x in
+            res = run("eval", *(f"--{name}={x}" for name, x in
                                 zip(("alpha", "beta", "gamma"), bv.as_tuple())),
                       "--edge", edge, "--point", point)
             assert res.exit_code == 0, res.output
@@ -706,6 +706,45 @@ def test_invocations_leave_no_stream_alive():
         for args in commands:
             assert run(*args).exit_code == 0
     assert live_wrappers() == before
+
+
+def run_module(*args, **kwargs):
+    """The command as a process, python -m sgharmonic.cli, run from this checkout."""
+    src = str(Path(sgharmonic.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.Popen([sys.executable, "-m", "sgharmonic.cli", *args], env=env,
+                            stderr=subprocess.PIPE, **kwargs)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("args", [
+    ("eval", "-a", "0", "-b", "0", "-g", "1", "--point", "1/2"),
+    ("classify", "-a", "5", "-b", "0", "-g", "1"),
+    ("scan", "-a", "1", "-b", "2", "-g", "3", "--depth", "4"),
+    ("zero-search", "--alpha=-2", "-b", "0", "-g", "2"),
+    ("verify", "--suite", "lemma1", "--trials", "5"),
+], ids=lambda args: args[0])
+def test_unwritable_stdout_is_a_usage_error(args):
+    # each command flushes stdout before it returns, so a full device fails
+    # inside the command: exit 2 with the reason, as for scan's --output
+    with open("/dev/full", "w") as full, run_module(*args, stdout=full) as proc:
+        _, err = proc.communicate(timeout=60)
+    err = err.decode()
+    assert proc.returncode == 2, err
+    assert f"cannot write stdout: {os.strerror(errno.ENOSPC)}" in err
+    assert "Traceback" not in err
+
+
+def test_closed_pipe_ends_quietly():
+    # a reader that stops after the header (as `| head -1`) closes the pipe
+    # while scan still writes: no traceback and no message
+    with run_module("scan", "-a", "1", "-b", "0", "-g", "1", "--depth", "14",
+                    stdout=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"x_num,x_den,f_num,f_den,f_float\r\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert err == b""
 
 
 # Fixed triples for the golden digest: integer and rational ones, a constant

@@ -363,6 +363,19 @@ class TestBasisSolutions:
         for m in (0, 1):
             assert level_digest(m) == GOLDEN_LEVELS[m]
 
+    def test_denominator_grows_at_each_vertex_that_needs_it(self, monkeypatch):
+        # each gasket level grows D once, by 5, so a fake graph on level 0's
+        # boundary: the chain p0 - 3 - 4 - p1, where vertex 3 is 4/15 p0 +
+        # 1/15 p1, and vertex 5 joined to p2 alone, a quarter of it.  D grows
+        # 1 -> 15 at vertex 3 and 15 -> 60 at vertex 5, where the rows of
+        # vertices 3 and 4, solved over 15, are put over 60
+        nbrs = ((3,), (4,), (5,), (0, 4), (1, 3), (2,))
+        fake = GasketGraph(1, (None,) * 6, {}, (0, 1, 2), nbrs)
+        monkeypatch.setattr(oracle, "build_graph", lambda m: fake)
+        den, rows = _basis_solutions.__wrapped__(1)  # uncached: the level's real rows stay
+        assert den == 60
+        assert [tuple(Fraction(c, den) for c in row) for row in rows] == dense_solve(fake)
+
     @pytest.mark.parametrize("m", [2, 5, MAX_LEVEL])
     def test_coarse_rows_are_checked(self, m, monkeypatch):
         # vertex 3, the first interior one, with one coefficient off in level

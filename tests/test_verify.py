@@ -378,7 +378,7 @@ def test_theorem5_checks_the_premise_of_the_one_edge_scan(monkeypatch):
     passed = verify.suite_theorem5(trials=20)
     assert passed.status == "PASS"
     assert ("premise of the one-edge zero scan checked: at most one edge per triple has "
-            "end forms of opposite sign; 24 planted Zero lines") in passed.details
+            "end forms of opposite sign; 192 planted Zero lines") in passed.details
     real = restrictions._ends
 
     def forged(t):
@@ -395,13 +395,13 @@ def test_theorem5_checks_the_premise_of_the_one_edge_scan(monkeypatch):
     assert all(re.fullmatch(r"\(-\d+, \d+\)", ce[edge]) for edge in gasket.EDGES)
 
 
-@pytest.mark.parametrize("depth, lines", [(1, 6), (2, 12), (3, 24), (6, 24)])
+@pytest.mark.parametrize("depth, lines", [(1, 6), (2, 12), (3, 24), (6, 192)])
 def test_theorem5_plants_every_zero_line(depth, lines):
     # the three vertex lines, and 2^(d-1) junction lines per edge at each d
     result = verify.suite_theorem5(trials=5, depth=depth)
     assert result.status == "PASS"
     assert result.details.endswith(
-        f"; {lines} planted Zero lines to depth {min(depth, 3)}, each with exactly its one "
+        f"; {lines} planted Zero lines to depth {min(depth, 6)}, each with exactly its one "
         "zero, found by the scan, and at a junction with Zero classes and the extremum "
         "descent stopping there")
 
